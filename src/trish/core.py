@@ -71,6 +71,14 @@ class FiniteSumProblem(ABC):
         """Full objective F(x)."""
         return float(np.mean(self.component_losses(np.arange(self.N), x)))
 
+    def losses(self, xs: np.ndarray) -> np.ndarray:
+        """Full objective at each row of a K x n stack of points.
+
+        Subclasses may override with a stacked evaluation; each value must
+        equal `loss` at that row exactly.
+        """
+        return np.array([self.loss(x) for x in xs])
+
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Full gradient, the mean of all component gradients."""
         return self.component_gradients(np.arange(self.N), x).mean(axis=0)

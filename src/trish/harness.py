@@ -156,10 +156,10 @@ def _case_fractions(records) -> tuple[float, float, float]:
 
 
 def _metric_setup(config: ExperimentConfig, problem, test_features, test_labels):
-    """Metric closure and its optimization direction for the model kind."""
+    """Held-out metric of a K x n stack of iterates, one value per row."""
     if config.model == "mlp_regressor":
-        return (lambda x: testing_loss(problem, x, test_features, test_labels)), "min"
-    return (lambda x: testing_accuracy(problem, x, test_features, test_labels)), "max"
+        return lambda xs: testing_loss(problem, xs, test_features, test_labels)
+    return lambda xs: testing_accuracy(problem, xs, test_features, test_labels)
 
 
 def load_problem(config: ExperimentConfig):
@@ -179,15 +179,11 @@ def load_problem(config: ExperimentConfig):
             train = parse_libsvm(fh)
         with open(config.test_path) as fh:
             test = parse_libsvm(fh, n_features=train.n)
-        n = max(train.n, test.n)
-        if train.n < n:
-            with open(config.train_path) as fh:
-                train = parse_libsvm(fh, n_features=n)
         X_train, y_train = train.features, train.labels
         X_test, y_test = test.features, test.labels
+        X_train.resize(train.N, test.n)  # the test file may use more columns
         if config.normalize:
-            dense = minmax_normalize(
-                np.asarray(sp_vstack_dense(X_train, X_test), dtype=np.float64))
+            dense = minmax_normalize(np.vstack([_densify(X_train), _densify(X_test)]))
             X_train, X_test = dense[:train.N], dense[train.N:]
     else:
         raise ValueError("config needs data_path or train_path+test_path")
@@ -208,10 +204,6 @@ def load_problem(config: ExperimentConfig):
 def _densify(X) -> np.ndarray:
     return np.asarray(X.todense(), dtype=np.float64) if hasattr(X, "todense") \
         else np.asarray(X, dtype=np.float64)
-
-
-def sp_vstack_dense(a, b) -> np.ndarray:
-    return np.vstack([_densify(a), _densify(b)])
 
 
 def _run_once(config, problem, params, algorithm, seed_seq, metric_fn):
@@ -257,7 +249,7 @@ def run_grid(config: ExperimentConfig, problem: FiniteSumProblem | None = None,
     """
     if problem is None:
         problem, test_features, test_labels = load_problem(config)
-    metric_fn, _ = _metric_setup(config, problem, test_features, test_labels)
+    metric_fn = _metric_setup(config, problem, test_features, test_labels)
 
     if G is None:
         G = config.g_value

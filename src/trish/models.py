@@ -15,11 +15,48 @@ from .core import FiniteSumProblem, as_vector
 
 
 def _rows(features, indices) -> np.ndarray:
-    """Dense float64 rows of a (possibly sparse) feature matrix."""
-    sub = features[np.asarray(indices, dtype=np.intp)]
+    """Dense float64 rows of a (possibly sparse) feature matrix.
+
+    Canonical CSR rows (sorted, no duplicate entries) are scattered straight
+    from indptr/indices/data; every other format goes through scipy.
+    """
+    idx = np.asarray(indices, dtype=np.intp)
+    if sp.issparse(features) and features.format == "csr" \
+            and features.has_canonical_format:
+        starts = features.indptr[idx]
+        lengths = features.indptr[idx + 1] - starts
+        rows = np.repeat(np.arange(idx.size), lengths)
+        pos = np.arange(rows.size) + np.repeat(
+            starts - (np.cumsum(lengths) - lengths), lengths)
+        out = np.zeros((idx.size, features.shape[1]))
+        out[rows, features.indices[pos]] = features.data[pos]
+        return out
+    sub = features[idx]
     if sp.issparse(sub):
         return np.asarray(sub.todense(), dtype=np.float64)
     return np.array(sub, dtype=np.float64, copy=True)
+
+
+def _as_stack(x) -> tuple[np.ndarray, bool]:
+    """A K x n stack of points from one vector or a stack, and whether it
+    was one vector."""
+    xs = np.asarray(x, dtype=np.float64)
+    if xs.ndim not in (1, 2):
+        raise ValueError(f"expected a vector or a K x n stack, got shape {xs.shape}")
+    return np.atleast_2d(xs), xs.ndim == 1
+
+
+def _margins(features, xs: np.ndarray) -> np.ndarray:
+    """K x N margins, row k holding features @ xs[k].
+
+    A sparse matrix times the whole stack sums every entry in the same order
+    as one matrix-vector product per point, so the values are bit-identical.
+    A dense BLAS matrix product is not, so dense features take one product
+    per point.
+    """
+    if sp.issparse(features):
+        return np.asarray(features @ xs.T).T
+    return np.stack([np.asarray(features @ x).ravel() for x in xs])
 
 
 class LogisticModel(FiniteSumProblem):
@@ -27,8 +64,8 @@ class LogisticModel(FiniteSumProblem):
 
     Component i has loss log(1 + exp(-y_i x.z_i)) and gradient
     -y_i z_i / (1 + exp(y_i x.z_i)), both computed overflow-safe.  Sparse
-    feature rows are kept sparse and densified only inside per-component
-    gradient evaluation.
+    features are stored as canonical CSR (sorted, duplicates summed) and
+    densified only inside per-component gradient evaluation.
     """
 
     def __init__(self, features, labels):
@@ -37,15 +74,15 @@ class LogisticModel(FiniteSumProblem):
             raise ValueError("labels must be -1 or +1")
         if features.shape[0] != labels.size:
             raise ValueError("feature rows and labels disagree in count")
-        self.features = sp.csr_matrix(features) if sp.issparse(features) \
-            else np.asarray(features, dtype=np.float64)
+        if sp.issparse(features):
+            features = sp.csr_matrix(features, copy=True)
+            features.sum_duplicates()
+        else:
+            features = np.asarray(features, dtype=np.float64)
+        self.features = features
         self.labels = labels
         self.N = int(labels.size)
         self.n = int(features.shape[1])
-
-    def _margins(self, x: np.ndarray, features=None) -> np.ndarray:
-        X = self.features if features is None else features
-        return np.asarray(X @ x).ravel()
 
     def component_loss(self, i: int, x: np.ndarray) -> float:
         return float(self.component_losses([i], x)[0])
@@ -67,11 +104,15 @@ class LogisticModel(FiniteSumProblem):
         return np.logaddexp(0.0, -margins)
 
     def loss(self, x: np.ndarray) -> float:
-        margins = self.labels * self._margins(x)
-        return float(np.mean(np.logaddexp(0.0, -margins)))
+        return float(self.losses(as_vector(x)[None])[0])
+
+    def losses(self, xs: np.ndarray) -> np.ndarray:
+        # Contiguous rows keep each mean's summation order that of one vector.
+        margins = self.labels * np.ascontiguousarray(_margins(self.features, xs))
+        return np.array([np.mean(row) for row in np.logaddexp(0.0, -margins)])
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        margins = self.labels * self._margins(x)
+        margins = self.labels * np.asarray(self.features @ x).ravel()
         coef = -self.labels * expit(-margins)
         return np.asarray(self.features.T @ coef).ravel() / self.N
 
@@ -255,31 +296,49 @@ def default_x0(problem: FiniteSumProblem, rng: np.random.Generator) -> np.ndarra
     return np.zeros(problem.n)
 
 
-def testing_accuracy(model: FiniteSumProblem, x, features, labels) -> float:
+def _check_labels(labels: np.ndarray, allowed: tuple[float, float], kind: str):
+    bad = labels[(labels != allowed[0]) & (labels != allowed[1])]
+    if bad.size:
+        raise ValueError(f"{kind} test labels must be {allowed[0]:g} or "
+                         f"{allowed[1]:g}, got {float(bad[0])}")
+
+
+def testing_accuracy(model: FiniteSumProblem, x, features, labels):
     """Fraction of the held-out set classified correctly.
 
-    Logistic predicts sign(features . x) with ties counted as +1; an MLP
-    classifier predicts 1 iff its output is >= 0.5.
+    Logistic predicts sign(features . x) with ties counted as +1 and needs
+    -1/+1 labels; an MLP classifier predicts 1 iff its output is >= 0.5 and
+    needs 0/1 labels.  x is one vector (returns a float) or a K x n stack
+    (returns K accuracies, each equal to the single-vector value).
     """
     labels = np.asarray(labels, dtype=np.float64)
     if labels.size == 0:
         raise ValueError("empty test set")
+    xs, single = _as_stack(x)
     if isinstance(model, LogisticModel):
-        margins = np.asarray(features @ as_vector(x)).ravel()
-        pred = np.where(margins >= 0.0, 1.0, -1.0)
+        _check_labels(labels, (-1.0, 1.0), "logistic")
+        correct = (_margins(features, xs) >= 0.0) == (labels == 1.0)
     elif isinstance(model, MlpModel):
-        pred = (model.predict(features, x) >= 0.5).astype(np.float64)
+        _check_labels(labels, (0.0, 1.0), "MLP classifier")
+        correct = np.stack([(model.predict(features, x) >= 0.5) == (labels == 1.0)
+                            for x in xs])
     else:
         raise TypeError(f"no accuracy rule for {type(model).__name__}")
-    return float(np.mean(pred == labels))
+    accuracy = np.count_nonzero(correct, axis=1) / labels.size
+    return float(accuracy[0]) if single else accuracy
 
 
-def testing_loss(model: MlpModel, x, features, targets) -> float:
-    """Mean squared prediction error over the held-out set."""
+def testing_loss(model: MlpModel, x, features, targets):
+    """Mean squared prediction error over the held-out set.
+
+    x is one vector (returns a float) or a K x n stack (returns K errors).
+    """
     targets = np.asarray(targets, dtype=np.float64)
     if targets.size == 0:
         raise ValueError("empty test set")
     if not isinstance(model, MlpModel):
         raise TypeError(f"no testing loss rule for {type(model).__name__}")
-    h = model.predict(features, x)
-    return float(np.mean((targets - h) ** 2))
+    xs, single = _as_stack(x)
+    mse = np.array([np.mean((targets - model.predict(features, x)) ** 2)
+                    for x in xs])
+    return float(mse[0]) if single else mse

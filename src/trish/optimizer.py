@@ -6,6 +6,13 @@ g.p over ||p|| <= alpha), otherwise it is a scaled SG step.  Every step is
 accepted; no ratio test.  Runs are budgeted in effective gradient evaluations
 (EGE): cumulative per-component gradient evaluations divided by N, so one
 epoch equals EGE 1.
+
+Telemetry is optional and leaves the trajectory untouched.  With
+`track_loss` or `metric_fn` set, a driver keeps a reference to every iterate
+and, after its loop, fills in each record's train loss and held-out metric
+once, evaluating TELEMETRY_BLOCK iterates per stacked call.  `metric_fn`
+receives a K x n stack of iterates and returns K values.  With both off, no
+iterate is kept.
 """
 
 from __future__ import annotations
@@ -110,22 +117,42 @@ def trish_step(g, params: HyperParams) -> np.ndarray:
     return _step_vector(g, gnorm, case, params)
 
 
-MetricFn = Optional[Callable[[np.ndarray], float]]
+# Held-out metric over a K x n stack of iterates, returning K values.
+MetricFn = Optional[Callable[[np.ndarray], np.ndarray]]
+
+TELEMETRY_BLOCK = 32  # iterates per stacked telemetry evaluation
 
 
-def _record(records, problem, x, k, case, gnorm, size, ege,
-            track_loss, metric_fn):
-    records.append(IterationRecord(
-        k=k, case=case, grad_norm=gnorm, batch_size=size, ege=ege,
-        train_loss=problem.loss(x) if track_loss else None,
-        test_metric=metric_fn(x) if metric_fn else None))
+def _fill_telemetry(records, iterates, problem, track_loss, metric_fn):
+    """Set train_loss and test_metric of every record from its iterate.
+
+    Iterates are evaluated in stacks of TELEMETRY_BLOCK, which keeps the
+    held-out margins of one stack in memory at a time.
+    """
+    for start in range(0, len(iterates), TELEMETRY_BLOCK):
+        block = records[start:start + TELEMETRY_BLOCK]
+        xs = np.stack(iterates[start:start + TELEMETRY_BLOCK])
+        if track_loss:
+            for rec, value in zip(block, problem.losses(xs).tolist()):
+                rec.train_loss = value
+        if metric_fn is not None:
+            values = np.asarray(metric_fn(xs), dtype=np.float64)
+            if values.shape != (len(block),):
+                raise ValueError(f"metric_fn returned shape {values.shape} "
+                                 f"for {len(block)} iterates")
+            for rec, value in zip(block, values.tolist()):
+                rec.test_metric = value
 
 
 def run_trish(problem: FiniteSumProblem, x0, params: HyperParams,
               batch_size: int, budget_epochs: float, rng: np.random.Generator,
               track_loss: bool = False, metric_fn: MetricFn = None
               ) -> tuple[np.ndarray, list[IterationRecord]]:
-    """Fixed-batch run of the step rule until the EGE budget is spent."""
+    """Fixed-batch run of the step rule until the EGE budget is spent.
+
+    Records carry train_loss / test_metric when `track_loss` / `metric_fn`
+    are set, filled in once per run from the kept iterates before return.
+    """
     N = problem.N
     if not 1 <= batch_size <= N:
         raise ValueError(f"batch size {batch_size} out of range [1, {N}]")
@@ -134,6 +161,8 @@ def run_trish(problem: FiniteSumProblem, x0, params: HyperParams,
     x = as_vector(x0).copy()
     ege = 0.0
     records: list[IterationRecord] = []
+    keep = track_loss or metric_fn is not None
+    iterates: list[np.ndarray] = []
     k = 0
     while ege < budget_epochs:
         batch = draw_batch(N, batch_size, rng)
@@ -143,9 +172,11 @@ def run_trish(problem: FiniteSumProblem, x0, params: HyperParams,
         gnorm = float(np.linalg.norm(g))
         case = classify_case(gnorm, params.gamma1, params.gamma2)
         x = x + _step_vector(g, gnorm, case, params)
-        _record(records, problem, x, k, case, gnorm, batch_size, ege,
-                track_loss, metric_fn)
+        records.append(IterationRecord(k, case, gnorm, batch_size, ege))
+        if keep:
+            iterates.append(x)
         k += 1
+    _fill_telemetry(records, iterates, problem, track_loss, metric_fn)
     return x, records
 
 
@@ -153,7 +184,10 @@ def run_sg(problem: FiniteSumProblem, x0, alpha: float, batch_size: int,
            budget_epochs: float, rng: np.random.Generator,
            track_loss: bool = False, metric_fn: MetricFn = None
            ) -> tuple[np.ndarray, list[IterationRecord]]:
-    """Plain stochastic-gradient baseline: x <- x - alpha * g."""
+    """Plain stochastic-gradient baseline: x <- x - alpha * g.
+
+    Telemetry is filled in after the loop, as in `run_trish`.
+    """
     N = problem.N
     if not 1 <= batch_size <= N:
         raise ValueError(f"batch size {batch_size} out of range [1, {N}]")
@@ -162,6 +196,8 @@ def run_sg(problem: FiniteSumProblem, x0, alpha: float, batch_size: int,
     x = as_vector(x0).copy()
     ege = 0.0
     records: list[IterationRecord] = []
+    keep = track_loss or metric_fn is not None
+    iterates: list[np.ndarray] = []
     k = 0
     while ege < budget_epochs:
         batch = draw_batch(N, batch_size, rng)
@@ -169,9 +205,11 @@ def run_sg(problem: FiniteSumProblem, x0, alpha: float, batch_size: int,
         ege += batch_size / N
         gnorm = float(np.linalg.norm(est.aggregate))
         x = x - alpha * est.aggregate
-        _record(records, problem, x, k, None, gnorm, batch_size, ege,
-                track_loss, metric_fn)
+        records.append(IterationRecord(k, None, gnorm, batch_size, ege))
+        if keep:
+            iterates.append(x)
         k += 1
+    _fill_telemetry(records, iterates, problem, track_loss, metric_fn)
     return x, records
 
 
@@ -190,7 +228,8 @@ def run_trish_as(problem: FiniteSumProblem, x0, params: HyperParams,
 
     Guard rails: the tests are skipped (size kept) when the batch has fewer
     than two components, the gradient is zero, or any test quantity comes out
-    non-finite in floating point.
+    non-finite in floating point.  Telemetry is filled in after the loop, as
+    in `run_trish`.
     """
     N = problem.N
     if not 1 <= s0 <= N:
@@ -201,6 +240,8 @@ def run_trish_as(problem: FiniteSumProblem, x0, params: HyperParams,
     size = int(s0)
     ege = 0.0
     records: list[IterationRecord] = []
+    keep = track_loss or metric_fn is not None
+    iterates: list[np.ndarray] = []
     history = GradientHistory(params.r)
 
     batch = draw_batch(N, size, rng)
@@ -214,8 +255,9 @@ def run_trish_as(problem: FiniteSumProblem, x0, params: HyperParams,
         gnorm = float(np.linalg.norm(g))
         case = classify_case(gnorm, params.gamma1, params.gamma2)
         x = x + _step_vector(g, gnorm, case, params)
-        _record(records, problem, x, k, case, gnorm, size, ege,
-                track_loss, metric_fn)
+        records.append(IterationRecord(k, case, gnorm, size, ege))
+        if keep:
+            iterates.append(x)
         k += 1
         if ege >= budget_epochs:
             break
@@ -255,4 +297,5 @@ def run_trish_as(problem: FiniteSumProblem, x0, params: HyperParams,
                 ege += size / N
                 history.replace_last(size, est.aggregate)
 
+    _fill_telemetry(records, iterates, problem, track_loss, metric_fn)
     return x, records

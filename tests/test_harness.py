@@ -243,6 +243,8 @@ class TestLoadProblem:
                                   test_path=str(tmp_path / "test.libsvm"))
         problem, X_test, _ = load_problem(config)
         assert problem.n == 5 and X_test.shape[1] == 5
+        np.testing.assert_array_equal(problem.features.toarray(),
+                                      [[0, 1, 0, 0, 0], [1, 0, 0, 0, 0]])
 
 
 class TestConfig:

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
-from trish.models import (LogisticModel, MlpModel, default_x0,
+from trish.models import (LogisticModel, MlpModel, _rows, default_x0,
                           finite_difference_gradient, testing_accuracy,
                           testing_loss)
 from trish.core import FiniteSumProblem
@@ -77,6 +78,60 @@ class TestLogisticModel:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             LogisticModel(np.ones((2, 2)), np.array([0.0, 1.0]))
+
+    def test_sparse_features_made_canonical(self):
+        """Unsorted column indices with a duplicate entry: the model stores
+        the summed canonical matrix and leaves the caller's untouched."""
+        X = sp.csr_matrix((np.array([2.0, 1.0, 0.5, 3.0]),
+                           np.array([2, 0, 2, 1]), np.array([0, 3, 4])),
+                          shape=(2, 3))
+        dense = X.toarray()
+        model = LogisticModel(X, np.array([1.0, -1.0]))
+        assert model.features.has_canonical_format
+        np.testing.assert_array_equal(model.features.toarray(), dense)
+        np.testing.assert_array_equal(X.indices, [2, 0, 2, 1])
+        x = np.array([0.3, -0.2, 0.1])
+        np.testing.assert_array_equal(
+            model.component_gradients([0, 1], x),
+            LogisticModel(dense, model.labels).component_gradients([0, 1], x))
+
+
+@st.composite
+def csr_and_rows(draw):
+    """A random CSR matrix (empty rows likely) and a row sample that may be a
+    single row and may include the last one."""
+    rows = draw(st.integers(1, 30))
+    cols = draw(st.integers(1, 12))
+    density = draw(st.sampled_from((0.0, 0.1, 0.4, 1.0)))
+    seed = draw(st.integers(0, 2**16))
+    X = sp.random(rows, cols, density=density, format="csr",
+                  random_state=seed, data_rvs=lambda k: np.arange(1.0, k + 1))
+    size = draw(st.integers(1, rows))
+    idx = np.sort(np.random.default_rng(seed).choice(rows, size, replace=False))
+    if draw(st.booleans()):
+        idx = np.union1d(idx, [rows - 1])
+    return X, idx
+
+
+class TestRows:
+    @settings(max_examples=200, deadline=None)
+    @given(case=csr_and_rows())
+    def test_csr_gather_equals_scipy_rows(self, case):
+        X, idx = case
+        assert X.has_canonical_format
+        out = _rows(X, idx)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        np.testing.assert_array_equal(out, X[idx].toarray())
+
+    def test_single_last_empty_row(self):
+        X = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 0.0]]))
+        np.testing.assert_array_equal(_rows(X, [1]), [[0.0, 0.0]])
+        np.testing.assert_array_equal(_rows(X, [0, 1]), X.toarray())
+
+    def test_non_canonical_csr_sums_duplicates(self):
+        X = sp.csr_matrix((np.array([1.0, 2.0]), np.array([1, 1]),
+                           np.array([0, 2])), shape=(1, 2))
+        np.testing.assert_array_equal(_rows(X, [0]), [[0.0, 3.0]])
 
 
 class TestMlpModel:
@@ -239,6 +294,17 @@ class TestMetrics:
         assert np.isclose(testing_loss(model, x, X, np.full(6, 0.5)), 0.0)
         assert np.isclose(testing_loss(model, x, X, np.ones(6)), 0.25)
 
+    def test_logistic_rejects_zero_one_labels(self):
+        model = logistic_fixture(N=4, n=2)
+        with pytest.raises(ValueError, match="got 0.0"):
+            testing_accuracy(model, np.zeros(2), np.eye(2), np.array([1.0, 0.0]))
+
+    def test_mlp_classifier_rejects_signed_labels(self):
+        model = MlpModel.classifier(np.zeros((4, 3)), np.zeros(4), hidden=2)
+        with pytest.raises(ValueError, match="got -1.0"):
+            testing_accuracy(model, np.zeros(model.n), np.zeros((2, 3)),
+                             np.array([1.0, -1.0]))
+
     def test_empty_test_set_rejected(self):
         model = logistic_fixture()
         with pytest.raises(ValueError):
@@ -254,3 +320,53 @@ class TestMetrics:
         x0 = default_x0(mlp, rng)
         assert x0.shape == (mlp.n,)
         assert np.all((x0 >= -0.5) & (x0 <= 0.5))
+
+
+def _old_logistic_loss(model, x):
+    margins = model.labels * np.asarray(model.features @ x).ravel()
+    return float(np.mean(np.logaddexp(0.0, -margins)))
+
+
+def _old_logistic_accuracy(x, features, labels):
+    margins = np.asarray(features @ x).ravel()
+    return float(np.mean(np.where(margins >= 0.0, 1.0, -1.0) == labels))
+
+
+class TestStackedEvaluation:
+    """Stacked losses and metrics equal one-vector evaluations bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(sparse=st.booleans(), N=st.integers(1, 300), K=st.integers(1, 40),
+           seed=st.integers(0, 2**16))
+    def test_logistic_losses_and_accuracy(self, sparse, N, K, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(2 * N, 9))
+        X[rng.random(size=X.shape) < 0.5] = 0.0
+        X[0] = 0.0  # a zero margin: ties count as +1
+        y = rng.choice([-1.0, 1.0], size=2 * N)
+        if sparse:
+            X = sp.csr_matrix(X)
+        model = LogisticModel(X[:N], y[:N])
+        xs = rng.normal(size=(K, 9))
+        losses = model.losses(xs)
+        accuracy = testing_accuracy(model, xs, X[N:], y[N:])
+        assert losses.shape == accuracy.shape == (K,)
+        for k, x in enumerate(xs):
+            assert losses[k] == model.loss(x) == _old_logistic_loss(model, x)
+            assert accuracy[k] == testing_accuracy(model, x, X[N:], y[N:]) \
+                == _old_logistic_accuracy(x, X[N:], y[N:])
+
+    def test_mlp_metrics(self):
+        rng = np.random.default_rng(0)
+        X = rng.random(size=(50, 7))
+        y = rng.random(size=50)
+        model = MlpModel.regressor(X, y)
+        xs = rng.uniform(-0.5, 0.5, size=(5, model.n))
+        mse = testing_loss(model, xs, X, y)
+        labels = (y > 0.5).astype(np.float64)
+        accuracy = testing_accuracy(model, xs, X, labels)
+        for k, x in enumerate(xs):
+            assert mse[k] == float(np.mean((y - model.predict(X, x)) ** 2))
+            pred = (model.predict(X, x) >= 0.5).astype(np.float64)
+            assert accuracy[k] == float(np.mean(pred == labels))
+        np.testing.assert_array_equal(model.losses(xs), [model.loss(x) for x in xs])

@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 from trish.core import FiniteSumProblem
-from trish.optimizer import (HyperParams, StepCase, classify_case, run_sg,
-                             run_trish, run_trish_as, trish_step)
+from trish.models import (LogisticModel, MlpModel, testing_accuracy,
+                          testing_loss)
+from trish.optimizer import (TELEMETRY_BLOCK, HyperParams, StepCase,
+                             classify_case, run_sg, run_trish, run_trish_as,
+                             trish_step)
 from trish.theory import SyntheticQuadratic
 
 
@@ -172,12 +177,14 @@ class TestRunSg:
 
 
 class CountingProblem(FiniteSumProblem):
-    """Wrapper that counts per-component gradient evaluations."""
+    """Wrapper that counts per-component gradient evaluations and keeps the
+    points the batched gradients were taken at."""
 
     def __init__(self, inner):
         self.inner = inner
         self.n, self.N = inner.n, inner.N
         self.evaluations = 0
+        self.points = []
 
     def component_loss(self, i, x):
         return self.inner.component_loss(i, x)
@@ -188,6 +195,7 @@ class CountingProblem(FiniteSumProblem):
 
     def component_gradients(self, indices, x):
         self.evaluations += len(indices)
+        self.points.append(x.copy())
         return self.inner.component_gradients(indices, x)
 
     def component_losses(self, indices, x):
@@ -195,6 +203,9 @@ class CountingProblem(FiniteSumProblem):
 
     def loss(self, x):
         return self.inner.loss(x)
+
+    def losses(self, xs):
+        return self.inner.losses(xs)
 
     def gradient(self, x):
         return self.inner.gradient(x)
@@ -258,3 +269,126 @@ class TestRunTrishAs:
         # the last iteration may redraw twice, so at most three batch charges
         max_batch = max(r.batch_size for r in records)
         assert records[-1].ege <= 1.5 + 3 * max_batch / 10
+
+
+TELEMETRY_KINDS = ("logistic_sparse", "logistic_dense", "mlp_classifier",
+                   "mlp_regressor")
+
+
+def telemetry_problem(kind, seed, N=64, N_test=40):
+    """A training problem and its single-vector-or-stack held-out metric."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(N + N_test, 5))
+    X[rng.random(size=X.shape) < 0.4] = 0.0
+    score = X @ rng.normal(size=5) + 0.5 * rng.normal(size=N + N_test)
+    if kind.startswith("logistic"):
+        y = np.where(score >= 0.0, 1.0, -1.0)
+        if kind == "logistic_sparse":
+            X = sp.csr_matrix(X)
+        model = LogisticModel(X[:N], y[:N])
+        return model, lambda x: testing_accuracy(model, x, X[N:], y[N:])
+    if kind == "mlp_classifier":
+        y = (score >= 0.0).astype(np.float64)
+        model = MlpModel.classifier(X[:N], y[:N], hidden=3)
+        return model, lambda x: testing_accuracy(model, x, X[N:], y[N:])
+    y = 1.0 / (1.0 + np.exp(-score))
+    model = MlpModel.regressor(X[:N], y[:N], hidden=(3,))
+    return model, lambda x: testing_loss(model, x, X[N:], y[N:])
+
+
+def telemetry_driver(name, problem, budget, seed, vacuous=False, **telemetry):
+    """8-component batches on 64 components, so 8 iterations per epoch
+    (for trish_as while its tests keep the size)."""
+    rng = np.random.default_rng(seed)
+    x0 = np.random.default_rng(seed + 1).uniform(-0.5, 0.5, size=problem.n)
+    params = HyperParams(alpha=0.3, gamma1=4.0, gamma2=1.0, theta=0.5, nu=1.0, r=3)
+    if name == "trish":
+        return run_trish(problem, x0, params, 8, budget, rng, **telemetry)
+    if name == "sg":
+        return run_sg(problem, x0, 0.3, 8, budget, rng, **telemetry)
+    if vacuous:
+        params = HyperParams(alpha=0.3, gamma1=4.0, gamma2=1.0,
+                             theta=float("inf"), nu=float("inf"))
+    return run_trish_as(problem, x0, params, 8, budget, rng, **telemetry)
+
+
+def _dedup(points):
+    out = []
+    for p in points:
+        if not out or not np.array_equal(out[-1], p):
+            out.append(p)
+    return out
+
+
+def check_deferred_telemetry(driver, kind, budget, seed, vacuous=False):
+    """Telemetry on and off give one trajectory, and every record's train
+    loss and held-out metric equal the single-vector values at its iterate.
+    Returns the number of iterations."""
+    model, metric = telemetry_problem(kind, seed)
+    seen = []
+
+    def metric_fn(xs):
+        seen.extend(x.copy() for x in xs)
+        return metric(xs)
+
+    on, off = CountingProblem(model), CountingProblem(model)
+    x_on, rec_on = telemetry_driver(driver, on, budget, seed, vacuous,
+                                    track_loss=True, metric_fn=metric_fn)
+    x_off, rec_off = telemetry_driver(driver, off, budget, seed, vacuous)
+
+    np.testing.assert_array_equal(x_on, x_off)
+    assert len(on.points) == len(off.points)
+    for a, b in zip(on.points, off.points):
+        np.testing.assert_array_equal(a, b)
+    fields = [[(r.k, r.case, r.grad_norm, r.batch_size, r.ege) for r in recs]
+              for recs in (rec_on, rec_off)]
+    assert fields[0] == fields[1]
+    assert all(r.train_loss is None and r.test_metric is None for r in rec_off)
+
+    # The k-th stacked row is the k-th iterate: the next gradient is taken
+    # there, and the last one is the returned point.
+    assert len(seen) == len(rec_on)
+    np.testing.assert_array_equal(seen[-1], x_on)
+    later = _dedup(on.points)[1:]
+    assert len(later) == len(seen) - 1
+    for a, b in zip(later, seen):
+        np.testing.assert_array_equal(a, b)
+    for rec, x in zip(rec_on, seen):
+        assert rec.train_loss == model.loss(x)
+        assert rec.test_metric == metric(x)
+    return len(rec_on)
+
+
+class TestDeferredTelemetry:
+    @settings(max_examples=40, deadline=None)
+    @given(driver=st.sampled_from(("trish", "sg", "trish_as")),
+           kind=st.sampled_from(TELEMETRY_KINDS),
+           budget=st.sampled_from((0.5, 2.0, 4.5, 9.0)),
+           seed=st.integers(0, 2**16))
+    def test_records_equal_single_vector_values(self, driver, kind, budget, seed):
+        check_deferred_telemetry(driver, kind, budget, seed)
+
+    @pytest.mark.parametrize("driver", ("trish", "sg", "trish_as"))
+    @pytest.mark.parametrize("iters", (5, TELEMETRY_BLOCK, TELEMETRY_BLOCK + 1,
+                                       2 * TELEMETRY_BLOCK))
+    def test_block_boundaries(self, driver, iters):
+        for kind in TELEMETRY_KINDS:
+            assert check_deferred_telemetry(driver, kind, iters / 8, seed=3,
+                                            vacuous=True) == iters
+
+    def test_metric_must_return_one_value_per_iterate(self):
+        model, _ = telemetry_problem("logistic_dense", 0)
+        with pytest.raises(ValueError, match="shape"):
+            telemetry_driver("trish", model, 1.0, 0, metric_fn=lambda xs: 0.5)
+
+    def test_off_evaluates_no_loss(self):
+        model, _ = telemetry_problem("logistic_sparse", 0)
+
+        class NoLoss(CountingProblem):
+            def loss(self, x):
+                raise AssertionError("loss evaluated with telemetry off")
+
+            losses = loss
+
+        _, records = telemetry_driver("trish_as", NoLoss(model), 2.0, 0)
+        assert all(r.train_loss is None for r in records)
