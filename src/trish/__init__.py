@@ -8,7 +8,7 @@ empirical verification, and a reproducible benchmark harness.
 """
 
 from .core import (FiniteSumProblem, GradientEstimate, NumericError,
-                   SampleBatch, draw_batch, sampled_gradient, spawn_rngs)
+                   SampleBatch, draw_batch, sampled_gradient)
 from .optimizer import (HyperParams, IterationRecord, StepCase, classify_case,
                         run_sg, run_trish, run_trish_as, trish_step)
 from .sampling import (DegenerateBatchError, GradientHistory, VarianceReport,
@@ -28,7 +28,7 @@ from .harness import (ExperimentConfig, GridCellResult, build_grid, compute_G,
 
 __all__ = [
     "FiniteSumProblem", "GradientEstimate", "NumericError", "SampleBatch",
-    "draw_batch", "sampled_gradient", "spawn_rngs",
+    "draw_batch", "sampled_gradient",
     "HyperParams", "IterationRecord", "StepCase", "classify_case",
     "run_sg", "run_trish", "run_trish_as", "trish_step",
     "DegenerateBatchError", "GradientHistory", "VarianceReport",

@@ -28,16 +28,6 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-def spawn_rngs(seed: int, count: int) -> list[np.random.Generator]:
-    """Split one seed into `count` independent deterministic generators.
-
-    Sub-streams keep consumers isolated: drawing extra numbers from one
-    stream (e.g. for initialization) cannot perturb another (batch draws).
-    """
-    children = np.random.SeedSequence(seed).spawn(count)
-    return [np.random.default_rng(s) for s in children]
-
-
 class FiniteSumProblem(ABC):
     """Objective F(x) = (1/N) sum_i F_i(x) with per-component losses and gradients.
 

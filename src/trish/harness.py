@@ -21,8 +21,8 @@ import numpy as np
 
 from .core import FiniteSumProblem
 from .data import chronological_split, minmax_normalize, parse_libsvm
-from .models import (LogisticModel, MlpModel, default_x0, testing_accuracy,
-                     testing_loss)
+from .models import (LogisticModel, MlpModel, _dense, default_x0,
+                     testing_accuracy, testing_loss)
 from .optimizer import (HyperParams, StepCase, run_sg, run_trish,
                         run_trish_as)
 
@@ -167,7 +167,7 @@ def load_problem(config: ExperimentConfig):
     if config.data_path is not None:
         with open(config.data_path) as fh:
             full = parse_libsvm(fh)
-        X = np.asarray(full.features.todense(), dtype=np.float64)
+        X = _dense(full.features)
         y = full.labels
         if config.normalize:
             both = minmax_normalize(np.column_stack([X, y]))
@@ -183,7 +183,7 @@ def load_problem(config: ExperimentConfig):
         X_test, y_test = test.features, test.labels
         X_train.resize(train.N, test.n)  # the test file may use more columns
         if config.normalize:
-            dense = minmax_normalize(np.vstack([_densify(X_train), _densify(X_test)]))
+            dense = minmax_normalize(np.vstack([_dense(X_train), _dense(X_test)]))
             X_train, X_test = dense[:train.N], dense[train.N:]
     else:
         raise ValueError("config needs data_path or train_path+test_path")
@@ -196,30 +196,24 @@ def load_problem(config: ExperimentConfig):
             y_test = (y_test == config.positive_label).astype(np.float64)
         problem = MlpModel.classifier(X_train, y_train)
     else:
-        problem = MlpModel.regressor(_densify(X_train), y_train)
-        X_test = _densify(X_test)
+        problem = MlpModel.regressor(_dense(X_train), y_train)
+        X_test = _dense(X_test)
     return problem, X_test, y_test
-
-
-def _densify(X) -> np.ndarray:
-    return np.asarray(X.todense(), dtype=np.float64) if hasattr(X, "todense") \
-        else np.asarray(X, dtype=np.float64)
 
 
 def _run_once(config, problem, params, algorithm, seed_seq, metric_fn):
     init_rng, batch_rng = (np.random.default_rng(s) for s in seed_seq.spawn(2))
     x0 = default_x0(problem, init_rng)
+    if algorithm == "trish_as":
+        s0 = config.s0 if config.s0 is not None else initial_sample_size(problem.N)
+        return run_trish_as(problem, x0, params, s0, config.budget_epochs,
+                            batch_rng, track_loss=True, metric_fn=metric_fn)
+    batch = min(config.batch_size, problem.N)
     if algorithm == "trish":
-        batch = min(config.batch_size, problem.N)
         return run_trish(problem, x0, params, batch, config.budget_epochs,
                          batch_rng, track_loss=True, metric_fn=metric_fn)
-    if algorithm == "sg":
-        batch = min(config.batch_size, problem.N)
-        return run_sg(problem, x0, params.alpha, batch, config.budget_epochs,
-                      batch_rng, track_loss=True, metric_fn=metric_fn)
-    s0 = config.s0 if config.s0 is not None else initial_sample_size(problem.N)
-    return run_trish_as(problem, x0, params, s0, config.budget_epochs,
-                        batch_rng, track_loss=True, metric_fn=metric_fn)
+    return run_sg(problem, x0, params.alpha, batch, config.budget_epochs,
+                  batch_rng, track_loss=True, metric_fn=metric_fn)
 
 
 def _regrid_curves(rep_records):

@@ -14,6 +14,13 @@ from scipy.special import expit
 from .core import FiniteSumProblem, as_vector
 
 
+def _dense(features) -> np.ndarray:
+    """Features as a C-contiguous float64 array, copied only when needed."""
+    return np.ascontiguousarray(
+        features.toarray() if sp.issparse(features) else features,
+        dtype=np.float64)
+
+
 def _rows(features, indices) -> np.ndarray:
     """Dense float64 rows of a (possibly sparse) feature matrix.
 
@@ -31,10 +38,7 @@ def _rows(features, indices) -> np.ndarray:
         out = np.zeros((idx.size, features.shape[1]))
         out[rows, features.indices[pos]] = features.data[pos]
         return out
-    sub = features[idx]
-    if sp.issparse(sub):
-        return np.asarray(sub.todense(), dtype=np.float64)
-    return np.array(sub, dtype=np.float64, copy=True)
+    return _dense(features[idx])  # fancy indexing already copied
 
 
 def _as_stack(x) -> tuple[np.ndarray, bool]:
@@ -152,7 +156,7 @@ class MlpModel(FiniteSumProblem):
                 (targets.min() < 0.0 or targets.max() > 1.0):
             raise ValueError("cross-entropy targets must lie in [0, 1]")
 
-        self.features = features
+        self.features = features if sp.issparse(features) else _dense(features)
         self.targets = targets
         self.layer_sizes = layer_sizes
         self.activations = tuple(activations)
@@ -201,8 +205,7 @@ class MlpModel(FiniteSumProblem):
 
     def predict(self, features, x: np.ndarray) -> np.ndarray:
         """Network outputs h in (0,1] or R for every feature row."""
-        Z = _rows(features, np.arange(features.shape[0]))
-        return self._forward(Z, self.unpack(x))[-1].ravel()
+        return self._forward(_dense(features), self.unpack(x))[-1].ravel()
 
     def _losses_from_h(self, h: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.loss_kind == "squared":
@@ -256,11 +259,12 @@ class MlpModel(FiniteSumProblem):
         return out
 
     def loss(self, x: np.ndarray) -> float:
-        return float(np.mean(self.component_losses(np.arange(self.N), x)))
+        h = self.predict(self.features, x)
+        return float(np.mean(self._losses_from_h(h, self.targets)))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Full gradient via batch-summed backprop (no per-sample outer products)."""
-        Z = _rows(self.features, np.arange(self.N))
+        Z = _dense(self.features)
         layers = self.unpack(x)
         acts = self._forward(Z, layers)
         deltas = self._backward_deltas(acts, layers, self.targets)

@@ -18,7 +18,7 @@ iterate is kept.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
 
@@ -144,6 +144,93 @@ def _fill_telemetry(records, iterates, problem, track_loss, metric_fn):
                 rec.test_metric = value
 
 
+def _trish_rule(params: HyperParams):
+    """The TRish step as a step rule for `_run`."""
+    def step(g, gnorm):
+        case = classify_case(gnorm, params.gamma1, params.gamma2)
+        return case, _step_vector(g, gnorm, case, params)
+    return step
+
+
+def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
+         rng: np.random.Generator, track_loss: bool, metric_fn: MetricFn,
+         step, sampler: Optional[HyperParams] = None
+         ) -> tuple[np.ndarray, list[IterationRecord]]:
+    """The run loop behind every driver.
+
+    `step(g, gnorm)` returns the step case (None for SG) and the step.  The
+    batch size stays `size` unless `sampler` holds the adaptive-sampling
+    constants, in which case it follows `run_trish_as`.  Each iteration
+    steps with the current gradient, records, stops once the budget is
+    spent, and otherwise forms the next gradient.
+    """
+    N = problem.N
+    if not 1 <= size <= N:
+        raise ValueError(f"batch size {size} out of range [1, {N}]")
+    if not 0 < budget_epochs < math.inf:
+        raise ValueError(f"budget_epochs must be positive and finite, got {budget_epochs}")
+    x = as_vector(x0).copy()
+    size = int(size)
+    ege = 0.0
+    records: list[IterationRecord] = []
+    keep = track_loss or metric_fn is not None
+    iterates: list[np.ndarray] = []
+
+    def sample():
+        """Gradient at x over a fresh batch of the current size, charged to EGE."""
+        nonlocal ege
+        est = sampled_gradient(problem, x, draw_batch(N, size, rng))
+        ege += size / N
+        return est
+
+    est = sample()
+    if sampler is not None:
+        history = GradientHistory(sampler.r)
+        history.push(size, est.aggregate)
+    while True:
+        g = est.aggregate
+        gnorm = float(np.linalg.norm(g))
+        case, p = step(g, gnorm)
+        x = x + p
+        records.append(IterationRecord(len(records), case, gnorm, size, ege))
+        if keep:
+            iterates.append(x)
+        if ege >= budget_epochs:
+            break
+        est = sample()
+        if sampler is None:
+            continue
+
+        new_norm = float(np.linalg.norm(est.aggregate))
+        if size >= 2 and new_norm > 0.0 and math.isfinite(new_norm):
+            report = variance_report(est, est.aggregate, sampler.theta, sampler.nu)
+            if not report.ok:
+                try:
+                    proposed = proposed_sample_size(
+                        report, est.aggregate, sampler.theta, sampler.nu, N)
+                except NumericError:
+                    pass  # finite-precision overflow/underflow: keep the size
+                else:
+                    size = min(N, max(size, proposed))
+                    est = sample()
+
+        history.push(size, est.aggregate)
+
+        if size >= 2:
+            try:
+                noisy = noisy_regime_step(history, est, sampler.theta, sampler.nu,
+                                          sampler.avg_threshold, N)
+            except (DegenerateBatchError, ZeroReferenceError, NumericError):
+                noisy = None
+            if noisy is not None:
+                size = min(N, max(size, noisy))
+                est = sample()
+                history.replace_last(size, est.aggregate)
+
+    _fill_telemetry(records, iterates, problem, track_loss, metric_fn)
+    return x, records
+
+
 def run_trish(problem: FiniteSumProblem, x0, params: HyperParams,
               batch_size: int, budget_epochs: float, rng: np.random.Generator,
               track_loss: bool = False, metric_fn: MetricFn = None
@@ -153,31 +240,8 @@ def run_trish(problem: FiniteSumProblem, x0, params: HyperParams,
     Records carry train_loss / test_metric when `track_loss` / `metric_fn`
     are set, filled in once per run from the kept iterates before return.
     """
-    N = problem.N
-    if not 1 <= batch_size <= N:
-        raise ValueError(f"batch size {batch_size} out of range [1, {N}]")
-    if budget_epochs <= 0:
-        raise ValueError("budget_epochs must be positive")
-    x = as_vector(x0).copy()
-    ege = 0.0
-    records: list[IterationRecord] = []
-    keep = track_loss or metric_fn is not None
-    iterates: list[np.ndarray] = []
-    k = 0
-    while ege < budget_epochs:
-        batch = draw_batch(N, batch_size, rng)
-        est = sampled_gradient(problem, x, batch)
-        ege += batch_size / N
-        g = est.aggregate
-        gnorm = float(np.linalg.norm(g))
-        case = classify_case(gnorm, params.gamma1, params.gamma2)
-        x = x + _step_vector(g, gnorm, case, params)
-        records.append(IterationRecord(k, case, gnorm, batch_size, ege))
-        if keep:
-            iterates.append(x)
-        k += 1
-    _fill_telemetry(records, iterates, problem, track_loss, metric_fn)
-    return x, records
+    return _run(problem, x0, batch_size, budget_epochs, rng, track_loss,
+                metric_fn, _trish_rule(params))
 
 
 def run_sg(problem: FiniteSumProblem, x0, alpha: float, batch_size: int,
@@ -188,29 +252,9 @@ def run_sg(problem: FiniteSumProblem, x0, alpha: float, batch_size: int,
 
     Telemetry is filled in after the loop, as in `run_trish`.
     """
-    N = problem.N
-    if not 1 <= batch_size <= N:
-        raise ValueError(f"batch size {batch_size} out of range [1, {N}]")
-    if budget_epochs <= 0:
-        raise ValueError("budget_epochs must be positive")
-    x = as_vector(x0).copy()
-    ege = 0.0
-    records: list[IterationRecord] = []
-    keep = track_loss or metric_fn is not None
-    iterates: list[np.ndarray] = []
-    k = 0
-    while ege < budget_epochs:
-        batch = draw_batch(N, batch_size, rng)
-        est = sampled_gradient(problem, x, batch)
-        ege += batch_size / N
-        gnorm = float(np.linalg.norm(est.aggregate))
-        x = x - alpha * est.aggregate
-        records.append(IterationRecord(k, None, gnorm, batch_size, ege))
-        if keep:
-            iterates.append(x)
-        k += 1
-    _fill_telemetry(records, iterates, problem, track_loss, metric_fn)
-    return x, records
+    # x + (-alpha) * g equals x - alpha * g bit for bit.
+    return _run(problem, x0, batch_size, budget_epochs, rng, track_loss,
+                metric_fn, lambda g, gnorm: (None, (-alpha) * g))
 
 
 def run_trish_as(problem: FiniteSumProblem, x0, params: HyperParams,
@@ -231,71 +275,5 @@ def run_trish_as(problem: FiniteSumProblem, x0, params: HyperParams,
     non-finite in floating point.  Telemetry is filled in after the loop, as
     in `run_trish`.
     """
-    N = problem.N
-    if not 1 <= s0 <= N:
-        raise ValueError(f"s0 {s0} out of range [1, {N}]")
-    if budget_epochs <= 0:
-        raise ValueError("budget_epochs must be positive")
-    x = as_vector(x0).copy()
-    size = int(s0)
-    ege = 0.0
-    records: list[IterationRecord] = []
-    keep = track_loss or metric_fn is not None
-    iterates: list[np.ndarray] = []
-    history = GradientHistory(params.r)
-
-    batch = draw_batch(N, size, rng)
-    est = sampled_gradient(problem, x, batch)
-    ege += size / N
-    history.push(size, est.aggregate)
-
-    k = 0
-    while True:
-        g = est.aggregate
-        gnorm = float(np.linalg.norm(g))
-        case = classify_case(gnorm, params.gamma1, params.gamma2)
-        x = x + _step_vector(g, gnorm, case, params)
-        records.append(IterationRecord(k, case, gnorm, size, ege))
-        if keep:
-            iterates.append(x)
-        k += 1
-        if ege >= budget_epochs:
-            break
-
-        # Form the gradient for the next step at the unchanged size.
-        batch = draw_batch(N, size, rng)
-        est = sampled_gradient(problem, x, batch)
-        ege += size / N
-
-        new_norm = float(np.linalg.norm(est.aggregate))
-        if size >= 2 and new_norm > 0.0 and math.isfinite(new_norm):
-            report = variance_report(est, est.aggregate, params.theta, params.nu)
-            if not report.ok:
-                try:
-                    proposed = proposed_sample_size(
-                        report, est.aggregate, params.theta, params.nu, N)
-                except NumericError:
-                    pass  # finite-precision overflow/underflow: keep the size
-                else:
-                    size = min(N, max(size, proposed))
-                    batch = draw_batch(N, size, rng)
-                    est = sampled_gradient(problem, x, batch)
-                    ege += size / N
-
-        history.push(size, est.aggregate)
-
-        if size >= 2:
-            try:
-                noisy = noisy_regime_step(history, est, params.theta,
-                                          params.nu, params.avg_threshold, N)
-            except (DegenerateBatchError, ZeroReferenceError, NumericError):
-                noisy = None
-            if noisy is not None:
-                size = min(N, max(size, noisy))
-                batch = draw_batch(N, size, rng)
-                est = sampled_gradient(problem, x, batch)
-                ege += size / N
-                history.replace_last(size, est.aggregate)
-
-    _fill_telemetry(records, iterates, problem, track_loss, metric_fn)
-    return x, records
+    return _run(problem, x0, s0, budget_epochs, rng, track_loss, metric_fn,
+                _trish_rule(params), sampler=params)

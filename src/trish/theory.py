@@ -194,6 +194,20 @@ def enumerate_batches(N: int, size: int):
     return itertools.combinations(range(N), size)
 
 
+def _batch_gradients(problem: FiniteSumProblem, x: np.ndarray, batches):
+    """Full gradient, the gradient of each batch in order, and the averages
+    of ||g||^2 and ||g - grad||^2 over those batch gradients g."""
+    grad = problem.gradient(x)
+    per = problem.component_gradients(np.arange(problem.N), x)
+    gs = [per[list(batch)].mean(axis=0) for batch in batches]
+    e_g_sq = e_err_sq = 0.0
+    for g in gs:
+        e_g_sq += float(g @ g)
+        diff = g - grad
+        e_err_sq += float(diff @ diff)
+    return grad, gs, e_g_sq / len(gs), e_err_sq / len(gs)
+
+
 @dataclass(frozen=True)
 class GradientMoments:
     """Exact conditional moments of the batch gradient at a point."""
@@ -211,28 +225,21 @@ def gradient_moments(problem: FiniteSumProblem, x, batch_size: int) -> GradientM
     Feasible for small N only (C(N, batch_size) batches).  The projection
     moments require a nonzero full gradient.
     """
-    x = as_vector(x)
-    grad = problem.gradient(x)
+    grad, gs, e_g_sq, e_err_sq = _batch_gradients(
+        problem, as_vector(x), enumerate_batches(problem.N, batch_size))
     grad_sq = float(grad @ grad)
-    per = problem.component_gradients(np.arange(problem.N), x)
-    e_g_sq = e_err_sq = inner = orth = 0.0
-    count = 0
-    for combo in enumerate_batches(problem.N, batch_size):
-        g = per[list(combo)].mean(axis=0)
-        e_g_sq += float(g @ g)
-        diff = g - grad
-        e_err_sq += float(diff @ diff)
-        if grad_sq > 0:
+    inner = orth = float("nan")
+    if grad_sq > 0:
+        inner = orth = 0.0
+        for g in gs:
             dot = float(g @ grad)
             inner += (dot - grad_sq) ** 2
             residual = g - (dot / grad_sq) * grad
             orth += float(residual @ residual)
-        count += 1
-    return GradientMoments(grad=grad,
-                           e_g_sq=e_g_sq / count,
-                           e_err_sq=e_err_sq / count,
-                           inner_moment=inner / count if grad_sq > 0 else float("nan"),
-                           orth_moment=orth / count if grad_sq > 0 else float("nan"))
+        inner /= len(gs)
+        orth /= len(gs)
+    return GradientMoments(grad=grad, e_g_sq=e_g_sq, e_err_sq=e_err_sq,
+                           inner_moment=inner, orth_moment=orth)
 
 
 @dataclass(frozen=True)
@@ -272,29 +279,19 @@ def verify_lemma1(problem: FiniteSumProblem, x, params: HyperParams,
     """
     x = as_vector(x)
     f_x = problem.loss(x)
-    grad = problem.gradient(x)
-    grad_sq = float(grad @ grad)
-    per = problem.component_gradients(np.arange(problem.N), x)
-
     if mc_samples is None:
-        combos = [list(c) for c in enumerate_batches(problem.N, batch_size)]
+        batches = enumerate_batches(problem.N, batch_size)
     else:
         if rng is None:
             raise ValueError("Monte-Carlo mode needs an rng")
-        combos = [rng.choice(problem.N, size=batch_size, replace=False).tolist()
-                  for _ in range(mc_samples)]
-
-    e_next = e_g_sq = e_err_sq = 0.0
-    for combo in combos:
-        g = per[combo].mean(axis=0)
-        e_g_sq += float(g @ g)
-        diff = g - grad
-        e_err_sq += float(diff @ diff)
+        batches = [rng.choice(problem.N, size=batch_size, replace=False)
+                   for _ in range(mc_samples)]
+    grad, gs, e_g_sq, e_err_sq = _batch_gradients(problem, x, batches)
+    grad_sq = float(grad @ grad)
+    e_next = 0.0
+    for g in gs:
         e_next += problem.loss(x + trish_step(g, params))
-    m = len(combos)
-    e_next /= m
-    e_g_sq /= m
-    e_err_sq /= m
+    e_next /= len(gs)
 
     alpha, g1, g2 = params.alpha, params.gamma1, params.gamma2
     beta = beta_const(alpha, g1, g2, L)

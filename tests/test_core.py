@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from trish.core import (FiniteSumProblem, NumericError, SampleBatch,
-                        draw_batch, sampled_gradient, spawn_rngs)
+                        draw_batch, sampled_gradient)
 from trish.optimizer import HyperParams, run_trish
 from trish.theory import SyntheticQuadratic
 
@@ -144,10 +144,3 @@ class TestDeterminism:
             runs.append((x, [r.grad_norm for r in records]))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
-
-    def test_spawned_streams_reproducible(self):
-        a = spawn_rngs(7, 3)
-        b = spawn_rngs(7, 3)
-        for ga, gb in zip(a, b):
-            np.testing.assert_array_equal(ga.integers(0, 100, 10),
-                                          gb.integers(0, 100, 10))

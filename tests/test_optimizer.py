@@ -176,6 +176,25 @@ class TestRunSg:
         assert len(records) == 26
 
 
+@pytest.mark.parametrize("driver", ("trish", "sg", "trish_as"))
+@pytest.mark.parametrize("size, budget", [
+    (0, 1.0), (9, 1.0),  # N = 8
+    (2, 0.0), (2, -1.0), (2, float("nan")), (2, float("inf"))])
+def test_driver_arguments_validated(driver, size, budget):
+    """Out-of-range sizes and budgets that are not positive and finite are
+    rejected; a NaN budget would otherwise never stop an adaptive run."""
+    problem = quadratic()
+    params = HyperParams(alpha=0.1, gamma1=4.0, gamma2=1.0)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError):
+        if driver == "trish":
+            run_trish(problem, np.ones(2), params, size, budget, rng)
+        elif driver == "sg":
+            run_sg(problem, np.ones(2), 0.1, size, budget, rng)
+        else:
+            run_trish_as(problem, np.ones(2), params, size, budget, rng)
+
+
 class CountingProblem(FiniteSumProblem):
     """Wrapper that counts per-component gradient evaluations and keeps the
     points the batched gradients were taken at."""
