@@ -14,7 +14,7 @@ import numpy as np
 
 
 def _cmd_run(args) -> int:
-    from .harness import load_config, run_grid, summarize_best
+    from .harness import load_config, run_grid
 
     config = load_config(args.config)
     results = run_grid(config)

@@ -31,31 +31,30 @@ def as_vector(x) -> np.ndarray:
 class FiniteSumProblem(ABC):
     """Objective F(x) = (1/N) sum_i F_i(x) with per-component losses and gradients.
 
-    Implementations are immutable after construction and safe to share
-    across concurrent runs.
+    Subclasses set `n` and `N` and implement the batched pair
+    `component_losses` / `component_gradients`; the single-index methods and
+    the full objective derive from it.  Implementations are immutable after
+    construction and safe to share across concurrent runs.
     """
 
     n: int  # parameter dimension
     N: int  # number of components
 
     @abstractmethod
-    def component_loss(self, i: int, x: np.ndarray) -> float:
-        """Loss of component i at x."""
+    def component_losses(self, indices, x: np.ndarray) -> np.ndarray:
+        """Losses of the components in `indices` at x, in index order."""
 
     @abstractmethod
+    def component_gradients(self, indices, x: np.ndarray) -> np.ndarray:
+        """Stacked per-component gradients, one row per index in order."""
+
+    def component_loss(self, i: int, x: np.ndarray) -> float:
+        """Loss of component i at x."""
+        return float(self.component_losses([i], x)[0])
+
     def component_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
         """Gradient of component i at x."""
-
-    def component_gradients(self, indices, x: np.ndarray) -> np.ndarray:
-        """Stacked per-component gradients, one row per index.
-
-        Subclasses override with vectorized evaluations; the base version
-        loops.  Row order follows `indices`.
-        """
-        return np.stack([self.component_gradient(int(i), x) for i in indices])
-
-    def component_losses(self, indices, x: np.ndarray) -> np.ndarray:
-        return np.array([self.component_loss(int(i), x) for i in indices])
+        return self.component_gradients([i], x)[0]
 
     def loss(self, x: np.ndarray) -> float:
         """Full objective F(x)."""
@@ -76,7 +75,7 @@ class FiniteSumProblem(ABC):
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """A without-replacement sample of component indices."""
+    """A without-replacement sample of component indices, in increasing order."""
 
     indices: np.ndarray
 
@@ -84,8 +83,8 @@ class SampleBatch:
         idx = np.asarray(self.indices)
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("batch must hold at least one index")
-        if np.unique(idx).size != idx.size:
-            raise ValueError("batch indices must be distinct")
+        if idx[0] < 0 or np.any(idx[1:] <= idx[:-1]):
+            raise ValueError("batch indices must be non-negative and strictly increasing")
 
     @property
     def size(self) -> int:
@@ -123,7 +122,7 @@ def sampled_gradient(problem: FiniteSumProblem, x: np.ndarray,
     x = as_vector(x)
     if x.size != problem.n:
         raise ValueError(f"x has length {x.size}, problem dimension is {problem.n}")
-    if batch.indices.max() >= problem.N:
+    if batch.indices[-1] >= problem.N:
         raise ValueError("batch index out of range for this problem")
     per = problem.component_gradients(batch.indices, x)
     finite_rows = np.isfinite(per).all(axis=1)

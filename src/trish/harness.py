@@ -189,16 +189,15 @@ def load_problem(config: ExperimentConfig):
         raise ValueError("config needs data_path or train_path+test_path")
 
     if config.model == "logistic":
-        problem = LogisticModel(X_train, y_train)
-    elif config.model == "mlp_classifier":
+        return LogisticModel(X_train, y_train), X_test, y_test
+    if config.model == "mlp_classifier":
         if config.positive_label is not None:
             y_train = (y_train == config.positive_label).astype(np.float64)
             y_test = (y_test == config.positive_label).astype(np.float64)
         problem = MlpModel.classifier(X_train, y_train)
     else:
-        problem = MlpModel.regressor(_dense(X_train), y_train)
-        X_test = _dense(X_test)
-    return problem, X_test, y_test
+        problem = MlpModel.regressor(X_train, y_train)
+    return problem, _dense(X_test), y_test
 
 
 def _run_once(config, problem, params, algorithm, seed_seq, metric_fn):

@@ -1,8 +1,8 @@
 """Concrete finite-sum objectives: binary logistic regression and small MLPs.
 
-Both expose per-component losses/gradients through the FiniteSumProblem
-contract plus vectorized batch paths.  A central finite-difference oracle is
-included for gradient verification.
+Both implement the batched FiniteSumProblem contract, per-component losses
+and gradients over an index batch, plus faster full-objective paths.  A
+central finite-difference oracle is included for gradient verification.
 """
 
 from __future__ import annotations
@@ -88,12 +88,6 @@ class LogisticModel(FiniteSumProblem):
         self.N = int(labels.size)
         self.n = int(features.shape[1])
 
-    def component_loss(self, i: int, x: np.ndarray) -> float:
-        return float(self.component_losses([i], x)[0])
-
-    def component_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        return self.component_gradients([i], x)[0]
-
     def component_gradients(self, indices, x: np.ndarray) -> np.ndarray:
         Z = _rows(self.features, indices)
         y = self.labels[np.asarray(indices, dtype=np.intp)]
@@ -133,6 +127,7 @@ class MlpModel(FiniteSumProblem):
     must be 1); activations name one of {sigmoid, linear} per non-input
     layer.  Parameters pack layer by layer, weights (row-major) then biases.
     Gradients come from reverse-mode accumulation, vectorized over a batch.
+    Training features are stored dense once, also when given sparse.
     """
 
     def __init__(self, features, targets, layer_sizes, activations,
@@ -156,7 +151,7 @@ class MlpModel(FiniteSumProblem):
                 (targets.min() < 0.0 or targets.max() > 1.0):
             raise ValueError("cross-entropy targets must lie in [0, 1]")
 
-        self.features = features if sp.issparse(features) else _dense(features)
+        self.features = _dense(features)
         self.targets = targets
         self.layer_sizes = layer_sizes
         self.activations = tuple(activations)
@@ -213,17 +208,11 @@ class MlpModel(FiniteSumProblem):
         hc = np.clip(h, _CLAMP_EPS, 1.0 - _CLAMP_EPS)
         return -(y * np.log(hc) + (1.0 - y) * np.log1p(-hc))
 
-    def component_loss(self, i: int, x: np.ndarray) -> float:
-        return float(self.component_losses([i], x)[0])
-
     def component_losses(self, indices, x: np.ndarray) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.intp)
         Z = _rows(self.features, idx)
         h = self._forward(Z, self.unpack(x))[-1].ravel()
         return self._losses_from_h(h, self.targets[idx])
-
-    def component_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        return self.component_gradients([i], x)[0]
 
     def _backward_deltas(self, acts, layers, y):
         """Output-layer delta seeded from dL/dh, chained through activations."""
@@ -264,9 +253,8 @@ class MlpModel(FiniteSumProblem):
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         """Full gradient via batch-summed backprop (no per-sample outer products)."""
-        Z = _dense(self.features)
         layers = self.unpack(x)
-        acts = self._forward(Z, layers)
+        acts = self._forward(self.features, layers)
         deltas = self._backward_deltas(acts, layers, self.targets)
         out = np.empty(self.n)
         for (w, b, _, _), delta, a_prev in zip(self._slices, deltas, acts):

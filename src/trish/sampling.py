@@ -134,10 +134,7 @@ class GradientHistory:
         if size == self._size:
             self._aggregates[-1] = np.asarray(aggregate, dtype=np.float64)
         else:
-            self._size = size
-            self._streak = 1
-            self._aggregates.clear()
-            self._aggregates.append(np.asarray(aggregate, dtype=np.float64))
+            self.push(size, aggregate)
 
     def __len__(self) -> int:
         return len(self._aggregates)

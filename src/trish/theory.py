@@ -159,14 +159,6 @@ class SyntheticQuadratic(FiniteSumProblem):
 
     F_star = 0.0
 
-    def component_loss(self, i: int, x: np.ndarray) -> float:
-        x = as_vector(x)
-        return float(0.5 * self.scales[i] * x @ (self.diag * x)
-                     + self.offsets[i] @ x)
-
-    def component_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        return self.scales[i] * (self.diag * x) + self.offsets[i]
-
     def component_gradients(self, indices, x: np.ndarray) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.intp)
         return self.scales[idx, None] * (self.diag * x)[None, :] + self.offsets[idx]
@@ -182,11 +174,6 @@ class SyntheticQuadratic(FiniteSumProblem):
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         return self.diag * as_vector(x)
-
-    def constants(self, M_g: float | None = None,
-                  M2: float | None = None) -> TheoryConstants:
-        return TheoryConstants(L=self.lipschitz, mu=self.pl_constant,
-                               M_g=M_g, M2=M2, F_star=0.0)
 
 
 def enumerate_batches(N: int, size: int):

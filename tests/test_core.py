@@ -63,6 +63,13 @@ class TestSampleBatch:
         with pytest.raises(ValueError):
             SampleBatch(indices=np.array([], dtype=int))
 
+    @pytest.mark.parametrize("indices", [[-4, 0], [2, 0, 1], [0, 3, 3]],
+                             ids=["negative", "unsorted", "duplicate"])
+    def test_rejects_negative_or_unordered(self, indices):
+        """A negative index would wrap around to another component."""
+        with pytest.raises(ValueError):
+            SampleBatch(indices=np.array(indices))
+
 
 class TestSampledGradient:
     def test_full_batch_equals_full_gradient(self):
@@ -115,11 +122,12 @@ class TestSampledGradient:
         class BadProblem(FiniteSumProblem):
             n, N = 2, 3
 
-            def component_loss(self, i, x):
-                return 0.0
+            def component_losses(self, indices, x):
+                return np.zeros(len(indices))
 
-            def component_gradient(self, i, x):
-                return np.array([np.inf, 0.0]) if i == 2 else np.zeros(2)
+            def component_gradients(self, indices, x):
+                return np.array([[np.inf, 0.0] if i == 2 else [0.0, 0.0]
+                                 for i in indices])
 
         batch = SampleBatch(indices=np.array([0, 2]))
         with pytest.raises(NumericError) as err:

@@ -33,11 +33,11 @@ class ConstantGradientProblem(FiniteSumProblem):
         self.n = self.c.size
         self.N = N
 
-    def component_loss(self, i, x):
-        return float(self.c @ x)
+    def component_losses(self, indices, x):
+        return np.full(len(indices), float(self.c @ x))
 
-    def component_gradient(self, i, x):
-        return self.c.copy()
+    def component_gradients(self, indices, x):
+        return np.tile(self.c, (len(indices), 1))
 
 
 class TestComputeG:

@@ -153,6 +153,22 @@ class TestMlpModel:
         model = MlpModel.classifier(X, np.zeros(3), hidden=5)
         assert model.n == (784 + 2) * 5 + 1 == 3931
 
+    def test_sparse_features_match_dense(self):
+        """A CSR training matrix gives bit-identical values to its dense array."""
+        rng = np.random.default_rng(3)
+        X = rng.random(size=(20, 9)) * (rng.random(size=(20, 9)) < 0.3)
+        y = rng.integers(0, 2, size=20).astype(float)
+        dense = MlpModel.classifier(X, y, hidden=4)
+        sparse = MlpModel.classifier(sp.csr_matrix(X), y, hidden=4)
+        x = rng.uniform(-0.5, 0.5, size=dense.n)
+        idx = np.array([0, 4, 7, 19])
+        np.testing.assert_array_equal(sparse.component_gradients(idx, x),
+                                      dense.component_gradients(idx, x))
+        assert sparse.loss(x) == dense.loss(x)
+        np.testing.assert_array_equal(sparse.gradient(x), dense.gradient(x))
+        np.testing.assert_array_equal(sparse.predict(sp.csr_matrix(X), x),
+                                      dense.predict(X, x))
+
     def test_regressor_parameter_count(self):
         model = self.regressor_fixture()
         assert model.n == 102  # 7*7+7 + 5*7+5 + 1*5+1
@@ -240,11 +256,11 @@ class TestFiniteDifferenceOracle:
         class Quad(FiniteSumProblem):
             n, N = 3, 1
 
-            def component_loss(self, i, x):
-                return 0.5 * float(x @ x)
+            def component_losses(self, indices, x):
+                return np.full(len(indices), 0.5 * float(x @ x))
 
-            def component_gradient(self, i, x):
-                return x
+            def component_gradients(self, indices, x):
+                return np.tile(x, (len(indices), 1))
 
         x = np.array([0.3, -1.0, 2.0])
         fd = finite_difference_gradient(Quad(), 0, x, h=0.1)
@@ -256,11 +272,11 @@ class TestFiniteDifferenceOracle:
         class Lin(FiniteSumProblem):
             n, N = 3, 1
 
-            def component_loss(self, i, x):
-                return float(c @ x)
+            def component_losses(self, indices, x):
+                return np.full(len(indices), float(c @ x))
 
-            def component_gradient(self, i, x):
-                return c
+            def component_gradients(self, indices, x):
+                return np.tile(c, (len(indices), 1))
 
         fd = finite_difference_gradient(Lin(), 0, np.zeros(3), h=0.37)
         np.testing.assert_allclose(fd, c, rtol=1e-12)

@@ -205,13 +205,6 @@ class CountingProblem(FiniteSumProblem):
         self.evaluations = 0
         self.points = []
 
-    def component_loss(self, i, x):
-        return self.inner.component_loss(i, x)
-
-    def component_gradient(self, i, x):
-        self.evaluations += 1
-        return self.inner.component_gradient(i, x)
-
     def component_gradients(self, indices, x):
         self.evaluations += len(indices)
         self.points.append(x.copy())
