@@ -83,8 +83,11 @@ class SampleBatch:
         idx = np.asarray(self.indices)
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("batch must hold at least one index")
+        if idx.dtype.kind not in "iu":
+            raise ValueError(f"batch indices must be integers, got dtype {idx.dtype}")
         if idx[0] < 0 or np.any(idx[1:] <= idx[:-1]):
             raise ValueError("batch indices must be non-negative and strictly increasing")
+        object.__setattr__(self, "indices", idx)  # a raw list has no .size
 
     @property
     def size(self) -> int:

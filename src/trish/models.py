@@ -3,6 +3,10 @@
 Both implement the batched FiniteSumProblem contract, per-component losses
 and gradients over an index batch, plus faster full-objective paths.  A
 central finite-difference oracle is included for gradient verification.
+
+The MLP's full-data pass (`MlpModel.predict`) runs unit-major, units x rows,
+except width-1 layers: numpy gives those a matrix-vector kernel that rounds by
+memory layout, so they run on C-contiguous rows to stay bit-identical.
 """
 
 from __future__ import annotations
@@ -199,8 +203,21 @@ class MlpModel(FiniteSumProblem):
         return acts
 
     def predict(self, features, x: np.ndarray) -> np.ndarray:
-        """Network outputs h in (0,1] or R for every feature row."""
-        return self._forward(_dense(features), self.unpack(x))[-1].ravel()
+        """Network outputs h in (0,1] or R for every feature row.
+
+        Activations are unit-major (units x rows); a width-1 layer multiplies
+        C-contiguous rows, as its matrix-vector product rounds by layout.  So
+        the outputs equal `_forward(features, unpack(x))[-1]` bit for bit.
+        """
+        a = _dense(features).T
+        for (W, b), kind in zip(self.unpack(x), self.activations):
+            if W.shape[0] == 1:
+                pre = (np.ascontiguousarray(a.T) @ W.T + b).T
+            else:
+                pre = W @ a
+                pre += b[:, None]
+            a = expit(pre) if kind == "sigmoid" else pre
+        return a.ravel()
 
     def _losses_from_h(self, h: np.ndarray, y: np.ndarray) -> np.ndarray:
         if self.loss_kind == "squared":
@@ -312,6 +329,7 @@ def testing_accuracy(model: FiniteSumProblem, x, features, labels):
         correct = (_margins(features, xs) >= 0.0) == (labels == 1.0)
     elif isinstance(model, MlpModel):
         _check_labels(labels, (0.0, 1.0), "MLP classifier")
+        features = _dense(features)  # once per stacked call, not per point
         correct = np.stack([(model.predict(features, x) >= 0.5) == (labels == 1.0)
                             for x in xs])
     else:
@@ -331,6 +349,7 @@ def testing_loss(model: MlpModel, x, features, targets):
     if not isinstance(model, MlpModel):
         raise TypeError(f"no testing loss rule for {type(model).__name__}")
     xs, single = _as_stack(x)
+    features = _dense(features)  # once per stacked call, not per point
     mse = np.array([np.mean((targets - model.predict(features, x)) ** 2)
                     for x in xs])
     return float(mse[0]) if single else mse

@@ -70,6 +70,15 @@ class TestSampleBatch:
         with pytest.raises(ValueError):
             SampleBatch(indices=np.array(indices))
 
+    def test_list_input_stored_as_array(self):
+        batch = SampleBatch(indices=[0, 2])
+        assert isinstance(batch.indices, np.ndarray)
+        assert batch.size == 2 and batch.indices.tolist() == [0, 2]
+
+    def test_rejects_float_indices(self):
+        with pytest.raises(ValueError, match="integers"):
+            SampleBatch(indices=np.array([0.0, 2.0]))
+
 
 class TestSampledGradient:
     def test_full_batch_equals_full_gradient(self):

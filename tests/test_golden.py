@@ -1,4 +1,4 @@
-"""Golden trajectories: every driver, with telemetry on, on three problems.
+"""Golden trajectories: every driver, with telemetry on, on four problems.
 
 Each case hashes the final iterate and every record field with SHA-256, so
 any change to a batch draw, a step, a sampler decision, the EGE count or a
@@ -45,6 +45,15 @@ def dense_mlp():
     return model, lambda xs: testing_loss(model, xs, X_test, y_test)
 
 
+def sparse_mlp_classifier():
+    """Sigmoid hidden layer on CSR features, scored by held-out accuracy."""
+    rng = np.random.default_rng(41)
+    X = sp.random(300, 12, density=0.3, format="csr", random_state=42)
+    y = (X @ rng.normal(size=12) + 0.3 * rng.normal(size=300) >= 0).astype(float)
+    model = MlpModel.classifier(X[:200], y[:200], hidden=5)
+    return model, lambda xs: testing_accuracy(model, xs, X[200:], y[200:])
+
+
 def quadratic():
     rng = np.random.default_rng(31)
     model = SyntheticQuadratic(diag=np.linspace(0.5, 2.0, 4),
@@ -53,7 +62,8 @@ def quadratic():
     return model, lambda xs: np.linalg.norm(xs, axis=1)
 
 
-PROBLEMS = {"logistic": sparse_logistic, "mlp": dense_mlp, "quadratic": quadratic}
+PROBLEMS = {"logistic": sparse_logistic, "mlp": dense_mlp,
+            "mlp_classifier": sparse_mlp_classifier, "quadratic": quadratic}
 
 # Tight variance tests grow the adaptive batch fast, up to N; loose ones
 # let the size settle so the noisy-regime control engages.
@@ -105,6 +115,14 @@ GOLDEN = {
         "baddf5566fb20160d390dad585a2cea229d6bed372fbc5c643bbbf2e3a15534c",
     ("mlp", "trish_as", "LOOSE", 3, 4.0, 2):
         "7489e497a4e1b980b53c9b7b80e14c6c16781329f65ae830e0acbeceed663c0a",
+    ("mlp_classifier", "trish", "FIXED", 8, 2.0, 0):
+        "0588be135a1e567fd63e5691ad98dfa37452ac59baea29f243475a2b08abbc6f",
+    ("mlp_classifier", "sg", "FIXED", 8, 2.0, 0):
+        "82ebc0bf8efb4fb8fe75b7548c92e1ea97e84e9b91a278323481eabd1d335c4b",
+    ("mlp_classifier", "trish_as", "TIGHT", 2, 4.0, 0):
+        "45a4a7ae40ae8f434727a07c1488f86a6c4a76f805a48bc56fa5f0cedc327034",
+    ("mlp_classifier", "trish_as", "LOOSE", 3, 4.0, 2):
+        "01ff1250d7a0368de413c0c5ef35a90975f5286fc89f973868a4404b0dfa4ce8",
     ("quadratic", "trish", "FIXED", 6, 4.0, 0):
         "fcf61df61f40df31c8c5035efcb4ced83ce70accbcfdeed662e6def7144d7f4e",
     ("quadratic", "sg", "FIXED", 6, 4.0, 0):

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from trish.models import (LogisticModel, MlpModel, _rows, default_x0,
+from trish.models import (LogisticModel, MlpModel, _dense, _rows, default_x0,
                           finite_difference_gradient, testing_accuracy,
                           testing_loss)
 from trish.core import FiniteSumProblem
@@ -134,6 +134,33 @@ class TestRows:
         np.testing.assert_array_equal(_rows(X, [0]), [[0.0, 3.0]])
 
 
+@st.composite
+def mlp_predict_cases(draw):
+    """A random MLP, features in one of three layouts, and a parameter vector.
+
+    A width-1 hidden layer after a wider one is drawn on purpose: numpy runs
+    a width-1 product as a matrix-vector product, whose rounding depends on
+    the memory layout."""
+    hidden = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        hidden = [max(hidden[0], 2), 1, *hidden[1:]][:3]
+    acts = draw(st.lists(st.sampled_from(("sigmoid", "linear")),
+                         min_size=len(hidden) + 1, max_size=len(hidden) + 1))
+    loss = draw(st.sampled_from(("cross_entropy", "squared")))
+    rows = draw(st.one_of(st.just(1), st.just(2), st.integers(3, 400)))
+    n_in = draw(st.integers(1, 8))
+    layout = draw(st.sampled_from(("contiguous", "column_sliced", "csr")))
+    scale = draw(st.floats(0.1, 30.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    X = rng.normal(size=(rows, n_in + 1))[:, 1:]  # a column slice
+    if layout == "contiguous":
+        X = np.ascontiguousarray(X)
+    elif layout == "csr":
+        X = sp.csr_matrix(X * (rng.random(size=X.shape) < 0.5))
+    model = MlpModel(X, rng.random(size=rows), [n_in, *hidden, 1], acts, loss=loss)
+    return model, X, scale * rng.normal(size=model.n)
+
+
 class TestMlpModel:
     def classifier_fixture(self, N=20, ell=9, seed=0):
         rng = np.random.default_rng(seed)
@@ -168,6 +195,14 @@ class TestMlpModel:
         np.testing.assert_array_equal(sparse.gradient(x), dense.gradient(x))
         np.testing.assert_array_equal(sparse.predict(sp.csr_matrix(X), x),
                                       dense.predict(X, x))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=mlp_predict_cases())
+    def test_predict_equals_row_major_forward(self, case):
+        """The unit-major full-data pass gives the batch pass's bits."""
+        model, X, x = case
+        expected = model._forward(_dense(X), model.unpack(x))[-1].ravel()
+        np.testing.assert_array_equal(model.predict(X, x), expected)
 
     def test_regressor_parameter_count(self):
         model = self.regressor_fixture()
@@ -386,3 +421,23 @@ class TestStackedEvaluation:
             pred = (model.predict(X, x) >= 0.5).astype(np.float64)
             assert accuracy[k] == float(np.mean(pred == labels))
         np.testing.assert_array_equal(model.losses(xs), [model.loss(x) for x in xs])
+
+    def test_mlp_sparse_held_out_densified_once(self, monkeypatch):
+        """A CSR held-out set gives the dense set's stacked values and is
+        densified once per stacked call, not once per point."""
+        rng = np.random.default_rng(1)
+        X = rng.random(size=(60, 6)) * (rng.random(size=(60, 6)) < 0.4)
+        labels = rng.integers(0, 2, size=60).astype(np.float64)
+        X_csr = sp.csr_matrix(X)
+        calls = []
+        toarray = type(X_csr).toarray
+        monkeypatch.setattr(type(X_csr), "toarray",
+                            lambda self, *a, **k: calls.append(1) or toarray(self, *a, **k))
+        for model in (MlpModel.classifier(X, labels, hidden=4),
+                      MlpModel.regressor(X, rng.random(size=60))):
+            xs = rng.uniform(-2.0, 2.0, size=(6, model.n))
+            for metric in (testing_accuracy, testing_loss):
+                calls.clear()
+                sparse = metric(model, xs, X_csr, labels)
+                assert len(calls) == 1
+                np.testing.assert_array_equal(sparse, metric(model, xs, X, labels))
