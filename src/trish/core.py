@@ -89,6 +89,13 @@ class SampleBatch:
             raise ValueError("batch indices must be non-negative and strictly increasing")
         object.__setattr__(self, "indices", idx)  # a raw list has no .size
 
+    @classmethod
+    def _drawn(cls, indices: np.ndarray) -> SampleBatch:
+        """Wrap indices known to be valid, skipping `__post_init__`."""
+        batch = object.__new__(cls)
+        object.__setattr__(batch, "indices", indices)
+        return batch
+
     @property
     def size(self) -> int:
         return int(self.indices.size)
@@ -96,42 +103,41 @@ class SampleBatch:
 
 @dataclass(frozen=True)
 class GradientEstimate:
-    """Mini-batch gradient with the per-component gradients retained.
-
-    `aggregate` is the row mean of `per_component`; the rows are kept because
-    the adaptive-sampling variance tests need them.
-    """
+    """Mini-batch gradient: `aggregate` is the row mean of `per_component`,
+    whose rows the adaptive-sampling variance tests need."""
 
     aggregate: np.ndarray
     per_component: np.ndarray
-    batch: SampleBatch
 
 
 def draw_batch(N: int, size: int, rng: np.random.Generator) -> SampleBatch:
     """Uniform without-replacement sample of `size` indices from {0..N-1}.
 
-    Every size-subset is equally probable.  Indices are returned sorted so
-    downstream reductions run in a fixed deterministic order.
-    """
+    Every size-subset is equally probable.  Sorted indices fix the downstream
+    reduction order.  A sorted draw is already integer, non-empty, strictly
+    increasing and in range, so the batch is built without re-validation."""
     if not 1 <= size <= N:
         raise ValueError(f"batch size {size} out of range [1, {N}]")
-    indices = np.sort(rng.choice(N, size=size, replace=False))
-    return SampleBatch(indices=indices)
+    return SampleBatch._drawn(np.sort(rng.choice(N, size=size, replace=False)))
 
 
 def sampled_gradient(problem: FiniteSumProblem, x: np.ndarray,
                      batch: SampleBatch) -> GradientEstimate:
-    """Mini-batch gradient estimate: mean of the batch's component gradients."""
+    """Mini-batch gradient estimate: mean of the batch's component gradients.
+
+    Finiteness is checked on the mean; only a non-finite mean scans the rows,
+    to name the first non-finite one; finite rows whose sum overflows pass."""
     x = as_vector(x)
     if x.size != problem.n:
         raise ValueError(f"x has length {x.size}, problem dimension is {problem.n}")
     if batch.indices[-1] >= problem.N:
         raise ValueError("batch index out of range for this problem")
     per = problem.component_gradients(batch.indices, x)
-    finite_rows = np.isfinite(per).all(axis=1)
-    if not finite_rows.all():
-        bad = int(batch.indices[np.flatnonzero(~finite_rows)[0]])
-        raise NumericError(f"non-finite gradient for component {bad}", component=bad)
-    # Row mean in index order; numpy's pairwise summation is deterministic.
-    aggregate = per.mean(axis=0)
-    return GradientEstimate(aggregate=aggregate, per_component=per, batch=batch)
+    # Row mean in index order: the same reduction and division as np.mean.
+    aggregate = np.add.reduce(per, axis=0) / per.shape[0]
+    if not np.isfinite(aggregate).all():
+        finite_rows = np.isfinite(per).all(axis=1)
+        if not finite_rows.all():
+            bad = int(batch.indices[np.flatnonzero(~finite_rows)[0]])
+            raise NumericError(f"non-finite gradient for component {bad}", component=bad)
+    return GradientEstimate(aggregate=aggregate, per_component=per)

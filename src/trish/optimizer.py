@@ -112,9 +112,7 @@ def trish_step(g, params: HyperParams) -> np.ndarray:
     g = as_vector(g)
     if not np.all(np.isfinite(g)):
         raise NumericError("non-finite stochastic gradient")
-    gnorm = float(np.linalg.norm(g))
-    case = classify_case(gnorm, params.gamma1, params.gamma2)
-    return _step_vector(g, gnorm, case, params)
+    return _trish_rule(params)(g, math.sqrt(g.dot(g)))[1]
 
 
 # Held-out metric over a K x n stack of iterates, returning K values.
@@ -189,7 +187,7 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
         history.push(size, est.aggregate)
     while True:
         g = est.aggregate
-        gnorm = float(np.linalg.norm(g))
+        gnorm = math.sqrt(g.dot(g))
         case, p = step(g, gnorm)
         x = x + p
         records.append(IterationRecord(len(records), case, gnorm, size, ege))
@@ -201,8 +199,7 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
         if sampler is None:
             continue
 
-        new_norm = float(np.linalg.norm(est.aggregate))
-        if size >= 2 and new_norm > 0.0 and math.isfinite(new_norm):
+        if size >= 2 and 0.0 < math.sqrt(est.aggregate.dot(est.aggregate)) < math.inf:
             report = variance_report(est, est.aggregate, sampler.theta, sampler.nu)
             if not report.ok:
                 try:

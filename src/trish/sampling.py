@@ -98,8 +98,7 @@ def proposed_sample_size(report: VarianceReport, ref_vec: np.ndarray,
     q_orth = report.var_orth / denom_orth
     if not (math.isfinite(q_inner) and math.isfinite(q_orth)):
         raise NumericError("sample-size quotient is not finite")
-    sizes = [N if q > N else math.ceil(q) for q in (q_inner, q_orth)]
-    return min(max(sizes), N)
+    return max(N if q > N else math.ceil(q) for q in (q_inner, q_orth))
 
 
 class GradientHistory:
@@ -165,10 +164,8 @@ def noisy_regime_step(history: GradientHistory, current: GradientEstimate,
     if not history.steady:
         return None
     g_avg = history.average()
-    current_norm = float(np.linalg.norm(current.aggregate))
-    if not float(np.linalg.norm(g_avg)) < avg_threshold * current_norm:
+    current_norm = math.sqrt(current.aggregate.dot(current.aggregate))
+    if not math.sqrt(g_avg.dot(g_avg)) < avg_threshold * current_norm:
         return None
     report = variance_report(current, g_avg, theta, nu)
-    if report.ok:
-        return None
-    return proposed_sample_size(report, g_avg, theta, nu, N)
+    return None if report.ok else proposed_sample_size(report, g_avg, theta, nu, N)

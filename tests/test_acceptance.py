@@ -157,8 +157,7 @@ def test_criterion_04_variance_test_oracles():
 
     def estimate(per):
         per = np.asarray(per, dtype=float)
-        return GradientEstimate(aggregate=per.mean(axis=0), per_component=per,
-                                batch=SampleBatch(indices=np.arange(len(per))))
+        return GradientEstimate(aggregate=per.mean(axis=0), per_component=per)
 
     est = estimate([[1.0, 0.0], [0.0, 1.0]])
     rep = variance_report(est, est.aggregate, 0.9, 5.84)

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trish.core import (FiniteSumProblem, NumericError, SampleBatch,
                         draw_batch, sampled_gradient)
@@ -15,6 +16,26 @@ def make_problem(N=6, n=3, seed=1):
     rng = np.random.default_rng(seed)
     return SyntheticQuadratic(diag=rng.uniform(0.5, 2.0, n),
                               offsets=rng.normal(size=(N, n)))
+
+
+class RowsProblem(FiniteSumProblem):
+    """Component i has the fixed gradient rows[i]."""
+
+    def __init__(self, rows):
+        self.rows = np.asarray(rows, dtype=np.float64)
+        self.N, self.n = self.rows.shape
+
+    def component_losses(self, indices, x):
+        return np.zeros(len(indices))
+
+    def component_gradients(self, indices, x):
+        return self.rows[np.asarray(indices)]
+
+
+@st.composite
+def draw_args(draw):
+    N = draw(st.integers(1, 500))
+    return N, draw(st.integers(1, N)), draw(st.integers(0, 2**32 - 1))
 
 
 class TestDrawBatch:
@@ -41,6 +62,17 @@ class TestDrawBatch:
             idx = batch.indices
             assert np.unique(idx).size == 7
             assert np.all(np.diff(idx) > 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(args=draw_args())
+    def test_draw_passes_public_validation(self, args):
+        """A draw skips `__post_init__`; it must still pass every check there."""
+        N, size, seed = args
+        batch = draw_batch(N, size, np.random.default_rng(seed))
+        assert batch.indices.dtype.kind == "i"
+        checked = SampleBatch(indices=batch.indices)
+        np.testing.assert_array_equal(checked.indices, batch.indices)
+        assert batch.size == size
 
     def test_uniform_over_subsets(self):
         """Every 2-subset of 6 indices appears with frequency 1/15 +- 0.01."""
@@ -142,6 +174,34 @@ class TestSampledGradient:
         with pytest.raises(NumericError) as err:
             sampled_gradient(BadProblem(), np.zeros(2), batch)
         assert err.value.component == 2
+
+    @pytest.mark.parametrize("bad, indices, named", [
+        ({5: np.nan}, [1, 3, 5, 6, 7], 5),
+        ({2: np.inf, 4: -np.inf}, [0, 2, 3, 4], 2),  # they sum to NaN
+    ], ids=["nan_mid_batch", "cancelling_infinities"])
+    def test_first_nonfinite_component_named(self, bad, indices, named):
+        rows = np.arange(16.0).reshape(8, 2)
+        for i, value in bad.items():
+            rows[i, 0] = value
+        batch = SampleBatch(indices=np.array(indices))
+        with pytest.raises(NumericError) as err, np.errstate(invalid="ignore"):
+            sampled_gradient(RowsProblem(rows), np.zeros(2), batch)
+        assert err.value.component == named
+
+    def test_finite_rows_whose_sum_overflows_pass(self):
+        rows = np.array([[1e308, 1.0], [1e308, 2.0], [1e308, 3.0]])
+        with np.errstate(over="ignore"):
+            est = sampled_gradient(RowsProblem(rows), np.zeros(2),
+                                   SampleBatch(indices=np.arange(3)))
+            expected = rows.mean(axis=0)
+        assert expected[0] == np.inf
+        np.testing.assert_array_equal(est.aggregate, expected)
+
+    def test_out_of_range_index_rejected(self):
+        problem = make_problem()
+        with pytest.raises(ValueError, match="out of range"):
+            sampled_gradient(problem, np.zeros(problem.n),
+                             SampleBatch(indices=np.array([0, problem.N])))
 
     def test_dimension_mismatch(self):
         problem = make_problem()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from trish.core import GradientEstimate, NumericError, SampleBatch
+from trish.core import GradientEstimate, NumericError
 from trish.sampling import (DegenerateBatchError, GradientHistory,
                             VarianceReport, ZeroReferenceError,
                             noisy_regime_step, proposed_sample_size,
@@ -13,8 +13,7 @@ from trish.theory import SyntheticQuadratic, gradient_moments
 
 def estimate(per_component) -> GradientEstimate:
     per = np.asarray(per_component, dtype=np.float64)
-    return GradientEstimate(aggregate=per.mean(axis=0), per_component=per,
-                            batch=SampleBatch(indices=np.arange(per.shape[0])))
+    return GradientEstimate(aggregate=per.mean(axis=0), per_component=per)
 
 
 class TestVarianceReport:
