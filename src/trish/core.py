@@ -118,7 +118,9 @@ def draw_batch(N: int, size: int, rng: np.random.Generator) -> SampleBatch:
     increasing and in range, so the batch is built without re-validation."""
     if not 1 <= size <= N:
         raise ValueError(f"batch size {size} out of range [1, {N}]")
-    return SampleBatch._drawn(np.sort(rng.choice(N, size=size, replace=False)))
+    idx = rng.choice(N, size=size, replace=False)
+    idx.sort()  # in place: the draw is a fresh array
+    return SampleBatch._drawn(idx)
 
 
 def sampled_gradient(problem: FiniteSumProblem, x: np.ndarray,

@@ -4,9 +4,9 @@ Both implement the batched FiniteSumProblem contract, per-component losses
 and gradients over an index batch, plus faster full-objective paths.  A
 central finite-difference oracle is included for gradient verification.
 
-The MLP's full-data pass (`MlpModel.predict`) runs unit-major, units x rows,
-except width-1 layers: numpy gives those a matrix-vector kernel that rounds by
-memory layout, so they run on C-contiguous rows to stay bit-identical.
+The MLP's full-data pass (`MlpModel.predict`) runs on a contiguous units x
+rows copy, except width-1 layers: numpy gives those a matrix-vector kernel that
+rounds by memory layout, so they run on C-contiguous rows to stay bit-identical.
 """
 
 from __future__ import annotations
@@ -25,24 +25,9 @@ def _dense(features) -> np.ndarray:
         dtype=np.float64)
 
 
-def _rows(features, indices) -> np.ndarray:
-    """Dense float64 rows of a (possibly sparse) feature matrix.
-
-    Canonical CSR rows (sorted, no duplicate entries) are scattered straight
-    from indptr/indices/data; every other format goes through scipy.
-    """
-    idx = np.asarray(indices, dtype=np.intp)
-    if sp.issparse(features) and features.format == "csr" \
-            and features.has_canonical_format:
-        starts = features.indptr[idx]
-        lengths = features.indptr[idx + 1] - starts
-        rows = np.repeat(np.arange(idx.size), lengths)
-        pos = np.arange(rows.size) + np.repeat(
-            starts - (np.cumsum(lengths) - lengths), lengths)
-        out = np.zeros((idx.size, features.shape[1]))
-        out[rows, features.indices[pos]] = features.data[pos]
-        return out
-    return _dense(features[idx])  # fancy indexing already copied
+def _unit_major(features) -> np.ndarray:
+    """Features as a C-contiguous float64 units x rows array."""
+    return np.ascontiguousarray(_dense(features).T)
 
 
 def _as_stack(x) -> tuple[np.ndarray, bool]:
@@ -72,8 +57,8 @@ class LogisticModel(FiniteSumProblem):
 
     Component i has loss log(1 + exp(-y_i x.z_i)) and gradient
     -y_i z_i / (1 + exp(y_i x.z_i)), both computed overflow-safe.  Sparse
-    features are stored as canonical CSR (sorted, duplicates summed) and
-    densified only inside per-component gradient evaluation.
+    features are stored as canonical CSR (sorted, duplicates summed), and
+    also as dense rows, from which per-component gradients gather batches.
     """
 
     def __init__(self, features, labels):
@@ -88,13 +73,14 @@ class LogisticModel(FiniteSumProblem):
         else:
             features = np.asarray(features, dtype=np.float64)
         self.features = features
+        self._dense_rows = _dense(features)
         self.labels = labels
         self.N = int(labels.size)
         self.n = int(features.shape[1])
 
     def component_gradients(self, indices, x: np.ndarray) -> np.ndarray:
-        Z = _rows(self.features, indices)
-        y = self.labels[np.asarray(indices, dtype=np.intp)]
+        Z = self._dense_rows[indices]  # fancy indexing copies, C-contiguous
+        y = self.labels[indices]
         margins = y * (Z @ x)
         coef = -y * expit(-margins)
         Z *= coef[:, None]
@@ -131,7 +117,7 @@ class MlpModel(FiniteSumProblem):
     must be 1); activations name one of {sigmoid, linear} per non-input
     layer.  Parameters pack layer by layer, weights (row-major) then biases.
     Gradients come from reverse-mode accumulation, vectorized over a batch.
-    Training features are stored dense once, also when given sparse.
+    Training features are stored dense, both row- and unit-major (for `loss`).
     """
 
     def __init__(self, features, targets, layer_sizes, activations,
@@ -156,6 +142,7 @@ class MlpModel(FiniteSumProblem):
             raise ValueError("cross-entropy targets must lie in [0, 1]")
 
         self.features = _dense(features)
+        self._units = _unit_major(self.features)
         self.targets = targets
         self.layer_sizes = layer_sizes
         self.activations = tuple(activations)
@@ -208,8 +195,11 @@ class MlpModel(FiniteSumProblem):
         Activations are unit-major (units x rows); a width-1 layer multiplies
         C-contiguous rows, as its matrix-vector product rounds by layout.  So
         the outputs equal `_forward(features, unpack(x))[-1]` bit for bit.
+        `_predict_unit_major` takes the `_unit_major` copy of the features.
         """
-        a = _dense(features).T
+        return self._predict_unit_major(_unit_major(features), x)
+
+    def _predict_unit_major(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
         for (W, b), kind in zip(self.unpack(x), self.activations):
             if W.shape[0] == 1:
                 pre = (np.ascontiguousarray(a.T) @ W.T + b).T
@@ -220,14 +210,19 @@ class MlpModel(FiniteSumProblem):
         return a.ravel()
 
     def _losses_from_h(self, h: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """-(y*log(hc) + (1-y)*log1p(-hc)) for cross-entropy, in place."""
         if self.loss_kind == "squared":
             return (y - h) ** 2
         hc = np.clip(h, _CLAMP_EPS, 1.0 - _CLAMP_EPS)
-        return -(y * np.log(hc) + (1.0 - y) * np.log1p(-hc))
+        out = np.log(hc)
+        out *= y
+        np.log1p(np.negative(hc, out=hc), out=hc)
+        out += np.multiply(hc, 1.0 - y, out=hc)
+        return np.negative(out, out=out)
 
     def component_losses(self, indices, x: np.ndarray) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.intp)
-        Z = _rows(self.features, idx)
+        Z = self.features[idx]
         h = self._forward(Z, self.unpack(x))[-1].ravel()
         return self._losses_from_h(h, self.targets[idx])
 
@@ -252,7 +247,7 @@ class MlpModel(FiniteSumProblem):
 
     def component_gradients(self, indices, x: np.ndarray) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.intp)
-        Z = _rows(self.features, idx)
+        Z = self.features[idx]
         y = self.targets[idx]
         layers = self.unpack(x)
         acts = self._forward(Z, layers)
@@ -265,7 +260,7 @@ class MlpModel(FiniteSumProblem):
         return out
 
     def loss(self, x: np.ndarray) -> float:
-        h = self.predict(self.features, x)
+        h = self._predict_unit_major(self._units, x)
         return float(np.mean(self._losses_from_h(h, self.targets)))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
@@ -329,9 +324,9 @@ def testing_accuracy(model: FiniteSumProblem, x, features, labels):
         correct = (_margins(features, xs) >= 0.0) == (labels == 1.0)
     elif isinstance(model, MlpModel):
         _check_labels(labels, (0.0, 1.0), "MLP classifier")
-        features = _dense(features)  # once per stacked call, not per point
-        correct = np.stack([(model.predict(features, x) >= 0.5) == (labels == 1.0)
-                            for x in xs])
+        units = _unit_major(features)  # once per stacked call, not per point
+        correct = np.stack([(model._predict_unit_major(units, x) >= 0.5)
+                            == (labels == 1.0) for x in xs])
     else:
         raise TypeError(f"no accuracy rule for {type(model).__name__}")
     accuracy = np.count_nonzero(correct, axis=1) / labels.size
@@ -349,7 +344,7 @@ def testing_loss(model: MlpModel, x, features, targets):
     if not isinstance(model, MlpModel):
         raise TypeError(f"no testing loss rule for {type(model).__name__}")
     xs, single = _as_stack(x)
-    features = _dense(features)  # once per stacked call, not per point
-    mse = np.array([np.mean((targets - model.predict(features, x)) ** 2)
+    units = _unit_major(features)  # once per stacked call, not per point
+    mse = np.array([np.mean((targets - model._predict_unit_major(units, x)) ** 2)
                     for x in xs])
     return float(mse[0]) if single else mse

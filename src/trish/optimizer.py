@@ -10,9 +10,9 @@ epoch equals EGE 1.
 Telemetry is optional and leaves the trajectory untouched.  With
 `track_loss` or `metric_fn` set, a driver keeps a reference to every iterate
 and, after its loop, fills in each record's train loss and held-out metric
-once, evaluating TELEMETRY_BLOCK iterates per stacked call.  `metric_fn`
-receives a K x n stack of iterates and returns K values.  With both off, no
-iterate is kept.
+once, in stacked calls of at most TELEMETRY_BLOCK iterates each, the blocks
+of one run balanced in size.  `metric_fn` receives a K x n stack of iterates
+and returns K values.  With both off, no iterate is kept.
 """
 
 from __future__ import annotations
@@ -118,18 +118,21 @@ def trish_step(g, params: HyperParams) -> np.ndarray:
 # Held-out metric over a K x n stack of iterates, returning K values.
 MetricFn = Optional[Callable[[np.ndarray], np.ndarray]]
 
-TELEMETRY_BLOCK = 32  # iterates per stacked telemetry evaluation
+TELEMETRY_BLOCK = 32  # most iterates per stacked telemetry evaluation
 
 
 def _fill_telemetry(records, iterates, problem, track_loss, metric_fn):
     """Set train_loss and test_metric of every record from its iterate.
 
-    Iterates are evaluated in stacks of TELEMETRY_BLOCK, which keeps the
-    held-out margins of one stack in memory at a time.
+    The n iterates go in ceil(n / TELEMETRY_BLOCK) stacks of sizes within one
+    of each other: a short tail stack costs more per iterate (sparse products).
     """
-    for start in range(0, len(iterates), TELEMETRY_BLOCK):
-        block = records[start:start + TELEMETRY_BLOCK]
-        xs = np.stack(iterates[start:start + TELEMETRY_BLOCK])
+    n = len(iterates)
+    blocks = -(-n // TELEMETRY_BLOCK)
+    cuts = [-(-n * b // blocks) for b in range(1, blocks + 1)]  # ceil(n*b/blocks)
+    for start, stop in zip([0] + cuts, cuts):
+        block = records[start:stop]
+        xs = np.stack(iterates[start:stop])
         if track_loss:
             for rec, value in zip(block, problem.losses(xs).tolist()):
                 rec.train_loss = value
@@ -163,8 +166,8 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
     spent, and otherwise forms the next gradient.
     """
     N = problem.N
-    if not 1 <= size <= N:
-        raise ValueError(f"batch size {size} out of range [1, {N}]")
+    if not 1 <= size <= N or size != int(size):
+        raise ValueError(f"batch size {size} is not an integer in [1, {N}]")
     if not 0 < budget_epochs < math.inf:
         raise ValueError(f"budget_epochs must be positive and finite, got {budget_epochs}")
     x = as_vector(x0).copy()

@@ -5,9 +5,9 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from trish.models import (LogisticModel, MlpModel, _dense, _rows, default_x0,
-                          finite_difference_gradient, testing_accuracy,
-                          testing_loss)
+from trish.models import (_CLAMP_EPS, LogisticModel, MlpModel, _dense,
+                          default_x0, finite_difference_gradient,
+                          testing_accuracy, testing_loss)
 from trish.core import FiniteSumProblem
 
 
@@ -98,14 +98,22 @@ class TestLogisticModel:
 
 @st.composite
 def csr_and_rows(draw):
-    """A random CSR matrix (empty rows likely) and a row sample that may be a
-    single row and may include the last one."""
+    """A random CSR matrix (empty rows likely), possibly non-canonical with
+    unsorted duplicate entries, and a row sample that may be a single row and
+    may include the last one."""
     rows = draw(st.integers(1, 30))
     cols = draw(st.integers(1, 12))
     density = draw(st.sampled_from((0.0, 0.1, 0.4, 1.0)))
     seed = draw(st.integers(0, 2**16))
     X = sp.random(rows, cols, density=density, format="csr",
                   random_state=seed, data_rvs=lambda k: np.arange(1.0, k + 1))
+    if draw(st.booleans()):
+        # Every row's entries once more in reverse order: a duplicate per entry.
+        spans = list(zip(X.indptr[:-1], X.indptr[1:]))
+        data = np.concatenate([np.r_[X.data[a:b], X.data[a:b][::-1]] for a, b in spans])
+        cols_of = np.concatenate([np.r_[X.indices[a:b], X.indices[a:b][::-1]]
+                                  for a, b in spans])
+        X = sp.csr_matrix((data, cols_of, 2 * X.indptr), shape=X.shape)
     size = draw(st.integers(1, rows))
     idx = np.sort(np.random.default_rng(seed).choice(rows, size, replace=False))
     if draw(st.booleans()):
@@ -114,24 +122,55 @@ def csr_and_rows(draw):
 
 
 class TestRows:
+    """Batches gathered from the dense rows a model keeps of its features."""
+
     @settings(max_examples=200, deadline=None)
     @given(case=csr_and_rows())
     def test_csr_gather_equals_scipy_rows(self, case):
         X, idx = case
-        assert X.has_canonical_format
-        out = _rows(X, idx)
-        assert out.dtype == np.float64 and out.flags.c_contiguous
-        np.testing.assert_array_equal(out, X[idx].toarray())
+        y = np.where(np.arange(X.shape[0]) % 2 == 0, 1.0, -1.0)
+        for rows in (LogisticModel(X, y)._dense_rows[idx],
+                     MlpModel.classifier(X, (y + 1.0) / 2.0).features[idx]):
+            assert rows.dtype == np.float64 and rows.flags.c_contiguous
+            np.testing.assert_array_equal(rows, X[idx].toarray())
 
     def test_single_last_empty_row(self):
         X = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 0.0]]))
-        np.testing.assert_array_equal(_rows(X, [1]), [[0.0, 0.0]])
-        np.testing.assert_array_equal(_rows(X, [0, 1]), X.toarray())
+        model = LogisticModel(X, np.array([1.0, -1.0]))
+        np.testing.assert_array_equal(model._dense_rows[[1]], [[0.0, 0.0]])
+        np.testing.assert_array_equal(model._dense_rows[[0, 1]], X.toarray())
+        np.testing.assert_array_equal(
+            model.component_gradients([1], np.array([0.3, -0.7])), [[0.0, 0.0]])
 
     def test_non_canonical_csr_sums_duplicates(self):
         X = sp.csr_matrix((np.array([1.0, 2.0]), np.array([1, 1]),
                            np.array([0, 2])), shape=(1, 2))
-        np.testing.assert_array_equal(_rows(X, [0]), [[0.0, 3.0]])
+        model = LogisticModel(X, np.array([1.0]))
+        np.testing.assert_array_equal(model._dense_rows[[0]], [[0.0, 3.0]])
+        x = np.array([0.5, -0.25])
+        np.testing.assert_array_equal(
+            model.component_gradients([0], x),
+            LogisticModel(np.array([[0.0, 3.0]]), np.array([1.0]))
+            .component_gradients([0], x))
+
+
+class TestDenseGradientRows:
+    @settings(max_examples=200, deadline=None)
+    @given(case=csr_and_rows(), seed=st.integers(0, 2**16))
+    def test_csr_model_gradients_equal_dense_model(self, case, seed):
+        """Logistic batch gradients gathered from the model's dense copy of a
+        CSR matrix equal those of a model built from the dense array."""
+        X, idx = case
+        rng = np.random.default_rng(seed)
+        y = rng.choice([-1.0, 1.0], size=X.shape[0])
+        x = rng.normal(size=X.shape[1])
+        dense = X.toarray()
+        sparse_model = LogisticModel(X, y)
+        out = sparse_model.component_gradients(idx, x)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        np.testing.assert_array_equal(
+            out, LogisticModel(dense, y).component_gradients(idx, x))
+        np.testing.assert_array_equal(sparse_model.features.toarray(), dense)
 
 
 @st.composite
@@ -203,6 +242,29 @@ class TestMlpModel:
         model, X, x = case
         expected = model._forward(_dense(X), model.unpack(x))[-1].ravel()
         np.testing.assert_array_equal(model.predict(X, x), expected)
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(("cross_entropy", "squared")),
+           h=st.lists(st.one_of(
+               st.sampled_from((0.0, 1.0, _CLAMP_EPS, 1.0 - _CLAMP_EPS,
+                                np.nextafter(_CLAMP_EPS, 0.0),
+                                np.nextafter(1.0 - _CLAMP_EPS, 1.0))),
+               st.floats(0.0, 1.0)), min_size=1, max_size=20),
+           seed=st.integers(0, 2**16))
+    def test_losses_from_h_equal_reference_expression(self, kind, h, seed):
+        """The in-place losses equal the textbook expressions bit for bit,
+        at the clamp edges and at saturated outputs too."""
+        h = np.array(h)
+        y = np.random.default_rng(seed).random(size=h.size)
+        model = MlpModel.regressor(np.zeros((1, 2)), [0.5], hidden=(2,), loss=kind)
+        if kind == "squared":
+            expected = (y - h) ** 2
+        else:
+            hc = np.clip(h, _CLAMP_EPS, 1.0 - _CLAMP_EPS)
+            expected = -(y * np.log(hc) + (1.0 - y) * np.log1p(-hc))
+        h_before = h.copy()
+        np.testing.assert_array_equal(model._losses_from_h(h, y), expected)
+        np.testing.assert_array_equal(h, h_before)
 
     def test_regressor_parameter_count(self):
         model = self.regressor_fixture()

@@ -178,11 +178,12 @@ class TestRunSg:
 
 @pytest.mark.parametrize("driver", ("trish", "sg", "trish_as"))
 @pytest.mark.parametrize("size, budget", [
-    (0, 1.0), (9, 1.0),  # N = 8
+    (0, 1.0), (9, 1.0), (2.7, 1.0), (8.4, 1.0),  # N = 8
     (2, 0.0), (2, -1.0), (2, float("nan")), (2, float("inf"))])
 def test_driver_arguments_validated(driver, size, budget):
-    """Out-of-range sizes and budgets that are not positive and finite are
-    rejected; a NaN budget would otherwise never stop an adaptive run."""
+    """Out-of-range or non-integral sizes and budgets that are not positive
+    and finite are rejected; a NaN budget would otherwise never stop an
+    adaptive run, and a size of 2.7 would run with batch 2."""
     problem = quadratic()
     params = HyperParams(alpha=0.1, gamma1=4.0, gamma2=1.0)
     rng = np.random.default_rng(0)
@@ -193,6 +194,26 @@ def test_driver_arguments_validated(driver, size, budget):
             run_sg(problem, np.ones(2), 0.1, size, budget, rng)
         else:
             run_trish_as(problem, np.ones(2), params, size, budget, rng)
+
+
+@pytest.mark.parametrize("driver", ("trish", "sg", "trish_as"))
+def test_integral_float_batch_size_accepted(driver):
+    """A size read from JSON as 2.0 runs exactly as the integer 2."""
+    problem = quadratic()
+    params = HyperParams(alpha=0.1, gamma1=4.0, gamma2=1.0)
+    runs = []
+    for size in (2, 2.0):
+        rng = np.random.default_rng(0)
+        if driver == "trish":
+            runs.append(run_trish(problem, np.ones(2), params, size, 2.0, rng))
+        elif driver == "sg":
+            runs.append(run_sg(problem, np.ones(2), 0.1, size, 2.0, rng))
+        else:
+            runs.append(run_trish_as(problem, np.ones(2), params, size, 2.0, rng))
+    (x_int, rec_int), (x_float, rec_float) = runs
+    np.testing.assert_array_equal(x_int, x_float)
+    assert [r.batch_size for r in rec_int] == [r.batch_size for r in rec_float]
+    assert all(type(r.batch_size) is int for r in rec_float)
 
 
 class CountingProblem(FiniteSumProblem):
@@ -382,11 +403,35 @@ class TestDeferredTelemetry:
 
     @pytest.mark.parametrize("driver", ("trish", "sg", "trish_as"))
     @pytest.mark.parametrize("iters", (5, TELEMETRY_BLOCK, TELEMETRY_BLOCK + 1,
-                                       2 * TELEMETRY_BLOCK))
+                                       TELEMETRY_BLOCK + 6, 2 * TELEMETRY_BLOCK))
     def test_block_boundaries(self, driver, iters):
         for kind in TELEMETRY_KINDS:
             assert check_deferred_telemetry(driver, kind, iters / 8, seed=3,
                                             vacuous=True) == iters
+
+    @pytest.mark.parametrize("iters, sizes", [
+        (5, [5]), (TELEMETRY_BLOCK, [32]), (TELEMETRY_BLOCK + 1, [17, 16]),
+        (38, [19, 19]), (64, [32, 32]), (65, [22, 22, 21])])
+    def test_blocks_balanced(self, iters, sizes):
+        """ceil(n / TELEMETRY_BLOCK) stacks, sizes within one of each other."""
+        assert TELEMETRY_BLOCK == 32
+        model, metric = telemetry_problem("logistic_sparse", 0)
+        stacks, losses = [], []
+
+        class StackCounting(CountingProblem):
+            def losses(self, xs):
+                losses.append(len(xs))
+                return self.inner.losses(xs)
+
+        def metric_fn(xs):
+            stacks.append(len(xs))
+            return metric(xs)
+
+        _, records = telemetry_driver("trish", StackCounting(model), iters / 8, 0,
+                                      track_loss=True, metric_fn=metric_fn)
+        assert len(records) == iters
+        assert stacks == losses == sizes
+        assert max(stacks) <= TELEMETRY_BLOCK
 
     def test_metric_must_return_one_value_per_iterate(self):
         model, _ = telemetry_problem("logistic_dense", 0)
