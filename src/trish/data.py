@@ -147,22 +147,33 @@ def csv_to_libsvm(csv_stream, out_stream, label_col: int = 0,
 
     One column holds the target; the others become 1-based indexed features
     in column order (zeros are omitted, as usual for the format).  Rows whose
-    target is empty or equals `missing_value` are dropped.
+    target is empty or equals `missing_value` are dropped.  A row whose cell
+    count differs from the first data row's, or a non-numeric cell, raises
+    ValueError with the 1-based line number.
     """
     reader = csv.reader(csv_stream, delimiter=delimiter)
     if has_header:
         next(reader, None)
     written = 0
+    width = None
     for row in reader:
         if not row or all(not cell.strip() for cell in row):
             continue
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise ValueError(f"line {reader.line_num}: {len(row)} cells, "
+                             f"expected {width} as in the first data row")
         raw_label = row[label_col].strip()
         if not raw_label:
             continue
-        label = float(raw_label)
-        if missing_value is not None and label == missing_value:
-            continue
-        feats = [float(cell) for c, cell in enumerate(row) if c != label_col]
+        try:
+            label = float(raw_label)
+            if missing_value is not None and label == missing_value:
+                continue
+            feats = [float(cell) for c, cell in enumerate(row) if c != label_col]
+        except ValueError as err:
+            raise ValueError(f"line {reader.line_num}: {err}") from None
         pairs = " ".join(f"{j + 1}:{v:.17g}" for j, v in enumerate(feats) if v != 0.0)
         out_stream.write(f"{label:.17g} {pairs}\n" if pairs else f"{label:.17g}\n")
         written += 1

@@ -95,9 +95,9 @@ class LogisticModel(FiniteSumProblem):
         return float(self.losses(as_vector(x)[None])[0])
 
     def losses(self, xs: np.ndarray) -> np.ndarray:
-        # Contiguous rows keep each mean's summation order that of one vector.
+        # Contiguous rows keep each mean's pairwise sum that of one vector.
         margins = self.labels * np.ascontiguousarray(_margins(self.features, xs))
-        return np.array([np.mean(row) for row in np.logaddexp(0.0, -margins)])
+        return np.add.reduce(np.logaddexp(0.0, -margins), axis=1) / self.N
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         margins = self.labels * np.asarray(self.features @ x).ravel()
@@ -307,6 +307,17 @@ def _check_labels(labels: np.ndarray, allowed: tuple[float, float], kind: str):
                          f"{allowed[1]:g}, got {float(bad[0])}")
 
 
+def _held_out(features, labels) -> np.ndarray:
+    """Held-out labels or targets as a float vector, one per feature row."""
+    labels = np.asarray(labels, dtype=np.float64)
+    if labels.size == 0:
+        raise ValueError("empty test set")
+    if labels.shape != (features.shape[0],):
+        raise ValueError(f"held-out set has {features.shape[0]} feature rows "
+                         f"but {labels.size} labels (shape {labels.shape})")
+    return labels
+
+
 def testing_accuracy(model: FiniteSumProblem, x, features, labels):
     """Fraction of the held-out set classified correctly.
 
@@ -314,22 +325,33 @@ def testing_accuracy(model: FiniteSumProblem, x, features, labels):
     -1/+1 labels; an MLP classifier predicts 1 iff its output is >= 0.5 and
     needs 0/1 labels.  x is one vector (returns a float) or a K x n stack
     (returns K accuracies, each equal to the single-vector value).
+
+    Logistic hits are counted by one product: with p_i = 1.0 where the margin
+    is >= 0 and 0.0 elsewhere (NaN included), the hits are the -1 labels plus
+    sum_i labels_i p_i.  Every term is 0 or +-1 and every partial sum an
+    integer below 2**53, so the count is exact in any summation order.
     """
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.size == 0:
-        raise ValueError("empty test set")
+    labels = _held_out(features, labels)
     xs, single = _as_stack(x)
     if isinstance(model, LogisticModel):
         _check_labels(labels, (-1.0, 1.0), "logistic")
-        correct = (_margins(features, xs) >= 0.0) == (labels == 1.0)
+        # Both margin arrays are fresh, so p overwrites them in place.
+        if sp.issparse(features):
+            m = np.asarray(features @ xs.T)  # N x K
+            hits = labels @ np.greater_equal(m, 0.0, out=m)
+        else:
+            m = _margins(features, xs)  # K x N
+            hits = np.greater_equal(m, 0.0, out=m) @ labels
+        correct = np.count_nonzero(labels == -1.0) + hits
     elif isinstance(model, MlpModel):
         _check_labels(labels, (0.0, 1.0), "MLP classifier")
         units = _unit_major(features)  # once per stacked call, not per point
-        correct = np.stack([(model._predict_unit_major(units, x) >= 0.5)
-                            == (labels == 1.0) for x in xs])
+        correct = np.count_nonzero(
+            np.stack([(model._predict_unit_major(units, x) >= 0.5)
+                      == (labels == 1.0) for x in xs]), axis=1)
     else:
         raise TypeError(f"no accuracy rule for {type(model).__name__}")
-    accuracy = np.count_nonzero(correct, axis=1) / labels.size
+    accuracy = correct / labels.size
     return float(accuracy[0]) if single else accuracy
 
 
@@ -338,9 +360,7 @@ def testing_loss(model: MlpModel, x, features, targets):
 
     x is one vector (returns a float) or a K x n stack (returns K errors).
     """
-    targets = np.asarray(targets, dtype=np.float64)
-    if targets.size == 0:
-        raise ValueError("empty test set")
+    targets = _held_out(features, targets)
     if not isinstance(model, MlpModel):
         raise TypeError(f"no testing loss rule for {type(model).__name__}")
     xs, single = _as_stack(x)

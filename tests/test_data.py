@@ -162,3 +162,24 @@ class TestCsvToLibsvm:
         ds = parse_libsvm(io.StringIO(out.getvalue()), n_features=4)
         np.testing.assert_allclose(ds.labels, table[:, 0], rtol=1e-15)
         np.testing.assert_allclose(ds.features.toarray(), table[:, 1:], rtol=1e-15)
+
+    @pytest.mark.parametrize("text, header, line", [
+        ("1,2,3,4\n2.0,5\n", False, 2),         # short row after 4 cells
+        ("1,2\n3,4\n5,6,7\n", False, 3),        # long row
+        ("a,b,c\n1,2,3\n\n4,5\n", True, 4),     # header and blank line count
+        ("1,2\n-200,9,9\n", False, 2),          # a row that would be dropped
+    ])
+    def test_ragged_row_rejected_with_line_number(self, text, header, line):
+        with pytest.raises(ValueError, match=f"^line {line}: .*cells"):
+            csv_to_libsvm(io.StringIO(text), io.StringIO(), label_col=0,
+                          missing_value=-200.0, has_header=header)
+
+    @pytest.mark.parametrize("text, line", [
+        ("1,2\n3,x\n", 2),      # feature cell
+        ("1,2\nnan?,4\n", 2),   # label cell
+        ("h,h\n1,2\n3,4\n5,six\n", 4),
+    ])
+    def test_non_numeric_cell_names_line(self, text, line):
+        with pytest.raises(ValueError, match=f"^line {line}: could not convert"):
+            csv_to_libsvm(io.StringIO(text), io.StringIO(), label_col=0,
+                          has_header=text.startswith("h"))

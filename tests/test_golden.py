@@ -1,4 +1,4 @@
-"""Golden trajectories: every driver, with telemetry on, on four problems.
+"""Golden trajectories: every driver, with telemetry on, on five problems.
 
 Each case hashes the final iterate and every record field with SHA-256, so
 any change to a batch draw, a step, a sampler decision, the EGE count or a
@@ -27,6 +27,15 @@ def sparse_logistic():
     rng = np.random.default_rng(11)
     X = sp.random(300, 20, density=0.2, format="csr", random_state=12)
     y = np.where(X @ rng.normal(size=20) + 0.3 * rng.normal(size=300) >= 0, 1.0, -1.0)
+    model = LogisticModel(X[:200], y[:200])
+    return model, lambda xs: testing_accuracy(model, xs, X[200:], y[200:])
+
+
+def dense_logistic():
+    """Dense features, so held-out margins take one product per iterate."""
+    rng = np.random.default_rng(51)
+    X = rng.normal(size=(300, 10))
+    y = np.where(X @ rng.normal(size=10) + 0.5 * rng.normal(size=300) >= 0, 1.0, -1.0)
     model = LogisticModel(X[:200], y[:200])
     return model, lambda xs: testing_accuracy(model, xs, X[200:], y[200:])
 
@@ -62,7 +71,8 @@ def quadratic():
     return model, lambda xs: np.linalg.norm(xs, axis=1)
 
 
-PROBLEMS = {"logistic": sparse_logistic, "mlp": dense_mlp,
+PROBLEMS = {"logistic": sparse_logistic, "dense_logistic": dense_logistic,
+            "mlp": dense_mlp,
             "mlp_classifier": sparse_mlp_classifier, "quadratic": quadratic}
 
 # Tight variance tests grow the adaptive batch fast, up to N; loose ones
@@ -107,6 +117,14 @@ GOLDEN = {
         "92254f36da7570a6c77d533c183bd8124da7dbe7cf8e8776672819a3206cf836",
     ("logistic", "trish_as", "LOOSE", 2, 4.0, 1):
         "e1621e20c5ac029b79ac54e1ebcc28461820ea211dc9f8bca86443cdb68a038c",
+    ("dense_logistic", "trish", "FIXED", 16, 3.0, 0):
+        "af14d62c7d6b34088e6671668ad41fbb536e7e91f4bb034f3c1bede1b196a412",
+    ("dense_logistic", "sg", "FIXED", 16, 3.0, 0):
+        "1aa2d37d2ebd47e1243512d27082bc053feef7b349881723a2383f5875eb770b",
+    ("dense_logistic", "trish_as", "TIGHT", 4, 6.0, 0):
+        "92e07ca394b07bad23835ad331ce9db3f42a292d20b3cde96b1c3ea36f32919a",
+    ("dense_logistic", "trish_as", "LOOSE", 2, 4.0, 1):
+        "c6ec471f8d4ab8e91b7cb775e3ebd9edfd1d1c9c361f3bf073d43ffb6e9132e5",
     ("mlp", "trish", "FIXED", 8, 2.0, 0):
         "ed85a600110cf4c6fb739f7d7258b384ca966ac21c1bd13d31c8da9a39e9ba03",
     ("mlp", "sg", "FIXED", 8, 2.0, 0):

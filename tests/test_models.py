@@ -1,5 +1,7 @@
 """Tests for the logistic and MLP objectives and the finite-difference oracle."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -424,6 +426,24 @@ class TestMetrics:
             testing_accuracy(model, np.zeros(model.n),
                              np.zeros((0, model.n)), np.array([]))
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("shape", [(1,), (19,), (21,), (20, 1)])
+    def test_held_out_size_mismatch_rejected(self, sparse, shape):
+        """Labels must be one per held-out row, not broadcast against them."""
+        rng = np.random.default_rng(5)
+        X = rng.random(size=(20, 3))
+        if sparse:
+            X = sp.csr_matrix(X)
+        y = np.ones(shape)
+        cases = [(testing_accuracy, LogisticModel(X, np.ones(20))),
+                 (testing_accuracy, MlpModel.classifier(X, np.zeros(20), hidden=2)),
+                 (testing_loss, MlpModel.regressor(X, np.zeros(20)))]
+        message = re.escape(f"20 feature rows but {y.size} labels (shape {shape})")
+        for metric, model in cases:
+            for x in (np.zeros(model.n), np.zeros((3, model.n))):
+                with pytest.raises(ValueError, match=message):
+                    metric(model, x, X, y)
+
     def test_default_start_points(self):
         rng = np.random.default_rng(0)
         logistic = logistic_fixture()
@@ -468,6 +488,44 @@ class TestStackedEvaluation:
             assert losses[k] == model.loss(x) == _old_logistic_loss(model, x)
             assert accuracy[k] == testing_accuracy(model, x, X[N:], y[N:]) \
                 == _old_logistic_accuracy(x, X[N:], y[N:])
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("K", [1, 2, 33])
+    def test_logistic_accuracy_extreme_margins(self, sparse, K):
+        """Iterates near 1e308 give zero, +-inf and NaN margins: zeros count
+        as +1 and NaN as -1, as in one-vector evaluation."""
+        rng = np.random.default_rng(K)
+        Z = rng.integers(-2, 3, size=(300, 4)).astype(np.float64)
+        Z[:2] = 0.0
+        y = rng.choice([-1.0, 1.0], size=300)
+        y[:2] = (1.0, -1.0)
+        X = sp.csr_matrix(Z) if sparse else Z
+        model = LogisticModel(X[:10], y[:10])
+        xs = rng.choice([-1.0, 1.0], size=(K, 4)) * 1e308
+        with np.errstate(over="ignore", invalid="ignore"):
+            margins = np.asarray(X @ xs[0]).ravel()
+            assert {0.0, np.inf, -np.inf} <= set(margins)
+            assert np.isnan(margins).any()
+            accuracy = testing_accuracy(model, xs, X, y)
+            assert accuracy.shape == (K,)
+            for k, x in enumerate(xs):
+                assert accuracy[k] == testing_accuracy(model, x, X, y) \
+                    == _old_logistic_accuracy(x, X, y)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_logistic_losses_past_buffer_size(self, sparse):
+        """Row means over more than numpy's 8192-element buffer still sum
+        each row as one vector's mean does."""
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(9001, 5))
+        X[rng.random(size=X.shape) < 0.5] = 0.0
+        if sparse:
+            X = sp.csr_matrix(X)
+        model = LogisticModel(X, rng.choice([-1.0, 1.0], size=9001))
+        xs = rng.normal(scale=3.0, size=(3, 5))
+        losses = model.losses(xs)
+        for k, x in enumerate(xs):
+            assert losses[k] == model.loss(x) == _old_logistic_loss(model, x)
 
     def test_mlp_metrics(self):
         rng = np.random.default_rng(0)
