@@ -335,13 +335,8 @@ def testing_accuracy(model: FiniteSumProblem, x, features, labels):
     xs, single = _as_stack(x)
     if isinstance(model, LogisticModel):
         _check_labels(labels, (-1.0, 1.0), "logistic")
-        # Both margin arrays are fresh, so p overwrites them in place.
-        if sp.issparse(features):
-            m = np.asarray(features @ xs.T)  # N x K
-            hits = labels @ np.greater_equal(m, 0.0, out=m)
-        else:
-            m = _margins(features, xs)  # K x N
-            hits = np.greater_equal(m, 0.0, out=m) @ labels
+        m = _margins(features, xs)  # fresh, so p overwrites it in place
+        hits = np.greater_equal(m, 0.0, out=m) @ labels
         correct = np.count_nonzero(labels == -1.0) + hits
     elif isinstance(model, MlpModel):
         _check_labels(labels, (0.0, 1.0), "MLP classifier")
