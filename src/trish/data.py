@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,58 +44,118 @@ class Dataset:
         return int(self.features.shape[1])
 
 
+PARSE_BLOCK = 1024  # most lines tokenized at once; bounds the parser's temporaries
+_INDEX_MAX = 2**31 - 1
+
+
 def parse_libsvm(stream, n_features: int | None = None) -> Dataset:
     """Parse LIBSVM text from a file-like object or iterable of lines.
 
-    Blank lines are skipped.  Malformed tokens, non-numeric values, comment
-    characters and non-increasing indices raise LibsvmParseError with the
-    offending line number.  `n_features` widens the matrix beyond the largest
+    Input must be ASCII.  Blank lines are skipped.  Comment characters, a
+    token without an ``index:value`` separator, a non-numeric label, index
+    or value (a token holding a non-ASCII character is one), a non-finite
+    label or value, an index above the int32 range and indices that are not
+    strictly increasing from 1 raise LibsvmParseError with the offending
+    line number.  Every label and value equals Python's ``float()`` of its
+    text bit for bit.  `n_features` widens the matrix beyond the largest
     index seen (useful to align train and test dimensions).
     """
-    labels: list[float] = []
-    data: list[float] = []
-    col_idx: list[int] = []
-    row_ptr = [0]
-    max_index = 0
+    lines = iter(stream)
+    blocks = [_parse_block([], 1)]  # typed empty arrays for empty input
+    while block := list(islice(lines, PARSE_BLOCK)):
+        blocks.append(_parse_block(block, first=1 + (len(blocks) - 1) * PARSE_BLOCK))
+    labels, data, cols, counts = (np.concatenate(part) for part in zip(*blocks))
+    row_ptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+    n = max(int(cols.max(initial=-1)) + 1, n_features or 0)
+    features = sp.csr_matrix((data, cols, row_ptr), shape=(labels.size, n))
+    return Dataset(features=features, labels=labels)
 
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if "#" in line:
-            raise LibsvmParseError("comment characters are not part of the format", lineno)
-        tokens = line.split()
-        try:
-            label = float(tokens[0])
-        except ValueError:
-            raise LibsvmParseError(f"label {tokens[0]!r} is not numeric", lineno) from None
-        prev_index = 0
-        for tok in tokens[1:]:
-            idx_s, sep, val_s = tok.partition(":")
-            if not sep:
-                raise LibsvmParseError(f"token {tok!r} lacks an index:value separator", lineno)
-            try:
-                index = int(idx_s)
-                value = float(val_s)
-            except ValueError:
-                raise LibsvmParseError(f"token {tok!r} is not index:value numeric", lineno) from None
-            if not math.isfinite(value):
-                raise LibsvmParseError(f"non-finite value in token {tok!r}", lineno)
-            if index <= prev_index:
-                raise LibsvmParseError(
-                    f"index {index} not strictly increasing after {prev_index}", lineno)
-            prev_index = index
-            col_idx.append(index - 1)
-            data.append(value)
-        labels.append(label)
-        row_ptr.append(len(data))
-        max_index = max(max_index, prev_index)
 
-    n = max(max_index, n_features or 0)
-    features = sp.csr_matrix(
-        (np.array(data), np.array(col_idx, dtype=np.int32), np.array(row_ptr, dtype=np.int32)),
-        shape=(len(labels), n))
-    return Dataset(features=features, labels=np.array(labels))
+def _parse_block(lines: list[str], first: int):
+    """Labels, values, 0-based columns and per-row counts of consecutive lines.
+
+    `first` is the 1-based number of lines[0].  Of several faults, the one
+    met first reading line by line and token by token is raised.
+    """
+    text = "\n".join(lines) + "\n"
+    raw = text.encode("ascii", "replace")  # a non-ASCII character becomes a non-numeric "?"
+    buf = np.frombuffer(raw + b" " * 16, dtype=np.uint8)  # padding keeps field reads inside
+    space = (buf == 32) | (buf - 9 < 5) | (buf - 28 < 4)  # the ASCII that str.split() splits at
+    starts, ends = np.flatnonzero(np.diff(space, prepend=True)).reshape(-1, 2).T
+    line_ends = np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)) + 1)
+    line = np.searchsorted(line_ends, starts, side="right")
+    is_label = np.diff(line, prepend=-1) != 0
+    lab, pair = np.flatnonzero(is_label), np.flatnonzero(~is_label)
+    digits = np.zeros(buf.size + 1, dtype=np.int32)  # digits[i]: how many of buf[:i] are digits
+    np.cumsum((buf >= 48) & (buf <= 57), out=digits[1:])
+    colons = np.append(np.flatnonzero(buf == 58), buf.size)
+    p_start, p_end = starts[pair], ends[pair]
+    colon = colons[np.searchsorted(colons, p_start)]
+    sep = colon < p_end
+    colon = np.where(sep, colon, p_end)
+    labels, bad_label = _numbers(raw, buf, digits, starts[lab], ends[lab], float, np.nan)
+    index, bad_index = _numbers(raw, buf, digits, p_start, colon,  # clipped to fit int64
+                                lambda s: min(max(int(s), -1), _INDEX_MAX + 1), -1)
+    values, bad_value = _numbers(raw, buf, digits, colon + sep, p_end, float, np.nan)
+    prev = np.where(is_label[pair - 1], 0, np.roll(index, 1))
+
+    def token(t):
+        return text[starts[t]:ends[t]]
+
+    def index_of(t):
+        return 0 if is_label[t] else int(token(t).partition(":")[0])
+
+    faults = []  # (line, token or -1 for the whole line, order of the check, message)
+    if "#" in text:
+        faults.append((np.searchsorted(line_ends, text.index("#"), side="right"), -1, 0,
+                       lambda t: "comment characters are not part of the format"))
+    for bad, tokens, message in [
+            (bad_label, lab, lambda t: f"label {token(t)!r} is not numeric"),
+            (~np.isfinite(labels), lab, lambda t: f"non-finite label {token(t)!r}"),
+            (~sep, pair, lambda t: f"token {token(t)!r} lacks an index:value separator"),
+            (bad_index | bad_value, pair,
+             lambda t: f"token {token(t)!r} is not index:value numeric"),
+            (~np.isfinite(values), pair, lambda t: f"non-finite value in token {token(t)!r}"),
+            (index > _INDEX_MAX, pair, lambda t: f"index {index_of(t)} is above the int32 range"),
+            (index <= prev, pair,
+             lambda t: f"index {index_of(t)} not strictly increasing after {index_of(t - 1)}")]:
+        if bad.any():
+            t = tokens[bad.argmax()]
+            faults.append((line[t], t, len(faults), message))
+    if faults:
+        line_no, t, _, message = min(faults)
+        raise LibsvmParseError(message(t), first + int(line_no))
+    return labels, values, (index - 1).astype(np.int32), np.diff(np.append(lab, starts.size)) - 1
+
+
+def _numbers(raw, buf, digits, start, end, convert, fill):
+    """Numeric values of the fields raw[start:end] and a mask of rejected ones.
+
+    A field matching ``[+-]?[0-9]{1,15}`` is converted exactly in numpy
+    (``-0`` gives -0.0); all others go through one bulk `convert`.  The
+    first field `convert` rejects and every slow field after it get `fill`.
+    """
+    sign = buf[start]
+    neg = sign == 45
+    lead = start + (neg | (sign == 43))
+    width = end - lead
+    width[(width > 15) | (digits[end] - digits[lead] != width)] = 0
+    mag = np.zeros(start.size, dtype=np.int64)
+    for j in range(int(width.max(initial=0))):
+        mag = np.where(width > j, mag * 10 + buf[lead + j] - 48, mag)
+    out = mag.astype(np.float64 if convert is float else np.int64)
+    np.negative(out, out=out, where=neg)
+    slow = np.flatnonzero(width == 0)
+    converted = []
+    try:
+        converted.extend(map(convert, [raw[a:b] for a, b in zip(start[slow].tolist(),
+                                                                 end[slow].tolist())]))
+    except ValueError:  # `converted` holds the fields before the rejected one
+        pass
+    rejected = np.zeros(start.size, dtype=bool)
+    rejected[slow[len(converted):len(converted) + 1]] = True
+    out[slow] = converted + [fill] * (slow.size - len(converted))
+    return out, rejected
 
 
 def dump_libsvm(dataset: Dataset, stream) -> None:
@@ -146,8 +207,10 @@ def csv_to_libsvm(csv_stream, out_stream, label_col: int = 0,
     """Convert a dense numeric CSV to LIBSVM text; returns rows written.
 
     One column holds the target; the others become 1-based indexed features
-    in column order (zeros are omitted, as usual for the format).  Rows whose
-    target is empty or equals `missing_value` are dropped.  A row whose cell
+    in column order (zeros are omitted, as usual for the format).  A negative
+    `label_col` counts from the end of the first data row (-1 is its last
+    cell).  Rows whose target is empty or equals `missing_value` are
+    dropped.  A `label_col` outside the first data row, a row whose cell
     count differs from the first data row's, or a non-numeric cell, raises
     ValueError with the 1-based line number.
     """
@@ -161,6 +224,10 @@ def csv_to_libsvm(csv_stream, out_stream, label_col: int = 0,
             continue
         if width is None:
             width = len(row)
+            if not -width <= label_col < width:
+                raise ValueError(f"line {reader.line_num}: label_col {label_col} is out of "
+                                 f"range for {width} cells")
+            label_col %= width
         elif len(row) != width:
             raise ValueError(f"line {reader.line_num}: {len(row)} cells, "
                              f"expected {width} as in the first data row")

@@ -69,7 +69,7 @@ class StepCase(Enum):
     CASE3 = 3  # large gradient: SG step scaled by gamma2
 
 
-@dataclass
+@dataclass(slots=True)
 class IterationRecord:
     """Per-iteration telemetry."""
 

@@ -1,13 +1,132 @@
 """Tests for LIBSVM parsing, normalization, splitting, and CSV conversion."""
 
 import io
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
+from trish import data
 from trish.data import (Dataset, LibsvmParseError, chronological_split,
                         csv_to_libsvm, dump_libsvm, minmax_normalize,
                         parse_libsvm)
+
+
+def loop_parse(stream, n_features=None):
+    """Reference parser: one Python loop over the tokens of each line.
+
+    It makes the checks `parse_libsvm` makes, in reading order, on any
+    input but non-ASCII text.
+    """
+    labels, values, col_idx, row_ptr = [], [], [], [0]
+    max_index = 0
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        if "#" in line:
+            raise LibsvmParseError("comment characters are not part of the format", lineno)
+        tokens = line.split()
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise LibsvmParseError(f"label {tokens[0]!r} is not numeric", lineno) from None
+        if not math.isfinite(label):
+            raise LibsvmParseError(f"non-finite label {tokens[0]!r}", lineno)
+        prev_index = 0
+        for tok in tokens[1:]:
+            idx_s, sep, val_s = tok.partition(":")
+            if not sep:
+                raise LibsvmParseError(f"token {tok!r} lacks an index:value separator", lineno)
+            try:
+                index = int(idx_s)
+                value = float(val_s)
+            except ValueError:
+                raise LibsvmParseError(f"token {tok!r} is not index:value numeric",
+                                       lineno) from None
+            if not math.isfinite(value):
+                raise LibsvmParseError(f"non-finite value in token {tok!r}", lineno)
+            if index > 2**31 - 1:
+                raise LibsvmParseError(f"index {index} is above the int32 range", lineno)
+            if index <= prev_index:
+                raise LibsvmParseError(
+                    f"index {index} not strictly increasing after {prev_index}", lineno)
+            prev_index = index
+            col_idx.append(index - 1)
+            values.append(value)
+        labels.append(label)
+        row_ptr.append(len(values))
+        max_index = max(max_index, prev_index)
+    features = sp.csr_matrix(
+        (np.array(values), np.array(col_idx, dtype=np.int32), np.array(row_ptr, dtype=np.int32)),
+        shape=(len(labels), max(max_index, n_features or 0)))
+    return Dataset(features=features, labels=np.array(labels))
+
+
+# ASCII whitespace other than the newline, which str.split() also splits at.
+SPACE = " \t\r\x0b\x0c\x1c\x1d\x1e\x1f"
+NUMBER = st.one_of(
+    st.sampled_from(["+1", "-1", "1", "0", "-0", "+0", "007", "-007", "1e3", "-2.5E-3",
+                     ".5", "5.", "1_0", "999999999999999", "-999999999999999",
+                     "1000000000000000", "9007199254740993", "000000000000000001",
+                     "9999999999999999999"]),
+    st.integers(-10**17, 10**17).map(str),
+    st.integers(-10**25, 10**25).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.17g}"),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr))
+INDEX_FORMS = ["{}", "+{}", "{:03d}", "{:016d}"]
+BAD_LABELS = ["nan", "-inf", "1e999", "x", "+", "1.2.3", "#"]
+BAD_PAIRS = ["1:2:3", ":2", "2:", "x", "a:b", "1:nan", "1:inf", "1:1e999", "0:1", "-3:1",
+             "-0:1", "2147483648:1", "99999999999999999999:1", "1#:2", "+:1", "1:-"]
+
+
+@st.composite
+def libsvm_lines(draw, faults=0):
+    """Lines of LIBSVM text with varied spacing and number spellings.
+
+    With `faults`, that many tokens are replaced by malformed ones.
+    """
+    rows = []
+    for _ in range(draw(st.integers(0, 10))):
+        if draw(st.integers(0, 4)) == 0:
+            rows.append([draw(st.text(SPACE, max_size=3))])
+            continue
+        indices = sorted(draw(st.lists(st.one_of(st.integers(1, 300), st.integers(1, 2**31 - 1)),
+                                       unique=True, max_size=5)))
+        rows.append([draw(NUMBER)] + [draw(st.sampled_from(INDEX_FORMS)).format(i) + ":"
+                                      + draw(NUMBER) for i in indices])
+    for _ in range(faults if rows else 0):
+        row = draw(st.sampled_from(rows))
+        at = draw(st.integers(0, len(row)))
+        bad = draw(st.sampled_from(BAD_PAIRS if at else BAD_LABELS))
+        row[at:at + 1] = [bad]
+    return ["".join(draw(st.text(SPACE, min_size=i > 0, max_size=2)) + tok
+                    for i, tok in enumerate(row)) + draw(st.text(SPACE, max_size=2))
+            for row in rows]
+
+
+@st.composite
+def libsvm_inputs(draw, faults=0):
+    """A stream over drawn lines: text with LF, CRLF or no final newline, or a list of lines."""
+    lines = draw(libsvm_lines(faults))
+    if draw(st.booleans()):
+        return lambda: list(lines)
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return lambda: io.StringIO(text)
+
+
+def assert_same_dataset(got, want):
+    for a, b in [(got.labels, want.labels), (got.features.data, want.features.data),
+                 (got.features.indices, want.features.indices),
+                 (got.features.indptr, want.features.indptr)]:
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert got.features.shape == want.features.shape
 
 
 class TestParseLibsvm:
@@ -42,6 +161,16 @@ class TestParseLibsvm:
         ("1 1:2 # trailing\n", 1),
         ("# comment\n", 1),
         ("1 1:inf\n", 1),
+        ("1 1:2:3\n", 1),
+        ("1 :2\n", 1),
+        ("1 2:\n", 1),
+        ("1:2 3:4\n", 1),
+        ("1 1:2\n-1 2:5\u00a0\n", 2),
+        ("1 1:2\nnan 1:2\n", 2),
+        ("1 2147483648:1\n", 1),
+        ("1 1:2\n\n1 3:1\x014:1\n", 3),
+        pytest.param("1 1:1\n" * data.PARSE_BLOCK + "1 2:1 1:1\n", data.PARSE_BLOCK + 1,
+                     id="first-line-of-second-block"),
     ])
     def test_malformed_inputs_rejected_with_line_number(self, text, line):
         with pytest.raises(LibsvmParseError) as err:
@@ -69,6 +198,37 @@ class TestParseLibsvm:
         assert ds.n == 10
         ds = parse_libsvm(io.StringIO("1 12:1\n"), n_features=10)
         assert ds.n == 12
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(stream=libsvm_inputs(), block=st.sampled_from([1, 2, 3, data.PARSE_BLOCK]),
+           n_features=st.sampled_from([None, 0, 50]))
+    def test_matches_loop_parser_byte_for_byte(self, stream, block, n_features):
+        with mock.patch.object(data, "PARSE_BLOCK", block):
+            got = parse_libsvm(stream(), n_features=n_features)
+        assert_same_dataset(got, loop_parse(stream(), n_features=n_features))
+
+    @settings(max_examples=300, deadline=None)
+    @given(stream=libsvm_inputs(faults=2), block=st.sampled_from([1, 2, 3, data.PARSE_BLOCK]))
+    def test_first_fault_matches_loop_parser(self, stream, block):
+        """Of several malformed tokens, the first in reading order is reported."""
+        try:
+            want = loop_parse(stream())
+        except LibsvmParseError as err:
+            want = err
+        with mock.patch.object(data, "PARSE_BLOCK", block):
+            if isinstance(want, Dataset):
+                assert_same_dataset(parse_libsvm(stream()), want)
+                return
+            with pytest.raises(LibsvmParseError) as got:
+                parse_libsvm(stream())
+        assert (str(got.value), got.value.line) == (str(want), want.line)
+
+    def test_signed_zero_and_leading_zeros(self):
+        ds = parse_libsvm(["-0 1:-0 2:+0 3:007 4:-000000000000000"])
+        assert np.signbit(ds.labels[0])
+        np.testing.assert_array_equal(np.signbit(ds.features.data), [True, False, False, True])
+        np.testing.assert_array_equal(ds.features.data, [0.0, 0.0, 7.0, 0.0])
 
 
 class TestMinmaxNormalize:
@@ -145,6 +305,16 @@ class TestCsvToLibsvm:
         out = io.StringIO()
         csv_to_libsvm(src, out, label_col=1)
         assert out.getvalue() == "9 1:1 2:2\n"
+
+    def test_negative_label_col_counts_from_the_end(self):
+        out = io.StringIO()
+        csv_to_libsvm(io.StringIO("1,2,3\n"), out, label_col=-1)
+        assert out.getvalue() == "3 1:1 2:2\n"
+
+    @pytest.mark.parametrize("label_col", [3, 5, -4])
+    def test_out_of_range_label_col_rejected(self, label_col):
+        with pytest.raises(ValueError, match=f"^line 1: label_col {label_col} is out of range"):
+            csv_to_libsvm(io.StringIO("1,2,3\n"), io.StringIO(), label_col=label_col)
 
     def test_header_and_delimiter(self):
         src = io.StringIO("a;b\n1;2\n")
