@@ -8,6 +8,7 @@ on synthetic problems), ``convert`` (dense CSV to LIBSVM text).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -118,10 +119,17 @@ def _cmd_verify_theory(args) -> int:
 def _cmd_convert(args) -> int:
     from .data import csv_to_libsvm
 
-    with open(args.csv) as src, open(args.libsvm, "w") as dst:
-        rows = csv_to_libsvm(src, dst, label_col=args.label_col,
-                             missing_value=args.missing_value,
-                             has_header=args.header, delimiter=args.delimiter)
+    tmp = f"{args.libsvm}.{os.getpid()}.tmp"  # replaces the output only once complete
+    try:
+        with open(args.csv) as src, open(tmp, "w") as dst:
+            rows = csv_to_libsvm(src, dst, label_col=args.label_col,
+                                 missing_value=args.missing_value,
+                                 has_header=args.header, delimiter=args.delimiter)
+        os.replace(tmp, args.libsvm)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
     print(f"wrote {rows} rows to {args.libsvm}")
     return 0
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -159,14 +159,13 @@ def _numbers(raw, buf, digits, start, end, convert, fill):
 
 
 def dump_libsvm(dataset: Dataset, stream) -> None:
-    """Serialize a Dataset back to LIBSVM text (1-based indices)."""
+    """Serialize a Dataset to LIBSVM text: 1-based indices, numbers as exact shortest repr."""
     X = dataset.features
-    for i in range(dataset.N):
+    indices, values = X.indices.tolist(), X.data.tolist()
+    for i, label in enumerate(dataset.labels.tolist()):
         start, stop = X.indptr[i], X.indptr[i + 1]
-        pairs = " ".join(f"{j + 1}:{v:.17g}" for j, v in
-                         zip(X.indices[start:stop], X.data[start:stop]))
-        label = f"{dataset.labels[i]:.17g}"
-        stream.write(f"{label} {pairs}\n" if pairs else f"{label}\n")
+        pairs = [f"{j + 1}:{v!r}" for j, v in zip(indices[start:stop], values[start:stop])]
+        stream.write(" ".join([repr(label), *pairs]) + "\n")
 
 
 def minmax_normalize(matrix: np.ndarray) -> np.ndarray:
@@ -207,12 +206,14 @@ def csv_to_libsvm(csv_stream, out_stream, label_col: int = 0,
     """Convert a dense numeric CSV to LIBSVM text; returns rows written.
 
     One column holds the target; the others become 1-based indexed features
-    in column order (zeros are omitted, as usual for the format).  A negative
-    `label_col` counts from the end of the first data row (-1 is its last
-    cell).  Rows whose target is empty or equals `missing_value` are
-    dropped.  A `label_col` outside the first data row, a row whose cell
-    count differs from the first data row's, or a non-numeric cell, raises
-    ValueError with the 1-based line number.
+    in column order (zeros are omitted, as usual for the format), each as its
+    own stripped text, which `parse_libsvm` reads as ``float()`` of the cell.
+    A negative `label_col` counts from the end of the first data row (-1 is
+    its last cell).  Rows whose target is empty or equals `missing_value` are
+    dropped unchecked.  A `label_col` outside the first data row, a row whose
+    cell count differs from the first data row's, a non-numeric cell, and in
+    a written row a non-finite cell or non-ASCII text, raise ValueError with
+    the 1-based line number.
     """
     reader = csv.reader(csv_stream, delimiter=delimiter)
     if has_header:
@@ -238,10 +239,17 @@ def csv_to_libsvm(csv_stream, out_stream, label_col: int = 0,
             label = float(raw_label)
             if missing_value is not None and label == missing_value:
                 continue
-            feats = [float(cell) for c, cell in enumerate(row) if c != label_col]
+            cells = row[:label_col] + row[label_col + 1:]
+            values = list(map(float, cells))
         except ValueError as err:
             raise ValueError(f"line {reader.line_num}: {err}") from None
-        pairs = " ".join(f"{j + 1}:{v:.17g}" for j, v in enumerate(feats) if v != 0.0)
-        out_stream.write(f"{label:.17g} {pairs}\n" if pairs else f"{label:.17g}\n")
+        line = " ".join([raw_label] + [f"{j}:{cell.strip()}" for j, cell, v in
+                                       zip(count(1), cells, values) if v])
+        # A finite sum needs finite terms, so only a non-finite sum looks at each cell.
+        if not (math.isfinite(label + sum(values)) or all(map(math.isfinite, [label, *values]))):
+            raise ValueError(f"line {reader.line_num}: non-finite cell in {line!r}")
+        if not line.isascii():  # float() reads non-ASCII digits, parse_libsvm does not
+            raise ValueError(f"line {reader.line_num}: non-ASCII cell in {line!r}")
+        out_stream.write(line + "\n")
         written += 1
     return written

@@ -79,3 +79,17 @@ def test_unknown_config_key_fails(tmp_path):
                                 "wat": 1}))
     with pytest.raises(ValueError):
         main(["run", "--config", str(path)])
+
+
+@pytest.mark.parametrize("old", [None, "1 1:1\n"])
+def test_failed_convert_leaves_output_untouched(tmp_path, old):
+    src = tmp_path / "table.csv"
+    src.write_text("1,2\n3,4\n5\n")
+    dst = tmp_path / "out.libsvm"
+    if old:
+        dst.write_text(old)
+    with pytest.raises(ValueError, match="^line 3: "):
+        main(["convert", "--csv", str(src), "--libsvm", str(dst)])
+    assert {p.name for p in tmp_path.iterdir()} == {"table.csv"} | ({dst.name} if old else set())
+    if old:
+        assert dst.read_text() == old

@@ -1,5 +1,6 @@
 """Tests for LIBSVM parsing, normalization, splitting, and CSV conversion."""
 
+import csv
 import io
 import math
 from unittest import mock
@@ -193,6 +194,21 @@ class TestParseLibsvm:
         np.testing.assert_array_equal(ds.labels, ds2.labels)
         assert (ds.features != ds2.features).nnz == 0
 
+    def test_dump_writes_shortest_text_that_reads_back_bit_for_bit(self):
+        # `.17g` spells each of these longer than repr does.
+        values = [0.1, 2.45678, 1 / 3, -1e-300, 5e-324, 1.7976931348623157e308, 1e16, 123.456]
+        labels = [0.1, -2.45678, 1e23, 0.3]
+        X = sp.csr_matrix(np.array(values + [0.0] * 4).reshape(4, 3))
+        ds = Dataset(features=X, labels=np.array(labels))
+        out = io.StringIO()
+        dump_libsvm(ds, out)
+        assert out.getvalue().split("\n")[0] == "0.1 1:0.1 2:2.45678 3:0.3333333333333333"
+        assert out.getvalue().endswith("\n0.3\n")
+        back = parse_libsvm(io.StringIO(out.getvalue()), n_features=3)
+        assert np.array_equal(back.labels.view(np.int64), ds.labels.view(np.int64))
+        assert np.array_equal(back.features.data.view(np.int64), X.data.view(np.int64))
+        assert np.array_equal(back.features.indices, X.indices)
+
     def test_feature_dimension_override_widens(self):
         ds = parse_libsvm(io.StringIO("1 2:1\n"), n_features=10)
         assert ds.n == 10
@@ -284,6 +300,71 @@ class TestChronologicalSplit:
             chronological_split(np.zeros((5, 1)), np.zeros(5), 0.999)
 
 
+def format_csv_to_libsvm(csv_stream, out_stream, label_col=0, missing_value=None,
+                         has_header=False, delimiter=","):
+    """Reference converter: re-prints every written number with ``.17g``.
+
+    It makes the checks `csv_to_libsvm` makes but the non-finite and ASCII
+    ones, which `parse_libsvm` makes on its output.
+    """
+    reader = csv.reader(csv_stream, delimiter=delimiter)
+    if has_header:
+        next(reader, None)
+    written = 0
+    width = None
+    for row in reader:
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if width is None:
+            width = len(row)
+            if not -width <= label_col < width:
+                raise ValueError(f"line {reader.line_num}: label_col {label_col} is out of "
+                                 f"range for {width} cells")
+            label_col %= width
+        elif len(row) != width:
+            raise ValueError(f"line {reader.line_num}: {len(row)} cells, "
+                             f"expected {width} as in the first data row")
+        raw_label = row[label_col].strip()
+        if not raw_label:
+            continue
+        try:
+            label = float(raw_label)
+            if missing_value is not None and label == missing_value:
+                continue
+            feats = [float(cell) for c, cell in enumerate(row) if c != label_col]
+        except ValueError as err:
+            raise ValueError(f"line {reader.line_num}: {err}") from None
+        pairs = " ".join(f"{j + 1}:{v:.17g}" for j, v in enumerate(feats) if v != 0.0)
+        out_stream.write(f"{label:.17g} {pairs}\n" if pairs else f"{label:.17g}\n")
+        written += 1
+    return written
+
+
+CELL = st.one_of(
+    st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(["{:.6g}", "{:.17g}", "{!r}"])).map(
+        lambda p: p[1].format(p[0])),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["0", "+0", "-0", "0.0", "-0.0", "0e5", "+1", "-1", "007", "-007",
+                     "000000000000000001", "1_000", "1_0.2_5", "1e3", "-2.5E-3", "+.5e+2",
+                     ".5", "5.", "-200", "-200.0", "-2e2"]))
+PADDED_CELL = st.tuples(st.text(" \t", max_size=2), CELL,
+                        st.text(" \t", max_size=2)).map("".join)
+
+
+@st.composite
+def csv_tables(draw):
+    """CSV text of equal-width rows, some with a missing label, and a label column."""
+    width = draw(st.integers(1, 5))
+    label_col = draw(st.integers(-width, width - 1))
+    label = st.one_of(PADDED_CELL, st.sampled_from(["", " ", "-200", " -2e2 "]))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = [draw(PADDED_CELL) for _ in range(width - 1)]
+        row.insert(label_col % width, draw(label))
+        rows.append(row)
+    return "".join(",".join(row) + "\n" for row in rows), label_col
+
+
 class TestCsvToLibsvm:
     def test_basic_conversion(self):
         src = io.StringIO("1.5,2,0,3\n-0.5,0,0,1\n")
@@ -353,3 +434,38 @@ class TestCsvToLibsvm:
         with pytest.raises(ValueError, match=f"^line {line}: could not convert"):
             csv_to_libsvm(io.StringIO(text), io.StringIO(), label_col=0,
                           has_header=text.startswith("h"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_tables(), st.sampled_from([None, -200.0]))
+    def test_parses_like_the_format_converter_byte_for_byte(self, table, missing_value):
+        text, label_col = table
+        got, want = io.StringIO(), io.StringIO()
+        rows = csv_to_libsvm(io.StringIO(text), got, label_col, missing_value)
+        assert rows == format_csv_to_libsvm(io.StringIO(text), want, label_col, missing_value)
+        assert_same_dataset(parse_libsvm(io.StringIO(got.getvalue())),
+                            parse_libsvm(io.StringIO(want.getvalue())))
+
+    def test_cells_written_as_their_own_text(self):
+        out = io.StringIO()
+        csv_to_libsvm(io.StringIO(" 2.50 ,0.0, 2.45678,-0,1e3\n"), out)
+        assert out.getvalue() == "2.50 2:2.45678 4:1e3\n"
+
+    @pytest.mark.parametrize("text, line, kind", [
+        ("1,2\n\uff12,4\n", 2, "non-ASCII"),    # full-width label digit
+        ("1,2\n3,\u0665\n", 2, "non-ASCII"),    # Arabic-Indic feature digit
+        ("1,2\n3,4\nnan,1\n", 3, "non-finite"),
+        ("1,2\ninf,1\n", 2, "non-finite"),
+        ("1,nan\n", 1, "non-finite"),
+        ("1,2\n1,-inf\n", 2, "non-finite"),
+        ("1,1e999\n", 1, "non-finite"),         # overflows to inf
+        ("-200,1\n1,2\n2,nan\n", 3, "non-finite"),
+    ])
+    def test_non_finite_or_non_ascii_cell_names_line(self, text, line, kind):
+        with pytest.raises(ValueError, match=f"^line {line}: {kind} cell"):
+            csv_to_libsvm(io.StringIO(text), io.StringIO(), label_col=0, missing_value=-200.0)
+
+    def test_dropped_rows_and_zero_cells_stay_unchecked(self):
+        out = io.StringIO()
+        text = "-200,nan,\uff12,1\n,inf,1,1\n1,\uff10,1e308,1e308\n"  # that sum overflows
+        rows = csv_to_libsvm(io.StringIO(text), out, label_col=0, missing_value=-200.0)
+        assert rows == 1 and out.getvalue() == "1 2:1e308 3:1e308\n"
