@@ -19,8 +19,8 @@ from .models import (LogisticModel, MlpModel, default_x0,
                      testing_loss)
 from .data import (Dataset, LibsvmParseError, chronological_split,
                    csv_to_libsvm, dump_libsvm, minmax_normalize, parse_libsvm)
-from .theory import (SyntheticQuadratic, TheoryConstants, asymptotic_gaps,
-                     beta_const, gradient_moments, second_moment_coefficient,
+from .theory import (SyntheticQuadratic, asymptotic_gaps, beta_const,
+                     gradient_moments, second_moment_coefficient,
                      stepsize_bounds, verify_lemma1, verify_theorem_gap)
 from .harness import (ExperimentConfig, GridCellResult, build_grid, compute_G,
                       initial_sample_size, load_config, run_grid,
@@ -38,7 +38,7 @@ __all__ = [
     "testing_accuracy", "testing_loss",
     "Dataset", "LibsvmParseError", "chronological_split", "csv_to_libsvm",
     "dump_libsvm", "minmax_normalize", "parse_libsvm",
-    "SyntheticQuadratic", "TheoryConstants", "asymptotic_gaps", "beta_const",
+    "SyntheticQuadratic", "asymptotic_gaps", "beta_const",
     "gradient_moments", "second_moment_coefficient", "stepsize_bounds",
     "verify_lemma1", "verify_theorem_gap",
     "ExperimentConfig", "GridCellResult", "build_grid", "compute_G",

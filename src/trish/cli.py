@@ -31,7 +31,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_calibrate_g(args) -> int:
-    from .harness import ExperimentConfig, compute_G, load_problem
+    from .harness import ExperimentConfig, calibration_rng, compute_G, load_problem
 
     kwargs = dict(model=args.model, algorithm="sg", seed=args.seed)
     if args.model == "mlp_regressor":
@@ -41,8 +41,8 @@ def _cmd_calibrate_g(args) -> int:
         kwargs.update(train_path=args.dataset, test_path=args.dataset,
                       positive_label=args.positive_label)
     problem, _, _ = load_problem(ExperimentConfig(**kwargs))
-    G = compute_G(problem, np.random.default_rng(args.seed))
-    print(f"G = {G:.6g}  (N={problem.N}, n={problem.n}, seed={args.seed})")
+    G = compute_G(problem, calibration_rng(args.seed))
+    print(f"G = {G!r}  (N={problem.N}, n={problem.n}, seed={args.seed})")
     return 0
 
 

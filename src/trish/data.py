@@ -10,7 +10,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import chain, islice, repeat
+from operator import attrgetter
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,8 +45,9 @@ class Dataset:
         return int(self.features.shape[1])
 
 
-PARSE_BLOCK = 1024  # most lines tokenized at once; bounds the parser's temporaries
+PARSE_BLOCK = 1024  # most lines or CSV rows handled at once; bounds the temporaries
 _INDEX_MAX = 2**31 - 1
+_TENS = np.array([float(10**k) for k in range(16)])  # exact powers of ten
 
 
 def parse_libsvm(stream, n_features: int | None = None) -> Dataset:
@@ -132,8 +134,11 @@ def _numbers(raw, buf, digits, start, end, convert, fill):
     """Numeric values of the fields raw[start:end] and a mask of rejected ones.
 
     A field matching ``[+-]?[0-9]{1,15}`` is converted exactly in numpy
-    (``-0`` gives -0.0); all others go through one bulk `convert`.  The
-    first field `convert` rejects and every slow field after it get `fill`.
+    (``-0`` gives -0.0), and so is a float field of 1 to 15 digits and one
+    ``.``, as digits / 10**(digits after the point): both are exact doubles
+    (Clinger's fast path), so the one rounding equals float()'s.  All others
+    go through one bulk `convert`.  The first field `convert` rejects and
+    every slow field after it get `fill`.
     """
     sign = buf[start]
     neg = sign == 45
@@ -144,6 +149,17 @@ def _numbers(raw, buf, digits, start, end, convert, fill):
     for j in range(int(width.max(initial=0))):
         mag = np.where(width > j, mag * 10 + buf[lead + j] - 48, mag)
     out = mag.astype(np.float64 if convert is float else np.int64)
+    if convert is float and b"." in raw:  # blocks without a "." skip the decimal passes
+        dots = np.append(np.flatnonzero(buf == 46), buf.size)
+        point, size = dots[np.searchsorted(dots, lead)], end - lead
+        dec = np.flatnonzero((point < end) & (digits[end] - digits[lead] == size - 1)
+                             & (size > 1) & (size <= 16))
+        first, size, mag = lead[dec], size[dec], np.zeros(dec.size, dtype=np.int64)
+        for j in range(int(size.max(initial=0))):
+            c = buf[first + j]
+            mag = np.where((size > j) & (c != 46), mag * 10 + c - 48, mag)
+        out[dec] = mag / _TENS[end[dec] - point[dec] - 1]
+        width[dec] = 1  # not sent to `convert`
     np.negative(out, out=out, where=neg)
     slow = np.flatnonzero(width == 0)
     converted = []
@@ -213,43 +229,67 @@ def csv_to_libsvm(csv_stream, out_stream, label_col: int = 0,
     dropped unchecked.  A `label_col` outside the first data row, a row whose
     cell count differs from the first data row's, a non-numeric cell, and in
     a written row a non-finite cell or non-ASCII text, raise ValueError with
-    the 1-based line number.
+    the 1-based line number.  Rows are converted `PARSE_BLOCK` at a time; on
+    a fault, the out stream holds the blocks before the faulty one.
     """
     reader = csv.reader(csv_stream, delimiter=delimiter)
     if has_header:
         next(reader, None)
-    written = 0
-    width = None
-    for row in reader:
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if width is None:
-            width = len(row)
-            if not -width <= label_col < width:
-                raise ValueError(f"line {reader.line_num}: label_col {label_col} is out of "
-                                 f"range for {width} cells")
-            label_col %= width
-        elif len(row) != width:
-            raise ValueError(f"line {reader.line_num}: {len(row)} cells, "
-                             f"expected {width} as in the first data row")
-        raw_label = row[label_col].strip()
-        if not raw_label:
+    numbered = zip(reader, map(attrgetter("line_num"), repeat(reader)))
+    written, width = 0, None
+    while block := list(islice(numbered, PARSE_BLOCK)):
+        rows = [row for row, _ in block]
+        width = width or next((len(row) for row in rows if any(map(str.strip, row))), None)
+        if width is None:  # no data row yet
             continue
         try:
-            label = float(raw_label)
-            if missing_value is not None and label == missing_value:
-                continue
-            cells = row[:label_col] + row[label_col + 1:]
-            values = list(map(float, cells))
-        except ValueError as err:
-            raise ValueError(f"line {reader.line_num}: {err}") from None
-        line = " ".join([raw_label] + [f"{j}:{cell.strip()}" for j, cell, v in
-                                       zip(count(1), cells, values) if v])
-        # A finite sum needs finite terms, so only a non-finite sum looks at each cell.
-        if not (math.isfinite(label + sum(values)) or all(map(math.isfinite, [label, *values]))):
-            raise ValueError(f"line {reader.line_num}: non-finite cell in {line!r}")
-        if not line.isascii():  # float() reads non-ASCII digits, parse_libsvm does not
-            raise ValueError(f"line {reader.line_num}: non-ASCII cell in {line!r}")
-        out_stream.write(line + "\n")
-        written += 1
+            text, kept = _csv_rows(rows, width, label_col, missing_value)
+        except ValueError:
+            for row, line_num in block:  # the first faulty row names the fault
+                try:
+                    _csv_rows([row], width, label_col, missing_value)
+                except ValueError as err:
+                    raise ValueError(f"line {line_num}: {err}") from None
+            raise
+        out_stream.write(text)
+        written += kept
     return written
+
+
+def _csv_rows(rows, width, label_col, missing_value):
+    """LIBSVM text of CSV rows and how many it holds; blank rows are skipped.
+
+    The checks run in reading order, so for a single row the ValueError
+    raised names the fault reading it cell by cell meets first.
+    """
+    flat = list(chain.from_iterable(rows))
+    cells = np.array(list(map(str.strip, flat)), dtype=object)
+    seen = np.concatenate(([0], np.cumsum(cells.astype(bool))))  # non-blank cells before each
+    sizes = np.fromiter(map(len, rows), np.int64, len(rows))
+    ends = np.cumsum(sizes)
+    used = seen[ends] > seen[ends - sizes]  # rows with a non-blank cell
+    if used.any() and not -width <= label_col < width:
+        raise ValueError(f"label_col {label_col} is out of range for {width} cells")
+    if np.any(used & (sizes != width)):
+        raise ValueError(f"{sizes[used & (sizes != width)][0]} cells, "
+                         f"expected {width} as in the first data row")
+    label_col %= width
+    at = (ends - sizes)[used]
+    at = at[cells[at + label_col].astype(bool)]  # rows with a label
+    labels = np.fromiter(map(float, cells[at + label_col].tolist()), np.float64, at.size)
+    kept = labels != missing_value  # every row when missing_value is None
+    at, labels = at[kept], labels[kept]
+    features = at[:, None] + np.delete(np.arange(width), label_col)
+    raw = np.array(flat, dtype=object)[features].ravel().tolist()  # float() names them unstripped
+    values = np.fromiter(map(float, raw), np.float64, len(raw)).reshape(features.shape)
+    lines = np.empty((at.size, 2 * width), dtype=object)  # label, " j:" and cell per feature, "\n"
+    lines[:, 0], lines[:, 1:-1:2], lines[:, 2:-1:2], lines[:, -1] = (
+        cells[at + label_col], [f" {j}:" for j in range(1, width)], cells[features], "\n")
+    shown = np.ones(lines.shape, dtype=bool)
+    shown[:, 1:-1:2] = shown[:, 2:-1:2] = values != 0
+    out = "".join(lines[shown].tolist())
+    if not (np.isfinite(labels).all() and np.isfinite(values).all()):
+        raise ValueError(f"non-finite cell in {out[:-1]!r}")
+    if not out.isascii():  # float() reads non-ASCII digits, parse_libsvm does not
+        raise ValueError(f"non-ASCII cell in {out[:-1]!r}")
+    return out, at.size

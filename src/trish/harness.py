@@ -109,6 +109,11 @@ def compute_G(problem: FiniteSumProblem, rng: np.random.Generator) -> float:
     return float(np.mean([rec.grad_norm for rec in records]))
 
 
+def calibration_rng(seed: int) -> np.random.Generator:
+    """The stream `run_grid` calibrates G with at `seed` (`trish calibrate-g` uses it too)."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(999,)))
+
+
 def build_grid(G: float, alphas=DEFAULT_ALPHAS,
                gamma1_multipliers=DEFAULT_GAMMA1_MULTIPLIERS,
                gamma2_multipliers=DEFAULT_GAMMA2_MULTIPLIERS) -> list[tuple[float, float, float]]:
@@ -247,9 +252,7 @@ def run_grid(config: ExperimentConfig, problem: FiniteSumProblem | None = None,
     if G is None:
         G = config.g_value
     if G is None:
-        g_rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=config.seed, spawn_key=(999,)))
-        G = compute_G(problem, g_rng)
+        G = compute_G(problem, calibration_rng(config.seed))
     grid = build_grid(G, config.alphas, config.gamma1_multipliers,
                       config.gamma2_multipliers)
 

@@ -18,33 +18,6 @@ from .core import FiniteSumProblem, as_vector
 from .optimizer import HyperParams, run_trish, trish_step
 
 
-@dataclass(frozen=True)
-class TheoryConstants:
-    """Problem constants the convergence statements are phrased in.
-
-    L: Lipschitz constant of the full gradient.  mu: gradient-dominance
-    (PL) constant, with L >= mu > 0 when it holds.  M_g: uniform bound on
-    the gradient-estimate variance.  M2: second-moment coefficient in
-    E||g||^2 <= M1 + M2 ||grad F||^2.  F_star: infimum of the objective.
-    """
-
-    L: float
-    mu: float | None = None
-    M_g: float | None = None
-    M2: float | None = None
-    F_star: float = 0.0
-
-    def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("L must be positive")
-        if self.mu is not None and not 0 < self.mu <= self.L:
-            raise ValueError("need 0 < mu <= L")
-        if self.M_g is not None and self.M_g < 0:
-            raise ValueError("M_g must be nonnegative")
-        if self.M2 is not None and self.M2 < 1:
-            raise ValueError("M2 must be >= 1")
-
-
 def second_moment_coefficient(theta: float, nu: float) -> float:
     """M2 implied by passing both variance tests with constants theta, nu."""
     return 1.0 + theta**2 + nu**2

@@ -8,6 +8,7 @@ import pytest
 
 from trish.cli import main
 from trish.data import Dataset, dump_libsvm
+from trish.harness import ExperimentConfig, run_grid
 import scipy.sparse as sp
 
 
@@ -46,6 +47,18 @@ def test_calibrate_g(logistic_files, capsys):
     out = capsys.readouterr().out
     assert out.startswith("G = ")
     assert float(out.split()[2]) > 0
+
+
+def test_calibrate_g_prints_the_g_run_grid_uses(logistic_files, capsys):
+    """Pasting the printed G into `g_value` reproduces the calibrated grid bit for bit."""
+    path = str(logistic_files / "train.libsvm")
+    main(["calibrate-g", "--dataset", path, "--model", "logistic", "--seed", "0"])
+    printed = float(capsys.readouterr().out.split()[2])
+    config = ExperimentConfig(model="logistic", algorithm="sg", seed=0, train_path=path,
+                              test_path=path, alphas=(0.1,), gamma1_multipliers=(4.0,),
+                              gamma2_multipliers=(1.0,), reps=2)
+    [cell] = run_grid(config)
+    assert (cell.gamma1, cell.gamma2) == (4.0 / printed, 1.0 / printed)
 
 
 def test_verify_theory_fast_module(capsys):

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+from itertools import count
 from unittest import mock
 
 import numpy as np
@@ -78,18 +79,39 @@ NUMBER = st.one_of(
     st.integers(-10**25, 10**25).map(str),
     st.floats(allow_nan=False, allow_infinity=False).map(lambda x: f"{x:.17g}"),
     st.floats(allow_nan=False, allow_infinity=False).map(repr))
+# Decimals around the exact numpy path's limits: 15 and 16 digits, an empty
+# side of the point, signed zeros, leading zeros, 22 or more digits after the
+# point, and exponents, which send a field to float().
+DECIMAL = st.one_of(
+    st.sampled_from(["1.", ".5", "+.5", "-.5", "-0.0", "+0.0", "-.0", "0.", "007.50", "-007.50",
+                     "123456789012.345", "1234567890123.456", "99999999999999.9",
+                     "999999999999999.9", ".123456789012345", "0.1234567890123456",
+                     "0.1000000000000000000000", "1.00000000000000000000001",
+                     "1.5e3", "-2.5E-3", "+.5e+2", "9.007199254740993"]),
+    st.builds(lambda sign, digits, point, exp: f"{sign}{digits[:point]}.{digits[point:]}{exp}",
+              st.sampled_from(["", "+", "-"]),
+              st.one_of(st.integers(0, 10**17).map(str), st.text("0123456789", min_size=1,
+                                                                 max_size=25)),
+              st.integers(0, 25), st.sampled_from(["", "", "", "e3", "E-22"])))
+# Whole numbers only: a file drawn from these holds no ".", as a1a's do.
+WHOLE = st.one_of(st.sampled_from(["+1", "-1", "1", "0", "-0", "+0", "007", "1e3", "1_0"]),
+                  st.integers(-10**17, 10**17).map(str))
 INDEX_FORMS = ["{}", "+{}", "{:03d}", "{:016d}"]
-BAD_LABELS = ["nan", "-inf", "1e999", "x", "+", "1.2.3", "#"]
+BAD_LABELS = ["nan", "-inf", "1e999", "x", "+", "1.2.3", "#", ".", "-.", "1..5"]
 BAD_PAIRS = ["1:2:3", ":2", "2:", "x", "a:b", "1:nan", "1:inf", "1:1e999", "0:1", "-3:1",
-             "-0:1", "2147483648:1", "99999999999999999999:1", "1#:2", "+:1", "1:-"]
+             "-0:1", "2147483648:1", "99999999999999999999:1", "1#:2", "+:1", "1:-",
+             "1:.", "1:+.", "1:1.5.", "1:.5.5", "1.5:1", "1.:1"]
 
 
 @st.composite
 def libsvm_lines(draw, faults=0):
     """Lines of LIBSVM text with varied spacing and number spellings.
 
-    With `faults`, that many tokens are replaced by malformed ones.
+    A file draws its numbers from one of: the general spellings, those plus
+    short and long decimals, or whole numbers only (no "." anywhere).  With
+    `faults`, that many tokens are replaced by malformed ones.
     """
+    number = draw(st.sampled_from([NUMBER, st.one_of(NUMBER, DECIMAL), WHOLE]))
     rows = []
     for _ in range(draw(st.integers(0, 10))):
         if draw(st.integers(0, 4)) == 0:
@@ -97,8 +119,8 @@ def libsvm_lines(draw, faults=0):
             continue
         indices = sorted(draw(st.lists(st.one_of(st.integers(1, 300), st.integers(1, 2**31 - 1)),
                                        unique=True, max_size=5)))
-        rows.append([draw(NUMBER)] + [draw(st.sampled_from(INDEX_FORMS)).format(i) + ":"
-                                      + draw(NUMBER) for i in indices])
+        rows.append([draw(number)] + [draw(st.sampled_from(INDEX_FORMS)).format(i) + ":"
+                                      + draw(number) for i in indices])
     for _ in range(faults if rows else 0):
         row = draw(st.sampled_from(rows))
         at = draw(st.integers(0, len(row)))
@@ -246,6 +268,18 @@ class TestParseLibsvm:
         np.testing.assert_array_equal(np.signbit(ds.features.data), [True, False, False, True])
         np.testing.assert_array_equal(ds.features.data, [0.0, 0.0, 7.0, 0.0])
 
+    @pytest.mark.parametrize("block", [1, data.PARSE_BLOCK])
+    def test_decimals_read_as_float_bit_for_bit(self, block):
+        texts = ["1.", ".5", "+.5", "-.5", "-0.0", "-.0", "007.50", "0.1", "0.3", "2.45678",
+                 "123456789012.345", "1234567890123.456", "99999999999999.9", "999999999999999.9",
+                 ".123456789012345", "0.1234567890123456", "9.007199254740993",
+                 "0.1000000000000000000000", "1.00000000000000000000001", "1.5e3", "-2.5E-3"]
+        with mock.patch.object(data, "PARSE_BLOCK", block):
+            ds = parse_libsvm([f"{t} 1:{t} 2:-{t.lstrip('+-')}" for t in texts])
+        want = np.array([float(t) for t in texts])
+        assert ds.labels.tobytes() == want.tobytes()
+        assert ds.features.data.tobytes() == np.column_stack([want, -np.abs(want)]).tobytes()
+
 
 class TestMinmaxNormalize:
     def test_simple_column(self):
@@ -365,6 +399,93 @@ def csv_tables(draw):
     return "".join(",".join(row) + "\n" for row in rows), label_col
 
 
+def loop_csv_to_libsvm(csv_stream, out_stream, label_col=0, missing_value=None,
+                       has_header=False, delimiter=","):
+    """Reference converter: one row at a time, with the text, checks, messages
+    and line numbers `csv_to_libsvm` must reproduce."""
+    reader = csv.reader(csv_stream, delimiter=delimiter)
+    if has_header:
+        next(reader, None)
+    written = 0
+    width = None
+    for row in reader:
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if width is None:
+            width = len(row)
+            if not -width <= label_col < width:
+                raise ValueError(f"line {reader.line_num}: label_col {label_col} is out of "
+                                 f"range for {width} cells")
+            label_col %= width
+        elif len(row) != width:
+            raise ValueError(f"line {reader.line_num}: {len(row)} cells, "
+                             f"expected {width} as in the first data row")
+        raw_label = row[label_col].strip()
+        if not raw_label:
+            continue
+        try:
+            label = float(raw_label)
+            if missing_value is not None and label == missing_value:
+                continue
+            cells = row[:label_col] + row[label_col + 1:]
+            values = list(map(float, cells))
+        except ValueError as err:
+            raise ValueError(f"line {reader.line_num}: {err}") from None
+        line = " ".join([raw_label] + [f"{j}:{cell.strip()}" for j, cell, v in
+                                       zip(count(1), cells, values) if v])
+        # A finite sum needs finite terms, so only a non-finite sum looks at each cell.
+        if not (math.isfinite(label + sum(values)) or all(map(math.isfinite, [label, *values]))):
+            raise ValueError(f"line {reader.line_num}: non-finite cell in {line!r}")
+        if not line.isascii():  # float() reads non-ASCII digits, parse_libsvm does not
+            raise ValueError(f"line {reader.line_num}: non-ASCII cell in {line!r}")
+        out_stream.write(line + "\n")
+        written += 1
+    return written
+
+
+# Cells that are blank, non-numeric, non-finite, non-ASCII, quoted across a line
+# break or around a delimiter, or a non-ASCII zero (never written, so never checked).
+ODD_CELLS = ["", " ", "x", "nan", "inf", "-inf", "1e999", "\uff12", "\u0665", "\uff10",
+             '"1\n2"', '"3;4"', '"5,6"', "5;6"]
+
+
+@st.composite
+def csv_inputs(draw):
+    """CSV text with a header, blank, ragged, dropped and faulty rows, and converter options.
+
+    Returns the text and the keyword arguments; `label_col` may be negative
+    or out of range, the delimiter is "," or ";" and some cells are quoted.
+    """
+    delimiter = draw(st.sampled_from([",", ";"]))
+    width = draw(st.integers(1, 4))
+    label_col = draw(st.integers(-width, width - 1) if draw(st.integers(0, 9)) else
+                     st.sampled_from([-width - 1, width]))
+    missing_value = draw(st.sampled_from([None, -200.0]))
+
+    def cell(odd=30):
+        text = draw(st.sampled_from(ODD_CELLS) if draw(st.integers(0, odd - 1)) == 0 else CELL)
+        return draw(st.sampled_from(["{}", "{}", " {} ", "\t{}", '"{}"', '" {} "'])).format(text)
+
+    has_header = draw(st.booleans())
+    lines = [delimiter.join(f"c{j}" for j in range(width))] if has_header else []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.integers(0, 9))
+        if kind == 0:  # blank or whitespace-only
+            lines.append(draw(st.sampled_from(["", " ", "\t", delimiter * (width - 1),
+                                               f" {delimiter} "])))
+            continue
+        size = width + draw(st.sampled_from([1, -1])) if kind == 1 else width  # 1: ragged
+        row = [cell(odd=2 if kind == 2 else 30) for _ in range(size)]
+        if kind > 1 and -width <= label_col < width:  # 2: a missing label among odd cells
+            row[label_col] = "-200" if kind == 2 else draw(
+                st.sampled_from(["-200", " -2e2 ", "", " ", cell()]))
+        lines.append(delimiter.join(row))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "".join(line + end for line in lines)
+    return text, dict(label_col=label_col, missing_value=missing_value, has_header=has_header,
+                      delimiter=delimiter)
+
+
 class TestCsvToLibsvm:
     def test_basic_conversion(self):
         src = io.StringIO("1.5,2,0,3\n-0.5,0,0,1\n")
@@ -469,3 +590,23 @@ class TestCsvToLibsvm:
         text = "-200,nan,\uff12,1\n,inf,1,1\n1,\uff10,1e308,1e308\n"  # that sum overflows
         rows = csv_to_libsvm(io.StringIO(text), out, label_col=0, missing_value=-200.0)
         assert rows == 1 and out.getvalue() == "1 2:1e308 3:1e308\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=csv_inputs(), block=st.sampled_from([1, 2, 3, data.PARSE_BLOCK]))
+    def test_matches_the_row_converter(self, table, block):
+        """Same text and row count, or the same first error; blocks before it are written."""
+        text, kwargs = table
+        want_out, got_out = io.StringIO(), io.StringIO()
+        try:
+            want = loop_csv_to_libsvm(io.StringIO(text), want_out, **kwargs)
+        except ValueError as err:
+            want = err
+        with mock.patch.object(data, "PARSE_BLOCK", block):
+            if isinstance(want, int):
+                assert csv_to_libsvm(io.StringIO(text), got_out, **kwargs) == want
+                assert got_out.getvalue() == want_out.getvalue()
+                return
+            with pytest.raises(ValueError) as got:
+                csv_to_libsvm(io.StringIO(text), got_out, **kwargs)
+        assert (type(got.value), str(got.value)) == (type(want), str(want))
+        assert want_out.getvalue().startswith(got_out.getvalue())

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from trish.optimizer import HyperParams, run_trish
-from trish.theory import (SyntheticQuadratic, TheoryConstants,
-                          asymptotic_gaps, beta_const, gradient_moments,
-                          second_moment_coefficient, stepsize_bounds,
-                          verify_lemma1, verify_theorem_gap)
+from trish.theory import (SyntheticQuadratic, asymptotic_gaps, beta_const,
+                          gradient_moments, second_moment_coefficient,
+                          stepsize_bounds, verify_lemma1, verify_theorem_gap)
 
 
 class TestBetaConst:
@@ -73,15 +72,6 @@ class TestAsymptoticGaps:
         g1 = asymptotic_gaps(2.0, 1.0, 0.5, 1.0)
         g3 = asymptotic_gaps(2.0, 3.0, 0.5, 1.0)
         assert np.isclose(g3[0], 3 * g1[0]) and np.isclose(g3[1], 3 * g1[1])
-
-
-class TestTheoryConstants:
-    def test_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            TheoryConstants(L=1.0, mu=2.0)
-        with pytest.raises(ValueError):
-            TheoryConstants(L=1.0, M2=0.5)
-        TheoryConstants(L=2.0, mu=2.0, M_g=0.0, M2=1.0)
 
 
 class TestSyntheticQuadratic:
