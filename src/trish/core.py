@@ -6,6 +6,7 @@ are 0-based.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -127,8 +128,9 @@ def sampled_gradient(problem: FiniteSumProblem, x: np.ndarray,
                      batch: SampleBatch) -> GradientEstimate:
     """Mini-batch gradient estimate: mean of the batch's component gradients.
 
-    Finiteness is checked on the mean; only a non-finite mean scans the rows,
-    to name the first non-finite one; finite rows whose sum overflows pass."""
+    Finiteness is checked on the mean, elementwise only if its squared norm
+    is not finite; only a non-finite mean scans the rows, to name the first
+    non-finite one; finite rows whose sum overflows pass."""
     x = as_vector(x)
     if x.size != problem.n:
         raise ValueError(f"x has length {x.size}, problem dimension is {problem.n}")
@@ -136,10 +138,11 @@ def sampled_gradient(problem: FiniteSumProblem, x: np.ndarray,
         raise ValueError("batch index out of range for this problem")
     per = problem.component_gradients(batch.indices, x)
     # Row mean in index order: the same reduction and division as np.mean.
-    aggregate = np.add.reduce(per, axis=0) / per.shape[0]
-    if not np.isfinite(aggregate).all():
+    aggregate = np.add.reduce(per, axis=0)
+    aggregate /= float(per.shape[0])  # exact: a float divisor skips int conversion
+    if not math.isfinite(aggregate.dot(aggregate)) and not np.isfinite(aggregate).all():
         finite_rows = np.isfinite(per).all(axis=1)
         if not finite_rows.all():
             bad = int(batch.indices[np.flatnonzero(~finite_rows)[0]])
             raise NumericError(f"non-finite gradient for component {bad}", component=bad)
-    return GradientEstimate(aggregate=aggregate, per_component=per)
+    return GradientEstimate(aggregate, per)

@@ -182,8 +182,10 @@ def load_problem(config: ExperimentConfig):
     elif config.train_path is not None and config.test_path is not None:
         with open(config.train_path) as fh:
             train = parse_libsvm(fh)
-        with open(config.test_path) as fh:
-            test = parse_libsvm(fh, n_features=train.n)
+        test = train  # one file on both sides (calibrate-g) is parsed once
+        if config.test_path != config.train_path:
+            with open(config.test_path) as fh:
+                test = parse_libsvm(fh, n_features=train.n)
         X_train, y_train = train.features, train.labels
         X_test, y_test = test.features, test.labels
         X_train.resize(train.N, test.n)  # the test file may use more columns

@@ -36,8 +36,8 @@ class HyperParams:
     """Step-rule parameters plus adaptive-sampling controls.
 
     alpha: steplength.  gamma1/gamma2 bound the normalized-step interval
-    (0 < gamma2 < gamma1).  theta and nu are the variance-test constants,
-    r the averaging window, avg_threshold the noisy-regime gate factor.
+    (0 < gamma2 < gamma1).  theta, nu: variance-test constants (+inf passes
+    every test); r: averaging window; avg_threshold: noisy-regime gate factor.
     """
 
     alpha: float
@@ -49,14 +49,17 @@ class HyperParams:
     avg_threshold: float = 1.0
 
     def __post_init__(self):
+        for name in ("alpha", "gamma1", "gamma2", "avg_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0 < self.gamma2 < self.gamma1:
             raise ValueError(f"need 0 < gamma2 < gamma1, got {self.gamma2}, {self.gamma1}")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if self.theta <= 0 or self.nu <= 0:
-            raise ValueError("theta and nu must be positive")
-        if self.r < 1:
-            raise ValueError("r must be >= 1")
+        if not (self.theta > 0 and self.nu > 0):  # NaN fails; +inf passes
+            raise ValueError(f"theta and nu must be positive, got {self.theta}, {self.nu}")
+        if not isinstance(self.r, (int, np.integer)) or self.r < 1:
+            raise ValueError(f"r must be an integer >= 1, got {self.r!r}")
         if self.avg_threshold <= 0:
             raise ValueError("avg_threshold must be positive")
 
@@ -92,11 +95,13 @@ def classify_case(grad_norm: float, gamma1: float, gamma2: float) -> StepCase:
         raise ValueError(f"need 0 < gamma2 < gamma1, got {gamma2}, {gamma1}")
     if not grad_norm >= 0:
         raise ValueError(f"grad_norm must be >= 0, got {grad_norm}")
-    if grad_norm < 1.0 / gamma1:
-        return StepCase.CASE1
-    if grad_norm <= 1.0 / gamma2:
-        return StepCase.CASE2
-    return StepCase.CASE3
+    return _case(grad_norm, 1.0 / gamma1, 1.0 / gamma2)
+
+
+def _case(grad_norm: float, low: float, high: float) -> StepCase:
+    """The branch for a checked norm and interval [low, high] = [1/gamma1, 1/gamma2]."""
+    return (StepCase.CASE1 if grad_norm < low else
+            StepCase.CASE2 if grad_norm <= high else StepCase.CASE3)
 
 
 def _step_vector(g: np.ndarray, gnorm: float, case: StepCase,
@@ -146,9 +151,10 @@ def _fill_telemetry(records, iterates, problem, track_loss, metric_fn):
 
 
 def _trish_rule(params: HyperParams):
-    """The TRish step as a step rule for `_run`."""
+    """The TRish step as a step rule for `_run`, its interval formed once."""
+    low, high = 1.0 / params.gamma1, 1.0 / params.gamma2  # HyperParams checked them
     def step(g, gnorm):
-        case = classify_case(gnorm, params.gamma1, params.gamma2)
+        case = _case(gnorm, low, high)
         return case, _step_vector(g, gnorm, case, params)
     return step
 

@@ -134,7 +134,8 @@ class SyntheticQuadratic(FiniteSumProblem):
 
     def component_gradients(self, indices, x: np.ndarray) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.intp)
-        return self.scales[idx, None] * (self.diag * x)[None, :] + self.offsets[idx]
+        return (np.multiply.outer(self.scales.take(idx), self.diag * x)
+                + self.offsets.take(idx, axis=0))  # fewer calls than broadcasting
 
     def component_losses(self, indices, x: np.ndarray) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.intp)

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import trish.harness as harness
 from trish.cli import main
 from trish.data import Dataset, dump_libsvm
 from trish.harness import ExperimentConfig, run_grid
@@ -59,6 +60,20 @@ def test_calibrate_g_prints_the_g_run_grid_uses(logistic_files, capsys):
                               gamma2_multipliers=(1.0,), reps=2)
     [cell] = run_grid(config)
     assert (cell.gamma1, cell.gamma2) == (4.0 / printed, 1.0 / printed)
+
+
+def test_calibrate_g_parses_the_dataset_once(logistic_files, monkeypatch):
+    parsed = []
+    original = harness.parse_libsvm
+
+    def counting(stream, *args, **kwargs):
+        parsed.append(stream.name)
+        return original(stream, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "parse_libsvm", counting)
+    path = str(logistic_files / "train.libsvm")
+    assert main(["calibrate-g", "--dataset", path, "--model", "logistic"]) == 0
+    assert parsed == [path]
 
 
 def test_verify_theory_fast_module(capsys):

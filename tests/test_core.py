@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from trish.core import (FiniteSumProblem, NumericError, SampleBatch,
                         draw_batch, sampled_gradient)
@@ -30,6 +31,14 @@ class RowsProblem(FiniteSumProblem):
 
     def component_gradients(self, indices, x):
         return self.rows[np.asarray(indices)]
+
+
+# Batch gradient rows for the finiteness check: ordinary entries mixed with
+# non-finite ones and finite ones whose squares (1e200) or sums (1e308) overflow.
+GRADIENT_ROWS = arrays(np.float64, st.tuples(st.integers(1, 6), st.integers(1, 4)),
+                       elements=st.sampled_from([np.nan, np.inf, -np.inf, 1e200,
+                                                 -1e200, 1e308, -1e308, 0.0])
+                       | st.floats(-1e3, 1e3))
 
 
 @st.composite
@@ -196,6 +205,23 @@ class TestSampledGradient:
             expected = rows.mean(axis=0)
         assert expected[0] == np.inf
         np.testing.assert_array_equal(est.aggregate, expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=GRADIENT_ROWS)
+    def test_finiteness_check_matches_elementwise_oracle(self, rows):
+        """The squared-norm fast path accepts and rejects as the elementwise
+        check did: raise exactly when a row is non-finite, naming the first."""
+        bad_rows = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        problem = RowsProblem(rows)
+        batch = SampleBatch(indices=np.arange(problem.N))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if bad_rows.size:
+                with pytest.raises(NumericError) as err:
+                    sampled_gradient(problem, np.zeros(problem.n), batch)
+                assert err.value.component == bad_rows[0]
+            else:
+                est = sampled_gradient(problem, np.zeros(problem.n), batch)
+                np.testing.assert_array_equal(est.aggregate, rows.sum(axis=0) / problem.N)
 
     def test_out_of_range_index_rejected(self):
         problem = make_problem()

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+import trish.optimizer as optimizer
 from trish.core import FiniteSumProblem
 from trish.models import (LogisticModel, MlpModel, testing_accuracy,
                           testing_loss)
@@ -35,6 +36,26 @@ class TestHyperParams:
         with pytest.raises(ValueError):
             HyperParams(alpha=0.1, gamma1=2.0, gamma2=1.0, r=0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("alpha", math.nan), ("alpha", math.inf),
+        ("gamma1", math.nan), ("gamma1", math.inf),
+        ("gamma2", math.nan), ("gamma2", math.inf),
+        ("theta", math.nan), ("nu", math.nan), ("theta", -math.inf),
+        ("avg_threshold", math.nan), ("avg_threshold", math.inf),
+        ("r", 2.5), ("r", 2.0), ("r", "3"), ("r", 0)])
+    def test_rejects_nonfinite_and_nonintegral(self, field, value):
+        """A NaN theta once ran an adaptive run as fixed-batch, and a NaN
+        alpha failed later as a non-finite component gradient."""
+        kwargs = {"alpha": 0.1, "gamma1": 2.0, "gamma2": 1.0, field: value}
+        with pytest.raises(ValueError, match=field):
+            HyperParams(**kwargs)
+
+    def test_infinite_test_constants_and_numpy_window_accepted(self):
+        """theta = nu = inf makes every variance test pass (tests below use it)."""
+        params = HyperParams(alpha=0.1, gamma1=2.0, gamma2=1.0, theta=math.inf,
+                             nu=math.inf, r=np.int64(3))
+        assert params.r == 3
+
 
 class TestClassifyCase:
     def test_zero_gradient_is_case1(self):
@@ -61,6 +82,74 @@ class TestClassifyCase:
             assert [in1, in2, in3].count(True) == 1
             assert case is (StepCase.CASE1 if in1 else
                             StepCase.CASE2 if in2 else StepCase.CASE3)
+
+
+class ConstantRows(FiniteSumProblem):
+    """Component i has the gradient [values[i], 0] at every x."""
+
+    def __init__(self, values):
+        self.rows = np.column_stack([values, np.zeros(len(values))])
+        self.N, self.n = self.rows.shape
+
+    def component_losses(self, indices, x):
+        return self.rows[indices] @ x
+
+    def component_gradients(self, indices, x):
+        return self.rows[indices]
+
+
+@pytest.mark.parametrize("driver", (run_trish, run_trish_as))
+@pytest.mark.parametrize("gamma1, gamma2", [(4.0, 1.0), (7.0, 3.0), (10.0, 3.0)])
+def test_run_cases_match_classify_case(driver, gamma1, gamma2):
+    """The run's step branch equals `classify_case` on each recorded norm,
+    also for norms exactly at and one ulp around 1/gamma1 and 1/gamma2."""
+    ends = [1.0 / gamma1, 1.0 / gamma2]
+    values = [0.0, 10.0, *ends, *[math.nextafter(v, d) for v in ends
+                                  for d in (0.0, math.inf)]]
+    params = HyperParams(alpha=0.1, gamma1=gamma1, gamma2=gamma2)
+    _, records = driver(ConstantRows(values), np.zeros(2), params, 1, 30.0,
+                        np.random.default_rng(0))
+    assert {r.grad_norm for r in records} == set(values)
+    assert [r.case for r in records] == [classify_case(r.grad_norm, gamma1, gamma2)
+                                         for r in records]
+
+
+@pytest.mark.parametrize("driver, params", [
+    ("trish", HyperParams(alpha=0.3, gamma1=4.0, gamma2=1.0)),
+    ("sg", HyperParams(alpha=0.3, gamma1=4.0, gamma2=1.0)),
+    ("trish_as", HyperParams(alpha=0.3, gamma1=4.0, gamma2=1.0, theta=0.5, nu=0.5, r=3)),
+    ("trish_as", HyperParams(alpha=1.0, gamma1=8.0, gamma2=0.5, theta=2.0, nu=3.0, r=2)),
+], ids=["trish", "sg", "trish_as-tight", "trish_as-loose"])
+def test_run_calls_each_layer_once(driver, params, monkeypatch):
+    """A run draws each batch once, forms its gradient once from that batch,
+    charges it to EGE once, and forms each step vector once."""
+    calls = {name: [] for name in ("draw_batch", "sampled_gradient", "_step_vector")}
+    for name, log in calls.items():
+        def logged(*args, _original=getattr(optimizer, name), _log=log):
+            _log.append((args, _original(*args)))
+            return _log[-1][1]
+        monkeypatch.setattr(optimizer, name, logged)
+    problem = quadratic(N=20, noise=2.0)
+    rng = np.random.default_rng(4)
+    if driver == "sg":
+        _, records = run_sg(problem, np.ones(2), params.alpha, 2, 6.0, rng)
+    else:
+        run = run_trish if driver == "trish" else run_trish_as
+        _, records = run(problem, np.ones(2), params, 2, 6.0, rng)
+
+    draws = [batch for _, batch in calls["draw_batch"]]
+    grads = [args[2] for args, _ in calls["sampled_gradient"]]
+    steps = [args[2] for args, _ in calls["_step_vector"]]
+    assert len(grads) == len(draws) and all(g is d for g, d in zip(grads, draws))
+    ege = 0.0
+    for batch in draws:
+        ege += batch.size / problem.N
+    assert ege == records[-1].ege
+    assert steps == ([] if driver == "sg" else [r.case for r in records])
+    if driver == "trish_as":
+        assert len(draws) > len(records)  # redraws happened and were counted
+    else:
+        assert len(draws) == len(records)
 
 
 class TestTrishStep:
