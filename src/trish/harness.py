@@ -72,8 +72,9 @@ class ExperimentConfig:
             raise ValueError(f"algorithm must be one of {_ALGORITHMS}, got {self.algorithm!r}")
         if not self.alphas:
             raise ValueError("alpha grid must be non-empty")
-        if self.reps < 1:
-            raise ValueError("reps must be >= 1")
+        if (isinstance(self.reps, bool) or not isinstance(self.reps, (int, np.integer))
+                or self.reps < 1):
+            raise ValueError(f"reps must be an integer >= 1, got {self.reps!r}")
 
 
 def load_config(path) -> ExperimentConfig:

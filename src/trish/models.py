@@ -1,8 +1,9 @@
 """Concrete finite-sum objectives: binary logistic regression and small MLPs.
 
 Both implement the batched FiniteSumProblem contract, per-component losses
-and gradients over an index batch, plus faster full-objective paths.  A
-central finite-difference oracle is included for gradient verification.
+and gradients over an index batch, plus a faster full-objective loss; the
+full gradient is the base mean of the component gradients.  A central
+finite-difference oracle is included for gradient verification.
 
 The MLP's full-data pass (`MlpModel.predict`) runs on a contiguous units x
 rows copy, except width-1 layers: numpy gives those a matrix-vector kernel that
@@ -99,19 +100,13 @@ class LogisticModel(FiniteSumProblem):
         margins = self.labels * np.ascontiguousarray(_margins(self.features, xs))
         return np.add.reduce(np.logaddexp(0.0, -margins), axis=1) / self.N
 
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        margins = self.labels * np.asarray(self.features @ x).ravel()
-        coef = -self.labels * expit(-margins)
-        return np.asarray(self.features.T @ coef).ravel() / self.N
-
 
 _ACTIVATIONS = ("sigmoid", "linear")
-_LOSSES = ("cross_entropy", "squared")
 _CLAMP_EPS = 1e-12  # keeps cross-entropy logs finite at saturated outputs
 
 
 class MlpModel(FiniteSumProblem):
-    """Small feedforward network with a scalar output.
+    """Small feedforward network with a scalar output and cross-entropy loss.
 
     layer_sizes runs from the input dimension to the output size (last entry
     must be 1); activations name one of {sigmoid, linear} per non-input
@@ -120,8 +115,7 @@ class MlpModel(FiniteSumProblem):
     Training features are stored dense, both row- and unit-major (for `loss`).
     """
 
-    def __init__(self, features, targets, layer_sizes, activations,
-                 loss: str = "cross_entropy"):
+    def __init__(self, features, targets, layer_sizes, activations):
         targets = np.asarray(targets, dtype=np.float64)
         if features.shape[0] != targets.size:
             raise ValueError("feature rows and targets disagree in count")
@@ -135,10 +129,7 @@ class MlpModel(FiniteSumProblem):
         for a in activations:
             if a not in _ACTIVATIONS:
                 raise ValueError(f"unknown activation {a!r}")
-        if loss not in _LOSSES:
-            raise ValueError(f"unknown loss {loss!r}")
-        if loss == "cross_entropy" and targets.size and \
-                (targets.min() < 0.0 or targets.max() > 1.0):
+        if targets.size and (targets.min() < 0.0 or targets.max() > 1.0):
             raise ValueError("cross-entropy targets must lie in [0, 1]")
 
         self.features = _dense(features)
@@ -146,7 +137,6 @@ class MlpModel(FiniteSumProblem):
         self.targets = targets
         self.layer_sizes = layer_sizes
         self.activations = tuple(activations)
-        self.loss_kind = loss
         self.N = int(targets.size)
         self.n = sum(o * (i + 1) for i, o in zip(layer_sizes[:-1], layer_sizes[1:]))
         # Slices into the flat parameter vector, per layer: (W slice, b slice).
@@ -162,15 +152,14 @@ class MlpModel(FiniteSumProblem):
     def classifier(cls, features, labels, hidden: int = 5) -> "MlpModel":
         """One sigmoid hidden layer, sigmoid output, cross-entropy loss."""
         return cls(features, labels, [features.shape[1], hidden, 1],
-                   ("sigmoid", "sigmoid"), loss="cross_entropy")
+                   ("sigmoid", "sigmoid"))
 
     @classmethod
-    def regressor(cls, features, targets, hidden=(7, 5),
-                  loss: str = "cross_entropy") -> "MlpModel":
+    def regressor(cls, features, targets, hidden=(7, 5)) -> "MlpModel":
         """Linear hidden layers, sigmoid output; targets expected in [0, 1]."""
         sizes = [features.shape[1], *hidden, 1]
         acts = ("linear",) * len(hidden) + ("sigmoid",)
-        return cls(features, targets, sizes, acts, loss=loss)
+        return cls(features, targets, sizes, acts)
 
     def unpack(self, x: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         x = as_vector(x)
@@ -210,9 +199,7 @@ class MlpModel(FiniteSumProblem):
         return a.ravel()
 
     def _losses_from_h(self, h: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """-(y*log(hc) + (1-y)*log1p(-hc)) for cross-entropy, in place."""
-        if self.loss_kind == "squared":
-            return (y - h) ** 2
+        """Cross-entropy -(y*log(hc) + (1-y)*log1p(-hc)), hc = clip(h), in place."""
         hc = np.clip(h, _CLAMP_EPS, 1.0 - _CLAMP_EPS)
         out = np.log(hc)
         out *= y
@@ -228,12 +215,8 @@ class MlpModel(FiniteSumProblem):
 
     def _backward_deltas(self, acts, layers, y):
         """Output-layer delta seeded from dL/dh, chained through activations."""
-        h = acts[-1].ravel()
-        if self.loss_kind == "squared":
-            dh = -2.0 * (y - h)
-        else:
-            hc = np.clip(h, _CLAMP_EPS, 1.0 - _CLAMP_EPS)
-            dh = -y / hc + (1.0 - y) / (1.0 - hc)
+        hc = np.clip(acts[-1].ravel(), _CLAMP_EPS, 1.0 - _CLAMP_EPS)
+        dh = -y / hc + (1.0 - y) / (1.0 - hc)
         deltas = [None] * len(layers)
         grad_out = dh[:, None]
         for l in range(len(layers) - 1, -1, -1):
@@ -262,17 +245,6 @@ class MlpModel(FiniteSumProblem):
     def loss(self, x: np.ndarray) -> float:
         h = self._predict_unit_major(self._units, x)
         return float(np.mean(self._losses_from_h(h, self.targets)))
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        """Full gradient via batch-summed backprop (no per-sample outer products)."""
-        layers = self.unpack(x)
-        acts = self._forward(self.features, layers)
-        deltas = self._backward_deltas(acts, layers, self.targets)
-        out = np.empty(self.n)
-        for (w, b, _, _), delta, a_prev in zip(self._slices, deltas, acts):
-            out[w] = (delta.T @ a_prev).ravel()
-            out[b] = delta.sum(axis=0)
-        return out / self.N
 
 
 def finite_difference_gradient(problem: FiniteSumProblem, i: int, x,

@@ -26,8 +26,7 @@ import numpy as np
 
 from .core import (FiniteSumProblem, NumericError, as_vector, draw_batch,
                    sampled_gradient)
-from .sampling import (DegenerateBatchError, GradientHistory,
-                       ZeroReferenceError, noisy_regime_step,
+from .sampling import (GradientHistory, ZeroReferenceError, noisy_regime_step,
                        proposed_sample_size, variance_report)
 
 
@@ -58,7 +57,8 @@ class HyperParams:
             raise ValueError("alpha must be positive")
         if not (self.theta > 0 and self.nu > 0):  # NaN fails; +inf passes
             raise ValueError(f"theta and nu must be positive, got {self.theta}, {self.nu}")
-        if not isinstance(self.r, (int, np.integer)) or self.r < 1:
+        if (isinstance(self.r, bool) or not isinstance(self.r, (int, np.integer))
+                or self.r < 1):
             raise ValueError(f"r must be an integer >= 1, got {self.r!r}")
         if self.avg_threshold <= 0:
             raise ValueError("avg_threshold must be positive")
@@ -184,31 +184,31 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
     iterates: list[np.ndarray] = []
 
     def sample():
-        """Gradient at x over a fresh batch of the current size, charged to EGE."""
+        """Gradient at x over a fresh batch of the current size, charged to
+        EGE, and the squared norm of its batch mean."""
         nonlocal ege
         est = sampled_gradient(problem, x, draw_batch(N, size, rng))
         ege += size / N
-        return est
+        return est, est.aggregate.dot(est.aggregate)
 
-    est = sample()
+    est, gsq = sample()
     if sampler is not None:
         history = GradientHistory(sampler.r)
         history.push(size, est.aggregate)
     while True:
-        g = est.aggregate
-        gnorm = math.sqrt(g.dot(g))
-        case, p = step(g, gnorm)
+        gnorm = math.sqrt(gsq)
+        case, p = step(est.aggregate, gnorm)
         x = x + p
         records.append(IterationRecord(len(records), case, gnorm, size, ege))
         if keep:
             iterates.append(x)
         if ege >= budget_epochs:
             break
-        est = sample()
+        est, gsq = sample()
         if sampler is None:
             continue
 
-        if size >= 2 and 0.0 < math.sqrt(est.aggregate.dot(est.aggregate)) < math.inf:
+        if size >= 2 and 0.0 < gsq < math.inf:
             report = variance_report(est, est.aggregate, sampler.theta, sampler.nu)
             if not report.ok:
                 try:
@@ -218,7 +218,7 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
                     pass  # finite-precision overflow/underflow: keep the size
                 else:
                     size = min(N, max(size, proposed))
-                    est = sample()
+                    est, gsq = sample()
 
         history.push(size, est.aggregate)
 
@@ -226,11 +226,11 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
             try:
                 noisy = noisy_regime_step(history, est, sampler.theta, sampler.nu,
                                           sampler.avg_threshold, N)
-            except (DegenerateBatchError, ZeroReferenceError, NumericError):
+            except (ZeroReferenceError, NumericError):
                 noisy = None
             if noisy is not None:
                 size = min(N, max(size, noisy))
-                est = sample()
+                est, gsq = sample()
                 history.replace_last(size, est.aggregate)
 
     _fill_telemetry(records, iterates, problem, track_loss, metric_fn)

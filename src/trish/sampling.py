@@ -140,8 +140,11 @@ class GradientHistory:
 
     @property
     def steady(self) -> bool:
-        """True when the size was unchanged for window+1 consecutive iterations."""
-        return self._streak > self.window and len(self._aggregates) == self.window
+        """True when the size was unchanged for window+1 consecutive iterations.
+
+        The buffer is cleared on each size change and holds at most `window`
+        entries, so a steady history holds exactly `window` aggregates."""
+        return self._streak > self.window
 
     def average(self) -> np.ndarray:
         """Mean of the stored aggregates (the averaged gradient of the streak)."""

@@ -2,8 +2,8 @@
 
 The oracles work on small synthetic quadratics whose Lipschitz and
 gradient-dominance constants are known in closed form, so conditional
-expectations over mini-batches can be computed exactly by enumerating all
-batches of a given size.
+expectations over mini-batches are computed exactly, and only, by
+enumerating all batches of a given size.
 """
 
 from __future__ import annotations
@@ -150,17 +150,13 @@ class SyntheticQuadratic(FiniteSumProblem):
         return self.diag * as_vector(x)
 
 
-def enumerate_batches(N: int, size: int):
-    """All without-replacement batches of `size` from {0..N-1}, index order."""
-    return itertools.combinations(range(N), size)
-
-
-def _batch_gradients(problem: FiniteSumProblem, x: np.ndarray, batches):
-    """Full gradient, the gradient of each batch in order, and the averages
-    of ||g||^2 and ||g - grad||^2 over those batch gradients g."""
+def _batch_gradients(problem: FiniteSumProblem, x: np.ndarray, batch_size: int):
+    """Full gradient, the gradient of every batch of `batch_size` in index
+    order, and the averages of ||g||^2 and ||g - grad||^2 over them."""
     grad = problem.gradient(x)
     per = problem.component_gradients(np.arange(problem.N), x)
-    gs = [per[list(batch)].mean(axis=0) for batch in batches]
+    gs = [per[list(batch)].mean(axis=0)
+          for batch in itertools.combinations(range(problem.N), batch_size)]
     e_g_sq = e_err_sq = 0.0
     for g in gs:
         e_g_sq += float(g @ g)
@@ -186,8 +182,7 @@ def gradient_moments(problem: FiniteSumProblem, x, batch_size: int) -> GradientM
     Feasible for small N only (C(N, batch_size) batches).  The projection
     moments require a nonzero full gradient.
     """
-    grad, gs, e_g_sq, e_err_sq = _batch_gradients(
-        problem, as_vector(x), enumerate_batches(problem.N, batch_size))
+    grad, gs, e_g_sq, e_err_sq = _batch_gradients(problem, as_vector(x), batch_size)
     grad_sq = float(grad @ grad)
     inner = orth = float("nan")
     if grad_sq > 0:
@@ -228,26 +223,16 @@ class ExpectedDecreaseReport:
 
 
 def verify_lemma1(problem: FiniteSumProblem, x, params: HyperParams,
-                  batch_size: int, L: float, mc_samples: int | None = None,
-                  rng: np.random.Generator | None = None,
-                  rtol: float = 1e-12) -> ExpectedDecreaseReport:
+                  batch_size: int, L: float) -> ExpectedDecreaseReport:
     """Check both expected-decrease inequalities at x.
 
-    Expectations are exact batch enumerations by default; pass `mc_samples`
-    (with an rng) for a Monte-Carlo estimate on larger problems.  The
-    inequalities hold for every admissible parameter tuple, so violations
-    beyond floating-point slack indicate a defect.
+    Expectations are exact enumerations over all batches of `batch_size`.
+    The inequalities hold for every admissible parameter tuple, so
+    violations beyond floating-point slack indicate a defect.
     """
     x = as_vector(x)
     f_x = problem.loss(x)
-    if mc_samples is None:
-        batches = enumerate_batches(problem.N, batch_size)
-    else:
-        if rng is None:
-            raise ValueError("Monte-Carlo mode needs an rng")
-        batches = [rng.choice(problem.N, size=batch_size, replace=False)
-                   for _ in range(mc_samples)]
-    grad, gs, e_g_sq, e_err_sq = _batch_gradients(problem, x, batches)
+    grad, gs, e_g_sq, e_err_sq = _batch_gradients(problem, x, batch_size)
     grad_sq = float(grad @ grad)
     e_next = 0.0
     for g in gs:
@@ -259,7 +244,7 @@ def verify_lemma1(problem: FiniteSumProblem, x, params: HyperParams,
     rhs_sm = f_x - alpha * g1**2 / (2.0 * g2) * grad_sq + alpha * beta * e_g_sq
     rhs_var = (f_x - 0.5 * alpha * (g2 - alpha * g1**2 * L) * grad_sq
                + alpha * beta * e_err_sq)
-    slack = rtol * max(1.0, abs(f_x))
+    slack = 1e-12 * max(1.0, abs(f_x))
     return ExpectedDecreaseReport(
         f_x=f_x, expected_next=e_next, grad_sq=grad_sq,
         e_g_sq=e_g_sq, e_err_sq=e_err_sq,
@@ -286,16 +271,17 @@ class PlateauReport:
 
 def verify_theorem_gap(problem: SyntheticQuadratic, params: HyperParams,
                        batch_size: int, horizon_iters: int, reps: int,
-                       rng: np.random.Generator, x0=None) -> PlateauReport:
+                       rng: np.random.Generator) -> PlateauReport:
     """Empirical plateau of the optimality gap under gradient dominance.
 
     Runs `reps` independent fixed-batch trajectories for `horizon_iters`
-    steps and compares the averaged final gap with its asymptotic ceiling
-    2 * beta * M_g / (mu * gamma2).  M_g is the exact enumerated
-    gradient-estimate variance at the start point; for additive-noise
-    quadratics it is position-independent, hence a uniform bound.
+    steps from minimizer + 1 and compares the averaged final gap with its
+    asymptotic ceiling 2 * beta * M_g / (mu * gamma2).  M_g is the exact
+    enumerated gradient-estimate variance at the start point; for
+    additive-noise quadratics it is position-independent, hence a uniform
+    bound.
     """
-    x0 = problem.minimizer + 1.0 if x0 is None else as_vector(x0)
+    x0 = problem.minimizer + 1.0
     L, mu = problem.lipschitz, problem.pl_constant
     beta = beta_const(params.alpha, params.gamma1, params.gamma2, L)
     m_g = gradient_moments(problem, x0, batch_size).e_err_sq

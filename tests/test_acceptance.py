@@ -17,9 +17,9 @@ import numpy as np
 import pytest
 
 from trish.core import SampleBatch, sampled_gradient
-from trish.harness import (ExperimentConfig, build_grid, compute_G,
-                           initial_sample_size, load_problem, run_grid,
-                           summarize_best, write_grid_csv)
+from trish.harness import (ExperimentConfig, build_grid, calibration_rng,
+                           compute_G, initial_sample_size, load_problem,
+                           run_grid, summarize_best, write_grid_csv)
 from trish.models import (LogisticModel, MlpModel, finite_difference_gradient,
                           testing_accuracy)
 from trish.optimizer import HyperParams, classify_case, run_trish
@@ -262,9 +262,7 @@ def a1a_grids():
         train_path=str(data_file("a1a")), test_path=str(data_file("a1a.t")),
         reps=50, seed=20240601, budget_epochs=1.0, batch_size=64)
     problem, X_test, y_test = load_problem(config)
-    g_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=config.seed, spawn_key=(999,)))
-    G = compute_G(problem, g_rng)
+    G = compute_G(problem, calibration_rng(config.seed))
     grids = {}
     for algorithm in ("trish", "trish_as"):
         cfg = dataclasses.replace(config, algorithm=algorithm)
@@ -304,9 +302,7 @@ def test_criterion_08_air_reproduction():
         batch_size=64)
     problem, X_test, y_test = load_problem(config)
     assert problem.N == 6294
-    g_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=config.seed, spawn_key=(999,)))
-    G = compute_G(problem, g_rng)
+    G = compute_G(problem, calibration_rng(config.seed))
     grids = {}
     for algorithm in ("trish", "trish_as"):
         cfg = dataclasses.replace(config, algorithm=algorithm)

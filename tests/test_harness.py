@@ -267,6 +267,12 @@ class TestConfig:
         assert config.reps == 3
         assert config.theta == 0.9 and config.nu == 5.84 and config.r == 10
 
+    @pytest.mark.parametrize("reps", (True, 2.0, 0))
+    def test_rejects_bool_and_nonintegral_reps(self, reps):
+        """reps=True used to run silently as one repetition."""
+        with pytest.raises(ValueError, match="reps"):
+            ExperimentConfig(model="logistic", algorithm="trish", reps=reps)
+
     def test_invalid_enum_values(self):
         with pytest.raises(ValueError):
             ExperimentConfig(model="nope", algorithm="trish")

@@ -187,7 +187,6 @@ def mlp_predict_cases(draw):
         hidden = [max(hidden[0], 2), 1, *hidden[1:]][:3]
     acts = draw(st.lists(st.sampled_from(("sigmoid", "linear")),
                          min_size=len(hidden) + 1, max_size=len(hidden) + 1))
-    loss = draw(st.sampled_from(("cross_entropy", "squared")))
     rows = draw(st.one_of(st.just(1), st.just(2), st.integers(3, 400)))
     n_in = draw(st.integers(1, 8))
     layout = draw(st.sampled_from(("contiguous", "column_sliced", "csr")))
@@ -198,7 +197,7 @@ def mlp_predict_cases(draw):
         X = np.ascontiguousarray(X)
     elif layout == "csr":
         X = sp.csr_matrix(X * (rng.random(size=X.shape) < 0.5))
-    model = MlpModel(X, rng.random(size=rows), [n_in, *hidden, 1], acts, loss=loss)
+    model = MlpModel(X, rng.random(size=rows), [n_in, *hidden, 1], acts)
     return model, X, scale * rng.normal(size=model.n)
 
 
@@ -246,24 +245,20 @@ class TestMlpModel:
         np.testing.assert_array_equal(model.predict(X, x), expected)
 
     @settings(max_examples=200, deadline=None)
-    @given(kind=st.sampled_from(("cross_entropy", "squared")),
-           h=st.lists(st.one_of(
+    @given(h=st.lists(st.one_of(
                st.sampled_from((0.0, 1.0, _CLAMP_EPS, 1.0 - _CLAMP_EPS,
                                 np.nextafter(_CLAMP_EPS, 0.0),
                                 np.nextafter(1.0 - _CLAMP_EPS, 1.0))),
                st.floats(0.0, 1.0)), min_size=1, max_size=20),
            seed=st.integers(0, 2**16))
-    def test_losses_from_h_equal_reference_expression(self, kind, h, seed):
-        """The in-place losses equal the textbook expressions bit for bit,
+    def test_losses_from_h_equal_reference_expression(self, h, seed):
+        """The in-place losses equal the textbook cross-entropy bit for bit,
         at the clamp edges and at saturated outputs too."""
         h = np.array(h)
         y = np.random.default_rng(seed).random(size=h.size)
-        model = MlpModel.regressor(np.zeros((1, 2)), [0.5], hidden=(2,), loss=kind)
-        if kind == "squared":
-            expected = (y - h) ** 2
-        else:
-            hc = np.clip(h, _CLAMP_EPS, 1.0 - _CLAMP_EPS)
-            expected = -(y * np.log(hc) + (1.0 - y) * np.log1p(-hc))
+        model = MlpModel.regressor(np.zeros((1, 2)), [0.5], hidden=(2,))
+        hc = np.clip(h, _CLAMP_EPS, 1.0 - _CLAMP_EPS)
+        expected = -(y * np.log(hc) + (1.0 - y) * np.log1p(-hc))
         h_before = h.copy()
         np.testing.assert_array_equal(model._losses_from_h(h, y), expected)
         np.testing.assert_array_equal(h, h_before)
@@ -271,6 +266,12 @@ class TestMlpModel:
     def test_regressor_parameter_count(self):
         model = self.regressor_fixture()
         assert model.n == 102  # 7*7+7 + 5*7+5 + 1*5+1
+
+    @pytest.mark.parametrize("bad", (-0.5, 1.5))
+    def test_rejects_targets_outside_unit_interval(self, bad):
+        """Cross-entropy is the only loss, so every target must lie in [0, 1]."""
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            MlpModel.regressor(np.zeros((2, 7)), [0.5, bad])
 
     def test_zero_parameters_give_half_output(self):
         model = self.classifier_fixture()
@@ -302,16 +303,15 @@ class TestMlpModel:
             assert relative_error(fd, model.component_gradient(i, x)) < 1e-5
 
     def test_regressor_gradient_matches_finite_differences(self):
-        for loss in ("cross_entropy", "squared"):
-            rng = np.random.default_rng(4)
-            X = rng.random(size=(15, 7))
-            y = rng.random(size=15)
-            model = MlpModel.regressor(X, y, loss=loss)
-            for _ in range(10):
-                i = int(rng.integers(model.N))
-                x = rng.uniform(-0.5, 0.5, model.n)
-                fd = finite_difference_gradient(model, i, x, h=1e-5)
-                assert relative_error(fd, model.component_gradient(i, x)) < 1e-5
+        rng = np.random.default_rng(4)
+        X = rng.random(size=(15, 7))
+        y = rng.random(size=15)
+        model = MlpModel.regressor(X, y)
+        for _ in range(10):
+            i = int(rng.integers(model.N))
+            x = rng.uniform(-0.5, 0.5, model.n)
+            fd = finite_difference_gradient(model, i, x, h=1e-5)
+            assert relative_error(fd, model.component_gradient(i, x)) < 1e-5
 
     def test_per_component_rows_match_single_evaluations(self):
         model = self.classifier_fixture()
@@ -322,13 +322,6 @@ class TestMlpModel:
         for row, i in zip(rows, idx):
             np.testing.assert_allclose(row, model.component_gradient(int(i), x),
                                        rtol=1e-12)
-
-    def test_full_gradient_matches_component_mean(self):
-        model = self.regressor_fixture()
-        rng = np.random.default_rng(6)
-        x = rng.uniform(-0.5, 0.5, model.n)
-        mean = model.component_gradients(np.arange(model.N), x).mean(axis=0)
-        np.testing.assert_allclose(model.gradient(x), mean, rtol=1e-10)
 
     def test_linear_hidden_stack_collapses_to_affine(self):
         """With identity hidden activations the network equals a single

@@ -42,10 +42,11 @@ class TestHyperParams:
         ("gamma2", math.nan), ("gamma2", math.inf),
         ("theta", math.nan), ("nu", math.nan), ("theta", -math.inf),
         ("avg_threshold", math.nan), ("avg_threshold", math.inf),
-        ("r", 2.5), ("r", 2.0), ("r", "3"), ("r", 0)])
+        ("r", 2.5), ("r", 2.0), ("r", "3"), ("r", 0), ("r", True)])
     def test_rejects_nonfinite_and_nonintegral(self, field, value):
-        """A NaN theta once ran an adaptive run as fixed-batch, and a NaN
-        alpha failed later as a non-finite component gradient."""
+        """A NaN theta once ran an adaptive run as fixed-batch, a NaN alpha
+        failed later as a non-finite component gradient, and r=True ran
+        with a window of 1."""
         kwargs = {"alpha": 0.1, "gamma1": 2.0, "gamma2": 1.0, field: value}
         with pytest.raises(ValueError, match=field):
             HyperParams(**kwargs)
@@ -112,6 +113,20 @@ def test_run_cases_match_classify_case(driver, gamma1, gamma2):
     assert {r.grad_norm for r in records} == set(values)
     assert [r.case for r in records] == [classify_case(r.grad_norm, gamma1, gamma2)
                                          for r in records]
+
+
+def test_adaptive_run_keeps_size_when_squared_norm_overflows():
+    """Batch means near 1e200 are finite but their squared norms overflow:
+    the variance tests are skipped, the size kept and the norm recorded as inf."""
+    values = 1e200 * np.linspace(1.0, 2.0, 10)
+    params = HyperParams(alpha=0.1, gamma1=4.0, gamma2=1.0, theta=0.5, nu=0.5, r=3)
+    with np.errstate(over="ignore"):
+        x, records = run_trish_as(ConstantRows(values), np.zeros(2), params, 2, 4.0,
+                                  np.random.default_rng(0))
+    assert len(records) == 20
+    assert all(r.batch_size == 2 for r in records)
+    assert all(r.grad_norm == math.inf and r.case is StepCase.CASE3 for r in records)
+    assert np.isfinite(x).all()
 
 
 @pytest.mark.parametrize("driver, params", [

@@ -146,16 +146,6 @@ class TestVerifyLemma1:
             report = verify_lemma1(p, x, params, batch_size=2, L=p.lipschitz)
             assert report.holds
 
-    def test_monte_carlo_mode_close_to_enumeration(self):
-        p = self.problem(3)
-        params = HyperParams(alpha=0.01, gamma1=3.0, gamma2=1.0)
-        x = np.array([1.0, 0.5, -0.5])
-        exact = verify_lemma1(p, x, params, batch_size=2, L=p.lipschitz)
-        mc = verify_lemma1(p, x, params, batch_size=2, L=p.lipschitz,
-                           mc_samples=20_000, rng=np.random.default_rng(4))
-        assert np.isclose(mc.expected_next, exact.expected_next, rtol=1e-2)
-        assert mc.holds
-
 
 class TestVerifyTheoremGap:
     def test_noise_free_geometric_decay(self):
