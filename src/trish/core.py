@@ -29,6 +29,12 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def check_count(name: str, value) -> None:
+    """Reject anything but an integer >= 1; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 class FiniteSumProblem(ABC):
     """Objective F(x) = (1/N) sum_i F_i(x) with per-component losses and gradients.
 

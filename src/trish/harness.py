@@ -19,12 +19,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FiniteSumProblem
+from .core import FiniteSumProblem, check_count
 from .data import chronological_split, minmax_normalize, parse_libsvm
 from .models import (LogisticModel, MlpModel, _dense, default_x0,
                      testing_accuracy, testing_loss)
 from .optimizer import (HyperParams, StepCase, run_sg, run_trish,
                         run_trish_as)
+from .sampling import check_sampler_constants
 
 _ALGORITHMS = ("trish", "trish_as", "sg")
 _MODELS = ("logistic", "mlp_classifier", "mlp_regressor")
@@ -72,9 +73,18 @@ class ExperimentConfig:
             raise ValueError(f"algorithm must be one of {_ALGORITHMS}, got {self.algorithm!r}")
         if not self.alphas:
             raise ValueError("alpha grid must be non-empty")
-        if (isinstance(self.reps, bool) or not isinstance(self.reps, (int, np.integer))
-                or self.reps < 1):
-            raise ValueError(f"reps must be an integer >= 1, got {self.reps!r}")
+        check_count("reps", self.reps)
+        check_count("batch_size", self.batch_size)
+        if self.s0 is not None:
+            check_count("s0", self.s0)
+        if not 0 < self.budget_epochs < math.inf:  # NaN fails
+            raise ValueError(f"budget_epochs must be positive and finite, "
+                             f"got {self.budget_epochs}")
+        if not 0 < self.train_fraction < 1:
+            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        if self.g_value is not None and not 0 < self.g_value < math.inf:
+            raise ValueError(f"g_value must be positive and finite, got {self.g_value}")
+        check_sampler_constants(self.theta, self.nu, self.r, self.avg_threshold)
 
 
 def load_config(path) -> ExperimentConfig:

@@ -26,7 +26,8 @@ import numpy as np
 
 from .core import (FiniteSumProblem, NumericError, as_vector, draw_batch,
                    sampled_gradient)
-from .sampling import (GradientHistory, ZeroReferenceError, noisy_regime_step,
+from .sampling import (GradientHistory, ZeroReferenceError,
+                       check_sampler_constants, noisy_regime_step,
                        proposed_sample_size, variance_report)
 
 
@@ -48,20 +49,14 @@ class HyperParams:
     avg_threshold: float = 1.0
 
     def __post_init__(self):
-        for name in ("alpha", "gamma1", "gamma2", "avg_threshold"):
+        for name in ("alpha", "gamma1", "gamma2"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not 0 < self.gamma2 < self.gamma1:
             raise ValueError(f"need 0 < gamma2 < gamma1, got {self.gamma2}, {self.gamma1}")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        if not (self.theta > 0 and self.nu > 0):  # NaN fails; +inf passes
-            raise ValueError(f"theta and nu must be positive, got {self.theta}, {self.nu}")
-        if (isinstance(self.r, bool) or not isinstance(self.r, (int, np.integer))
-                or self.r < 1):
-            raise ValueError(f"r must be an integer >= 1, got {self.r!r}")
-        if self.avg_threshold <= 0:
-            raise ValueError("avg_threshold must be positive")
+        check_sampler_constants(self.theta, self.nu, self.r, self.avg_threshold)
 
 
 class StepCase(Enum):

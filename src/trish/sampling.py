@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GradientEstimate, NumericError, as_vector
+from .core import GradientEstimate, NumericError, as_vector, check_count
 
 
 class DegenerateBatchError(ValueError):
@@ -25,6 +25,22 @@ class DegenerateBatchError(ValueError):
 
 class ZeroReferenceError(ValueError):
     """Reference vector has zero norm; the tests are undefined."""
+
+
+def check_sampler_constants(theta: float, nu: float, r: int,
+                            avg_threshold: float) -> None:
+    """Reject adaptive-sampling constants no run can use.
+
+    theta and nu must be positive (+inf passes every test), the averaging
+    window r an integer >= 1, and avg_threshold positive and finite.
+    """
+    if not (theta > 0 and nu > 0):  # NaN fails; +inf passes
+        raise ValueError(f"theta and nu must be positive, got {theta}, {nu}")
+    check_count("r", r)
+    if not math.isfinite(avg_threshold):
+        raise ValueError(f"avg_threshold must be finite, got {avg_threshold}")
+    if avg_threshold <= 0:
+        raise ValueError("avg_threshold must be positive")
 
 
 @dataclass(frozen=True)
@@ -59,23 +75,23 @@ def variance_report(est: GradientEstimate, ref_vec: np.ndarray,
     if m < 2:
         raise DegenerateBatchError(f"batch of size {m} has no sample variance")
     ref = as_vector(ref_vec)
-    ref_sq = float(ref @ ref)
+    ref_sq = float(ref.dot(ref))
     if ref_sq == 0.0:
         raise ZeroReferenceError("reference vector is zero")
 
+    # The BLAS product, the pairwise sum of squared deviations and einsum's
+    # accumulation fix the rounding of both statistics.
     dots = per @ ref
-    center = float(est.aggregate @ ref)  # batch mean of dots
-    var_inner = float(np.sum((dots - center) ** 2) / (m - 1))
+    dev = dots - float(est.aggregate.dot(ref))  # centered at the batch mean of dots
+    var_inner = float(np.add.reduce(dev * dev)) / (m - 1)
 
     # Orthogonal components are materialized explicitly; tests cross-check
     # them against the Pythagorean identity.
-    orth = per - np.outer(dots / ref_sq, ref)
-    var_orth = float(np.einsum("ij,ij->", orth, orth) / (m - 1))
+    orth = per - (dots / ref_sq)[:, None] * ref
+    var_orth = float(np.einsum("ij,ij->", orth, orth)) / (m - 1)
 
-    inner_ok = var_inner / m <= theta**2 * ref_sq**2
-    orth_ok = var_orth <= nu**2 * ref_sq
-    return VarianceReport(var_inner=var_inner, var_orth=var_orth,
-                          inner_ok=bool(inner_ok), orth_ok=bool(orth_ok))
+    return VarianceReport(var_inner, var_orth, bool(var_inner / m <= theta**2 * ref_sq**2),
+                          bool(var_orth <= nu**2 * ref_sq))
 
 
 def proposed_sample_size(report: VarianceReport, ref_vec: np.ndarray,
@@ -98,7 +114,8 @@ def proposed_sample_size(report: VarianceReport, ref_vec: np.ndarray,
     q_orth = report.var_orth / denom_orth
     if not (math.isfinite(q_inner) and math.isfinite(q_orth)):
         raise NumericError("sample-size quotient is not finite")
-    return max(N if q > N else math.ceil(q) for q in (q_inner, q_orth))
+    q = max(q_inner, q_orth)  # capping and ceiling are monotone: max commutes
+    return N if q > N else math.ceil(q)
 
 
 class GradientHistory:
@@ -110,8 +127,7 @@ class GradientHistory:
     """
 
     def __init__(self, window: int):
-        if window < 1:
-            raise ValueError("window must be >= 1")
+        check_count("window", window)
         self.window = window
         self._aggregates: deque[np.ndarray] = deque(maxlen=window)
         self._size: int | None = None
@@ -150,7 +166,8 @@ class GradientHistory:
         """Mean of the stored aggregates (the averaged gradient of the streak)."""
         if not self._aggregates:
             raise ValueError("history is empty")
-        return np.mean(np.stack(self._aggregates), axis=0)
+        # Adds the rows oldest to newest; that order fixes the rounding.
+        return np.add.reduce(np.array(self._aggregates)) / len(self._aggregates)
 
 
 def noisy_regime_step(history: GradientHistory, current: GradientEstimate,

@@ -3,6 +3,9 @@
 import dataclasses
 import io
 import json
+import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -272,6 +275,37 @@ class TestConfig:
         """reps=True used to run silently as one repetition."""
         with pytest.raises(ValueError, match="reps"):
             ExperimentConfig(model="logistic", algorithm="trish", reps=reps)
+
+    @pytest.mark.parametrize("field, value", [
+        ("theta", math.nan), ("theta", -1.0), ("nu", 0.0), ("r", True), ("r", 2.5),
+        ("r", 0), ("avg_threshold", 0.0), ("avg_threshold", math.inf),
+        ("avg_threshold", math.nan), ("batch_size", 0), ("batch_size", True),
+        ("batch_size", 64.0), ("s0", 0), ("s0", True), ("s0", 2.5),
+        ("budget_epochs", -1.0), ("budget_epochs", 0.0), ("budget_epochs", math.inf),
+        ("budget_epochs", math.nan), ("train_fraction", 0.0), ("train_fraction", 1.0),
+        ("train_fraction", 2.0), ("train_fraction", math.nan), ("g_value", -3.0),
+        ("g_value", 0.0), ("g_value", math.inf), ("g_value", math.nan)])
+    def test_rejects_bad_values_at_construction(self, field, value):
+        """These used to construct and fail only inside run_grid, after the
+        dataset was parsed and G calibrated (or not at all)."""
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(model="logistic", algorithm="trish", **{field: value})
+
+    def test_accepts_edge_values(self):
+        config = ExperimentConfig(model="logistic", algorithm="trish_as",
+                                  batch_size=np.int64(1), s0=1, theta=math.inf,
+                                  nu=math.inf, r=np.int64(1), g_value=1e-300,
+                                  budget_epochs=1e-9, train_fraction=0.999)
+        assert config.s0 == 1 and config.g_value == 1e-300
+
+    def test_readme_config_loads(self, tmp_path):
+        """The README's config example, with its // comments removed."""
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "config.json"
+        path.write_text(re.sub(r"\s*//[^\n]*", "", block))
+        config = load_config(path)
+        assert config.algorithm == "trish_as" and config.s0 is None
 
     def test_invalid_enum_values(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 """Tests for the variance tests, growth formula, and noisy-regime control."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trish.core import GradientEstimate, NumericError
+from trish.core import GradientEstimate, NumericError, as_vector
 from trish.sampling import (DegenerateBatchError, GradientHistory,
                             VarianceReport, ZeroReferenceError,
                             noisy_regime_step, proposed_sample_size,
@@ -222,6 +225,13 @@ class TestGradientHistory:
         assert h.steady
         np.testing.assert_allclose(h.average(), [6.0])
 
+    @pytest.mark.parametrize("window", [True, 2.5, 2.0, "3", 0])
+    def test_rejects_bool_and_nonintegral_window(self, window):
+        """GradientHistory(True) used to keep a window of 1, and 2.5 failed
+        inside deque with an unrelated message."""
+        with pytest.raises(ValueError, match="window"):
+            GradientHistory(window)
+
     def test_replace_last_new_size_resets(self):
         h = GradientHistory(window=2)
         for v in (1.0, 2.0, 3.0):
@@ -280,3 +290,112 @@ class TestNoisyRegimeStep:
         h.push(2, est.aggregate)
         with pytest.raises(ZeroReferenceError):
             noisy_regime_step(h, est, 0.9, 5.84, 1.0, 100)
+
+
+# ---------------------------------------------------------------------------
+# Bit-for-bit oracles: the numpy-wrapper forms of `variance_report`,
+# `GradientHistory.average` and `proposed_sample_size`, kept verbatim.
+
+def wrapper_variance_report(est, ref_vec, theta, nu):
+    per = est.per_component
+    m = per.shape[0]
+    if m < 2:
+        raise DegenerateBatchError(f"batch of size {m} has no sample variance")
+    ref = as_vector(ref_vec)
+    ref_sq = float(ref @ ref)
+    if ref_sq == 0.0:
+        raise ZeroReferenceError("reference vector is zero")
+
+    dots = per @ ref
+    center = float(est.aggregate @ ref)  # batch mean of dots
+    var_inner = float(np.sum((dots - center) ** 2) / (m - 1))
+
+    orth = per - np.outer(dots / ref_sq, ref)
+    var_orth = float(np.einsum("ij,ij->", orth, orth) / (m - 1))
+
+    inner_ok = var_inner / m <= theta**2 * ref_sq**2
+    orth_ok = var_orth <= nu**2 * ref_sq
+    return VarianceReport(var_inner=var_inner, var_orth=var_orth,
+                          inner_ok=bool(inner_ok), orth_ok=bool(orth_ok))
+
+
+def wrapper_average(aggregates):
+    return np.mean(np.stack(aggregates), axis=0)
+
+
+def wrapper_proposed_sample_size(report, ref_vec, theta, nu, N):
+    ref = as_vector(ref_vec)
+    ref_sq = float(ref @ ref)
+    if ref_sq == 0.0:
+        raise ZeroReferenceError("reference vector is zero")
+    denom_inner = theta**2 * ref_sq**2
+    denom_orth = nu**2 * ref_sq
+    if denom_inner == 0.0 or denom_orth == 0.0:
+        raise NumericError("variance-test threshold underflowed to zero")
+    q_inner = report.var_inner / denom_inner
+    q_orth = report.var_orth / denom_orth
+    if not (math.isfinite(q_inner) and math.isfinite(q_orth)):
+        raise NumericError("sample-size quotient is not finite")
+    return max(N if q > N else math.ceil(q) for q in (q_inner, q_orth))
+
+
+def outcome(fn, *args):
+    """The value `fn` returns, or the type of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, NumericError) as exc:
+        return type(exc)
+
+
+@st.composite
+def sampler_cases(draw):
+    """A batch of m x n component gradients, a reference (the batch mean or
+    the average of a history of 1..r aggregates), test constants and N."""
+    m, n = draw(st.integers(2, 64)), draw(st.integers(1, 130))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["normal", "row_scales", "near_parallel",
+                                  "repeated_rows"]))
+    per = rng.normal(size=(m, n)) * 10.0 ** draw(st.integers(-6, 6))
+    if shape == "row_scales":
+        per *= 10.0 ** rng.uniform(-3, 3, size=(m, 1))
+    elif shape == "near_parallel":
+        per = rng.normal(size=n) + 1e-3 * per
+    elif shape == "repeated_rows":
+        per[1:] = per[0]
+    # Row mean in index order, as `sampled_gradient` forms it.
+    est = GradientEstimate(np.add.reduce(per, axis=0) / float(m), per)
+    history = None
+    if draw(st.booleans()):
+        r = draw(st.integers(1, 12))
+        pushed = [est.aggregate + rng.normal(size=n) * 10.0 ** rng.uniform(-3, 1)
+                  for _ in range(draw(st.integers(1, 2 * r)))]
+        history = (r, pushed)
+    constant = st.one_of(st.floats(-2, 2).map(lambda e: 10.0**e), st.just(math.inf))
+    return (est, history, draw(constant), draw(constant),
+            draw(st.integers(2, 10**5)))
+
+
+class TestWrapperOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(sampler_cases())
+    def test_equal_bit_for_bit(self, case):
+        est, history, theta, nu, N = case
+        ref = est.aggregate
+        if history is not None:
+            r, pushed = history
+            h = GradientHistory(r)
+            for agg in pushed:
+                h.push(est.per_component.shape[0], agg)
+            ref = h.average()
+            assert np.array_equal(ref, wrapper_average(pushed[-r:]))
+
+        new = outcome(variance_report, est, ref, theta, nu)
+        old = outcome(wrapper_variance_report, est, ref, theta, nu)
+        if isinstance(old, type):
+            assert new is old
+            return
+        assert new.var_inner == old.var_inner
+        assert new.var_orth == old.var_orth
+        assert new.inner_ok is old.inner_ok and new.orth_ok is old.orth_ok
+        assert (outcome(proposed_sample_size, new, ref, theta, nu, N)
+                == outcome(wrapper_proposed_sample_size, old, ref, theta, nu, N))
