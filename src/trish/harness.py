@@ -25,7 +25,6 @@ from .models import (LogisticModel, MlpModel, _dense, default_x0,
                      testing_accuracy, testing_loss)
 from .optimizer import (HyperParams, StepCase, run_sg, run_trish,
                         run_trish_as)
-from .sampling import check_sampler_constants
 
 _ALGORITHMS = ("trish", "trish_as", "sg")
 _MODELS = ("logistic", "mlp_classifier", "mlp_regressor")
@@ -62,7 +61,6 @@ class ExperimentConfig:
     theta: float = 0.9
     nu: float = 5.84
     r: int = 10
-    avg_threshold: float = 1.0
     g_value: Optional[float] = None          # skip calibration, use this G
     output_dir: Optional[str] = None
 
@@ -71,8 +69,9 @@ class ExperimentConfig:
             raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
         if self.algorithm not in _ALGORITHMS:
             raise ValueError(f"algorithm must be one of {_ALGORITHMS}, got {self.algorithm!r}")
-        if not self.alphas:
-            raise ValueError("alpha grid must be non-empty")
+        for axis in ("alphas", "gamma1_multipliers", "gamma2_multipliers"):
+            if not getattr(self, axis):
+                raise ValueError(f"{axis} must be non-empty")
         check_count("reps", self.reps)
         check_count("batch_size", self.batch_size)
         if self.s0 is not None:
@@ -84,7 +83,10 @@ class ExperimentConfig:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.g_value is not None and not 0 < self.g_value < math.inf:
             raise ValueError(f"g_value must be positive and finite, got {self.g_value}")
-        check_sampler_constants(self.theta, self.nu, self.r, self.avg_threshold)
+        # every cell at G = 1, before any data is read (run_grid rechecks at G)
+        for cell in build_grid(1.0, self.alphas, self.gamma1_multipliers,
+                               self.gamma2_multipliers):
+            HyperParams(*cell, theta=self.theta, nu=self.nu, r=self.r)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -273,8 +275,7 @@ def run_grid(config: ExperimentConfig, problem: FiniteSumProblem | None = None,
     results = []
     for ci, (alpha, gamma1, gamma2) in enumerate(grid):
         params = HyperParams(alpha=alpha, gamma1=gamma1, gamma2=gamma2,
-                             theta=config.theta, nu=config.nu, r=config.r,
-                             avg_threshold=config.avg_threshold)
+                             theta=config.theta, nu=config.nu, r=config.r)
         finals, final_batches, fracs, rep_records = [], [], [], []
         for rep in range(config.reps):
             seq = np.random.SeedSequence(entropy=config.seed,

@@ -26,9 +26,8 @@ import numpy as np
 
 from .core import (FiniteSumProblem, NumericError, as_vector, draw_batch,
                    sampled_gradient)
-from .sampling import (GradientHistory, ZeroReferenceError,
-                       check_sampler_constants, noisy_regime_step,
-                       proposed_sample_size, variance_report)
+from .sampling import (GradientHistory, check_sampler_constants,
+                       noisy_regime_step, required_size)
 
 
 @dataclass(frozen=True)
@@ -37,7 +36,7 @@ class HyperParams:
 
     alpha: steplength.  gamma1/gamma2 bound the normalized-step interval
     (0 < gamma2 < gamma1).  theta, nu: variance-test constants (+inf passes
-    every test); r: averaging window; avg_threshold: noisy-regime gate factor.
+    every test); r: averaging window of the noisy-regime control.
     """
 
     alpha: float
@@ -46,7 +45,6 @@ class HyperParams:
     theta: float = 0.9
     nu: float = 5.84
     r: int = 10
-    avg_threshold: float = 1.0
 
     def __post_init__(self):
         for name in ("alpha", "gamma1", "gamma2"):
@@ -56,7 +54,7 @@ class HyperParams:
             raise ValueError(f"need 0 < gamma2 < gamma1, got {self.gamma2}, {self.gamma1}")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        check_sampler_constants(self.theta, self.nu, self.r, self.avg_threshold)
+        check_sampler_constants(self.theta, self.nu, self.r)
 
 
 class StepCase(Enum):
@@ -186,6 +184,14 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
         ege += size / N
         return est, est.aggregate.dot(est.aggregate)
 
+    def grow(proposed):
+        """Adopt a proposed size, never shrinking and at most N, and redraw."""
+        nonlocal size
+        size = min(N, max(size, proposed))
+        return sample()
+
+    if size < 2:
+        sampler = None  # a batch of one has no sample variance: its size stays
     est, gsq = sample()
     if sampler is not None:
         history = GradientHistory(sampler.r)
@@ -202,31 +208,15 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
         est, gsq = sample()
         if sampler is None:
             continue
-
-        if size >= 2 and 0.0 < gsq < math.inf:
-            report = variance_report(est, est.aggregate, sampler.theta, sampler.nu)
-            if not report.ok:
-                try:
-                    proposed = proposed_sample_size(
-                        report, est.aggregate, sampler.theta, sampler.nu, N)
-                except NumericError:
-                    pass  # finite-precision overflow/underflow: keep the size
-                else:
-                    size = min(N, max(size, proposed))
-                    est, gsq = sample()
-
+        if 0.0 < gsq < math.inf:
+            proposed = required_size(est, est.aggregate, sampler.theta, sampler.nu, N)
+            if proposed is not None:
+                est, gsq = grow(proposed)
         history.push(size, est.aggregate)
-
-        if size >= 2:
-            try:
-                noisy = noisy_regime_step(history, est, sampler.theta, sampler.nu,
-                                          sampler.avg_threshold, N)
-            except (ZeroReferenceError, NumericError):
-                noisy = None
-            if noisy is not None:
-                size = min(N, max(size, noisy))
-                est, gsq = sample()
-                history.replace_last(size, est.aggregate)
+        proposed = noisy_regime_step(history, est, sampler.theta, sampler.nu, N)
+        if proposed is not None:
+            est, gsq = grow(proposed)
+            history.replace_last(size, est.aggregate)
 
     _fill_telemetry(records, iterates, problem, track_loss, metric_fn)
     return x, records

@@ -27,20 +27,15 @@ class ZeroReferenceError(ValueError):
     """Reference vector has zero norm; the tests are undefined."""
 
 
-def check_sampler_constants(theta: float, nu: float, r: int,
-                            avg_threshold: float) -> None:
+def check_sampler_constants(theta: float, nu: float, r: int) -> None:
     """Reject adaptive-sampling constants no run can use.
 
-    theta and nu must be positive (+inf passes every test), the averaging
-    window r an integer >= 1, and avg_threshold positive and finite.
+    theta and nu must be positive (+inf passes every test) and the averaging
+    window r an integer >= 1.
     """
     if not (theta > 0 and nu > 0):  # NaN fails; +inf passes
         raise ValueError(f"theta and nu must be positive, got {theta}, {nu}")
     check_count("r", r)
-    if not math.isfinite(avg_threshold):
-        raise ValueError(f"avg_threshold must be finite, got {avg_threshold}")
-    if avg_threshold <= 0:
-        raise ValueError("avg_threshold must be positive")
 
 
 @dataclass(frozen=True)
@@ -118,6 +113,17 @@ def proposed_sample_size(report: VarianceReport, ref_vec: np.ndarray,
     return N if q > N else math.ceil(q)
 
 
+def required_size(est: GradientEstimate, ref_vec: np.ndarray, theta: float,
+                  nu: float, N: int) -> int | None:
+    """The size proposed by the tests against `ref_vec` (capped at N), or None
+    when both pass, the reference is zero or a test quantity is not finite."""
+    try:
+        report = variance_report(est, ref_vec, theta, nu)
+        return None if report.ok else proposed_sample_size(report, ref_vec, theta, nu, N)
+    except (ZeroReferenceError, NumericError):
+        return None
+
+
 class GradientHistory:
     """Ring buffer of the last `window` batch-gradient aggregates.
 
@@ -171,21 +177,19 @@ class GradientHistory:
 
 
 def noisy_regime_step(history: GradientHistory, current: GradientEstimate,
-                      theta: float, nu: float, avg_threshold: float,
-                      N: int) -> int | None:
+                      theta: float, nu: float, N: int) -> int | None:
     """Averaged-gradient control for the noisy regime.
 
     Engages only when the batch size has been constant long enough for the
     history to be steady (`current` must already be pushed).  If the averaged
-    gradient is small relative to the current one, the variance tests are
-    re-run with the average as reference over the current batch; on failure
-    the corresponding proposed size is returned, otherwise None.
+    gradient is shorter than the current one, the variance tests are re-run
+    with the average as reference over the current batch, and the result is
+    `required_size`'s; otherwise None.
     """
     if not history.steady:
         return None
     g_avg = history.average()
     current_norm = math.sqrt(current.aggregate.dot(current.aggregate))
-    if not math.sqrt(g_avg.dot(g_avg)) < avg_threshold * current_norm:
+    if not math.sqrt(g_avg.dot(g_avg)) < current_norm:
         return None
-    report = variance_report(current, g_avg, theta, nu)
-    return None if report.ok else proposed_sample_size(report, g_avg, theta, nu, N)
+    return required_size(current, g_avg, theta, nu, N)

@@ -278,8 +278,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("theta", math.nan), ("theta", -1.0), ("nu", 0.0), ("r", True), ("r", 2.5),
-        ("r", 0), ("avg_threshold", 0.0), ("avg_threshold", math.inf),
-        ("avg_threshold", math.nan), ("batch_size", 0), ("batch_size", True),
+        ("r", 0), ("batch_size", 0), ("batch_size", True),
         ("batch_size", 64.0), ("s0", 0), ("s0", True), ("s0", 2.5),
         ("budget_epochs", -1.0), ("budget_epochs", 0.0), ("budget_epochs", math.inf),
         ("budget_epochs", math.nan), ("train_fraction", 0.0), ("train_fraction", 1.0),
@@ -290,6 +289,24 @@ class TestConfig:
         dataset was parsed and G calibrated (or not at all)."""
         with pytest.raises(ValueError, match=field):
             ExperimentConfig(model="logistic", algorithm="trish", **{field: value})
+
+    @pytest.mark.parametrize("grid, message", [
+        ({"alphas": ()}, "alphas must be non-empty"),
+        ({"gamma1_multipliers": ()}, "gamma1_multipliers must be non-empty"),
+        ({"gamma2_multipliers": []}, "gamma2_multipliers must be non-empty"),
+        ({"alphas": (-1.0,)}, "alpha must be positive"),
+        ({"alphas": (0.1, math.nan)}, "alpha must be finite"),
+        ({"gamma1_multipliers": (math.nan,)}, "gamma1 must be finite"),
+        ({"gamma2_multipliers": (math.nan,)}, "gamma2 must be finite"),
+        ({"gamma2_multipliers": (100.0,)}, "need 0 < gamma2 < gamma1"),
+        ({"gamma1_multipliers": (4.0,), "gamma2_multipliers": (4.0,)},
+         "need 0 < gamma2 < gamma1"),
+        ({"gamma2_multipliers": (-0.5,)}, "need 0 < gamma2 < gamma1")])
+    def test_rejects_bad_grid_at_construction(self, grid, message):
+        """All but the empty alpha axis used to construct; an empty gamma
+        axis then ran 0 cells and `trish run` failed at max([])."""
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ExperimentConfig(model="logistic", algorithm="trish_as", **grid)
 
     def test_accepts_edge_values(self):
         config = ExperimentConfig(model="logistic", algorithm="trish_as",

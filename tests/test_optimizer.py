@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import trish.optimizer as optimizer
 from trish.core import FiniteSumProblem
@@ -41,7 +41,6 @@ class TestHyperParams:
         ("gamma1", math.nan), ("gamma1", math.inf),
         ("gamma2", math.nan), ("gamma2", math.inf),
         ("theta", math.nan), ("nu", math.nan), ("theta", -math.inf),
-        ("avg_threshold", math.nan), ("avg_threshold", math.inf),
         ("r", 2.5), ("r", 2.0), ("r", "3"), ("r", 0), ("r", True)])
     def test_rejects_nonfinite_and_nonintegral(self, field, value):
         """A NaN theta once ran an adaptive run as fixed-batch, a NaN alpha
@@ -348,6 +347,10 @@ class CountingProblem(FiniteSumProblem):
         return self.inner.gradient(x)
 
 
+# Variance-test constants from very tight to vacuous (+inf passes every test).
+TEST_CONSTANT = st.one_of(st.floats(0.05, 8.0), st.just(math.inf))
+
+
 class TestRunTrishAs:
     def test_vacuous_tests_keep_initial_size(self):
         problem = quadratic(N=20, noise=2.0)
@@ -357,16 +360,22 @@ class TestRunTrishAs:
                                   np.random.default_rng(1))
         assert all(r.batch_size == 3 for r in records)
 
-    def test_batch_sizes_monotone_and_capped(self):
+    @settings(max_examples=60, deadline=None)
+    @given(theta=TEST_CONSTANT, nu=TEST_CONSTANT, r=st.integers(1, 12),
+           s0=st.integers(1, 30))
+    @example(theta=0.3, nu=0.5, r=3, s0=2)
+    def test_batch_sizes_monotone_and_capped(self, theta, nu, r, s0):
         problem = quadratic(N=30, noise=5.0, seed=3)
         params = HyperParams(alpha=0.1, gamma1=4.0, gamma2=1.0,
-                             theta=0.3, nu=0.5, r=3)
-        _, records = run_trish_as(problem, np.ones(2), params, 2, 4.0,
+                             theta=theta, nu=nu, r=r)
+        _, records = run_trish_as(problem, np.ones(2), params, s0, 4.0,
                                   np.random.default_rng(2))
         sizes = [r.batch_size for r in records]
+        assert sizes[0] == s0
         assert all(b - a >= 0 for a, b in zip(sizes, sizes[1:]))
         assert max(sizes) <= 30
-        assert sizes[-1] > 2  # tight tests on a noisy problem force growth
+        if max(theta, nu) <= 0.5 and 2 <= s0 < 30:
+            assert sizes[-1] > s0  # tight tests on a noisy problem force growth
 
     def test_zero_gradient_guard_keeps_size(self):
         """Two components with opposite gradients at the start: the sampled
@@ -387,12 +396,16 @@ class TestRunTrishAs:
                                   np.random.default_rng(0))
         assert all(r.batch_size == 1 for r in records)
 
-    def test_ege_counts_every_evaluation(self):
+    @settings(max_examples=60, deadline=None)
+    @given(theta=TEST_CONSTANT, nu=TEST_CONSTANT, r=st.integers(1, 12),
+           s0=st.integers(1, 25))
+    @example(theta=0.4, nu=0.8, r=3, s0=2)
+    def test_ege_counts_every_evaluation(self, theta, nu, r, s0):
         inner = quadratic(N=25, noise=3.0, seed=5)
         problem = CountingProblem(inner)
         params = HyperParams(alpha=0.1, gamma1=4.0, gamma2=1.0,
-                             theta=0.4, nu=0.8, r=3)
-        _, records = run_trish_as(problem, np.ones(2), params, 2, 2.0,
+                             theta=theta, nu=nu, r=r)
+        _, records = run_trish_as(problem, np.ones(2), params, s0, 2.0,
                                   np.random.default_rng(4))
         np.testing.assert_allclose(records[-1].ege, problem.evaluations / 25,
                                    rtol=1e-12)
