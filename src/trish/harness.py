@@ -40,7 +40,8 @@ CURVE_CSV_HEADER = "ege,train_loss,test_metric"
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a grid experiment needs, JSON-loadable."""
+    """Everything a grid experiment needs, JSON-loadable.  Adaptive runs take
+    theta, nu and r from `HyperParams` and s0 from `initial_sample_size`."""
 
     model: str
     algorithm: str
@@ -57,10 +58,6 @@ class ExperimentConfig:
     seed: int = 0
     budget_epochs: float = 1.0
     batch_size: int = 64                     # fixed batch for trish / sg
-    s0: Optional[int] = None                 # None: min(32, ceil(N/100))
-    theta: float = 0.9
-    nu: float = 5.84
-    r: int = 10
     g_value: Optional[float] = None          # skip calibration, use this G
     output_dir: Optional[str] = None
 
@@ -74,8 +71,6 @@ class ExperimentConfig:
                 raise ValueError(f"{axis} must be non-empty")
         check_count("reps", self.reps)
         check_count("batch_size", self.batch_size)
-        if self.s0 is not None:
-            check_count("s0", self.s0)
         if not 0 < self.budget_epochs < math.inf:  # NaN fails
             raise ValueError(f"budget_epochs must be positive and finite, "
                              f"got {self.budget_epochs}")
@@ -86,7 +81,7 @@ class ExperimentConfig:
         # every cell at G = 1, before any data is read (run_grid rechecks at G)
         for cell in build_grid(1.0, self.alphas, self.gamma1_multipliers,
                                self.gamma2_multipliers):
-            HyperParams(*cell, theta=self.theta, nu=self.nu, r=self.r)
+            HyperParams(*cell)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -224,9 +219,9 @@ def _run_once(config, problem, params, algorithm, seed_seq, metric_fn):
     init_rng, batch_rng = (np.random.default_rng(s) for s in seed_seq.spawn(2))
     x0 = default_x0(problem, init_rng)
     if algorithm == "trish_as":
-        s0 = config.s0 if config.s0 is not None else initial_sample_size(problem.N)
-        return run_trish_as(problem, x0, params, s0, config.budget_epochs,
-                            batch_rng, track_loss=True, metric_fn=metric_fn)
+        return run_trish_as(problem, x0, params, initial_sample_size(problem.N),
+                            config.budget_epochs, batch_rng, track_loss=True,
+                            metric_fn=metric_fn)
     batch = min(config.batch_size, problem.N)
     if algorithm == "trish":
         return run_trish(problem, x0, params, batch, config.budget_epochs,
@@ -274,8 +269,7 @@ def run_grid(config: ExperimentConfig, problem: FiniteSumProblem | None = None,
     alg_code = _ALGORITHMS.index(config.algorithm)
     results = []
     for ci, (alpha, gamma1, gamma2) in enumerate(grid):
-        params = HyperParams(alpha=alpha, gamma1=gamma1, gamma2=gamma2,
-                             theta=config.theta, nu=config.nu, r=config.r)
+        params = HyperParams(alpha, gamma1, gamma2)
         finals, final_batches, fracs, rep_records = [], [], [], []
         for rep in range(config.reps):
             seq = np.random.SeedSequence(entropy=config.seed,

@@ -24,10 +24,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (FiniteSumProblem, NumericError, as_vector, draw_batch,
-                   sampled_gradient)
-from .sampling import (GradientHistory, check_sampler_constants,
-                       noisy_regime_step, required_size)
+from .core import (FiniteSumProblem, NumericError, as_vector, check_count,
+                   draw_batch, sampled_gradient)
+from .sampling import GradientHistory, noisy_regime_step, required_size
 
 
 @dataclass(frozen=True)
@@ -54,7 +53,9 @@ class HyperParams:
             raise ValueError(f"need 0 < gamma2 < gamma1, got {self.gamma2}, {self.gamma1}")
         if self.alpha <= 0:
             raise ValueError("alpha must be positive")
-        check_sampler_constants(self.theta, self.nu, self.r)
+        if not (self.theta > 0 and self.nu > 0):  # NaN fails; +inf passes
+            raise ValueError(f"theta and nu must be positive, got {self.theta}, {self.nu}")
+        check_count("r", self.r)
 
 
 class StepCase(Enum):

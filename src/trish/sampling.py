@@ -27,17 +27,6 @@ class ZeroReferenceError(ValueError):
     """Reference vector has zero norm; the tests are undefined."""
 
 
-def check_sampler_constants(theta: float, nu: float, r: int) -> None:
-    """Reject adaptive-sampling constants no run can use.
-
-    theta and nu must be positive (+inf passes every test) and the averaging
-    window r an integer >= 1.
-    """
-    if not (theta > 0 and nu > 0):  # NaN fails; +inf passes
-        raise ValueError(f"theta and nu must be positive, got {theta}, {nu}")
-    check_count("r", r)
-
-
 @dataclass(frozen=True)
 class VarianceReport:
     """Sample variances of the inner-product and orthogonality statistics.

@@ -260,15 +260,19 @@ class TestConfig:
 
     def test_round_trip(self, tmp_path):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({
-            "model": "logistic", "algorithm": "trish_as",
-            "train_path": "train.libsvm", "test_path": "test.libsvm",
-            "alphas": [0.1], "reps": 3, "seed": 11}))
+        raw = {"model": "logistic", "algorithm": "trish_as",
+               "train_path": "train.libsvm", "test_path": "test.libsvm",
+               "alphas": [0.1], "reps": 3, "seed": 11}
+        path.write_text(json.dumps(raw))
         config = load_config(path)
         assert config.algorithm == "trish_as"
         assert config.alphas == (0.1,)
         assert config.reps == 3
-        assert config.theta == 0.9 and config.nu == 5.84 and config.r == 10
+        # the sampler's constants live in HyperParams and initial_sample_size
+        for key, value in (("theta", 0.9), ("nu", 5.84), ("r", 10), ("s0", None)):
+            path.write_text(json.dumps({**raw, key: value}))
+            with pytest.raises(ValueError, match=f"unknown config keys: {key}$"):
+                load_config(path)
 
     @pytest.mark.parametrize("reps", (True, 2.0, 0))
     def test_rejects_bool_and_nonintegral_reps(self, reps):
@@ -277,9 +281,7 @@ class TestConfig:
             ExperimentConfig(model="logistic", algorithm="trish", reps=reps)
 
     @pytest.mark.parametrize("field, value", [
-        ("theta", math.nan), ("theta", -1.0), ("nu", 0.0), ("r", True), ("r", 2.5),
-        ("r", 0), ("batch_size", 0), ("batch_size", True),
-        ("batch_size", 64.0), ("s0", 0), ("s0", True), ("s0", 2.5),
+        ("batch_size", 0), ("batch_size", True), ("batch_size", 64.0),
         ("budget_epochs", -1.0), ("budget_epochs", 0.0), ("budget_epochs", math.inf),
         ("budget_epochs", math.nan), ("train_fraction", 0.0), ("train_fraction", 1.0),
         ("train_fraction", 2.0), ("train_fraction", math.nan), ("g_value", -3.0),
@@ -310,19 +312,21 @@ class TestConfig:
 
     def test_accepts_edge_values(self):
         config = ExperimentConfig(model="logistic", algorithm="trish_as",
-                                  batch_size=np.int64(1), s0=1, theta=math.inf,
-                                  nu=math.inf, r=np.int64(1), g_value=1e-300,
+                                  batch_size=np.int64(1), g_value=1e-300,
                                   budget_epochs=1e-9, train_fraction=0.999)
-        assert config.s0 == 1 and config.g_value == 1e-300
+        assert config.batch_size == 1 and config.g_value == 1e-300
 
     def test_readme_config_loads(self, tmp_path):
-        """The README's config example, with its // comments removed."""
+        """The README's config example, with its // comments removed, loads
+        and names exactly the schema's keys, as the README says it does."""
         readme = (Path(__file__).parent.parent / "README.md").read_text()
         block = readme.split("```json\n", 1)[1].split("```", 1)[0]
         path = tmp_path / "config.json"
         path.write_text(re.sub(r"\s*//[^\n]*", "", block))
         config = load_config(path)
-        assert config.algorithm == "trish_as" and config.s0 is None
+        assert config.algorithm == "trish_as"
+        assert (sorted(json.loads(path.read_text()))
+                == sorted(f.name for f in dataclasses.fields(ExperimentConfig)))
 
     def test_invalid_enum_values(self):
         with pytest.raises(ValueError):

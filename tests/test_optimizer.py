@@ -41,6 +41,7 @@ class TestHyperParams:
         ("gamma1", math.nan), ("gamma1", math.inf),
         ("gamma2", math.nan), ("gamma2", math.inf),
         ("theta", math.nan), ("nu", math.nan), ("theta", -math.inf),
+        ("theta", -1.0), ("nu", 0.0),
         ("r", 2.5), ("r", 2.0), ("r", "3"), ("r", 0), ("r", True)])
     def test_rejects_nonfinite_and_nonintegral(self, field, value):
         """A NaN theta once ran an adaptive run as fixed-batch, a NaN alpha
