@@ -50,7 +50,7 @@ class ExperimentConfig:
     data_path: Optional[str] = None          # single file, split chronologically
     train_fraction: float = 0.7
     normalize: bool = False                  # joint min-max over train+test
-    positive_label: Optional[float] = None   # classifier targets: 1 iff label equals this
+    positive_label: Optional[float] = None   # mlp_classifier targets: 1 iff label equals this
     alphas: tuple = DEFAULT_ALPHAS
     gamma1_multipliers: tuple = DEFAULT_GAMMA1_MULTIPLIERS
     gamma2_multipliers: tuple = DEFAULT_GAMMA2_MULTIPLIERS
@@ -69,11 +69,20 @@ class ExperimentConfig:
         for axis in ("alphas", "gamma1_multipliers", "gamma2_multipliers"):
             if not getattr(self, axis):
                 raise ValueError(f"{axis} must be non-empty")
+        has_train, has_test = self.train_path is not None, self.test_path is not None
+        if has_train != has_test:
+            raise ValueError("train_path and test_path must be given together")
+        if has_train and self.data_path is not None:
+            raise ValueError("data_path excludes train_path and test_path")
+        if self.positive_label is not None and self.model != "mlp_classifier":
+            raise ValueError(f"positive_label applies only to mlp_classifier, "
+                             f"not {self.model}")
         check_count("reps", self.reps)
         check_count("batch_size", self.batch_size)
-        if not 0 < self.budget_epochs < math.inf:  # NaN fails
-            raise ValueError(f"budget_epochs must be positive and finite, "
-                             f"got {self.budget_epochs}")
+        budget = self.budget_epochs
+        if isinstance(budget, bool) or not 0 < budget < math.inf:  # NaN fails
+            raise ValueError(f"budget_epochs must be positive and finite (not a bool), "
+                             f"got {budget!r}")
         if not 0 < self.train_fraction < 1:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.g_value is not None and not 0 < self.g_value < math.inf:
@@ -187,7 +196,7 @@ def load_problem(config: ExperimentConfig):
             X, y = both[:, :-1], both[:, -1]
         (X_train, y_train), (X_test, y_test) = chronological_split(
             X, y, config.train_fraction)
-    elif config.train_path is not None and config.test_path is not None:
+    elif config.train_path is not None:  # ExperimentConfig pairs it with test_path
         with open(config.train_path) as fh:
             train = parse_libsvm(fh)
         test = train  # one file on both sides (calibrate-g) is parsed once

@@ -166,10 +166,11 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
     spent, and otherwise forms the next gradient.
     """
     N = problem.N
-    if not 1 <= size <= N or size != int(size):
-        raise ValueError(f"batch size {size} is not an integer in [1, {N}]")
-    if not 0 < budget_epochs < math.inf:
-        raise ValueError(f"budget_epochs must be positive and finite, got {budget_epochs}")
+    if isinstance(size, bool) or not 1 <= size <= N or size != int(size):
+        raise ValueError(f"batch size {size!r} is not an integer in [1, {N}]")
+    if isinstance(budget_epochs, bool) or not 0 < budget_epochs < math.inf:
+        raise ValueError(f"budget_epochs must be positive and finite (not a bool), "
+                         f"got {budget_epochs!r}")
     x = as_vector(x0).copy()
     size = int(size)
     ege = 0.0

@@ -27,8 +27,8 @@ def beta_const(alpha: float, gamma1: float, gamma2: float, L: float) -> float:
     """The positive constant governing the asymptotic optimality gap."""
     if not 0 < gamma2 < gamma1:
         raise ValueError("need 0 < gamma2 < gamma1")
-    if alpha <= 0 or L <= 0:
-        raise ValueError("alpha and L must be positive")
+    if not (alpha > 0 and L > 0):  # NaN fails
+        raise ValueError(f"alpha and L must be positive, got {alpha}, {L}")
     return (gamma1**2 - gamma2**2) / (2.0 * gamma2) + 0.5 * alpha * gamma1**2 * L
 
 
@@ -56,14 +56,16 @@ def stepsize_bounds(gamma1: float, gamma2: float, L: float,
     """Evaluate every steplength bound available from the given constants."""
     if not 0 < gamma2 < gamma1:
         raise ValueError("need 0 < gamma2 < gamma1")
-    if L <= 0:
-        raise ValueError("L must be positive")
+    for name, value in (("L", L), ("mu", mu), ("M2", M2)):
+        if value is not None and not value > 0:  # NaN fails
+            raise ValueError(f"{name} must be positive, got {value}")
     base = gamma2 / (2.0 * gamma1**2 * L)
-    pl = min(base, 1.0 / (mu * gamma2)) if mu else None
-    zero_noise = 1.0 / (4.0 * gamma2 * L * M2) if M2 else None
+    pl = min(base, 1.0 / (mu * gamma2)) if mu is not None else None
+    zero_noise = 1.0 / (4.0 * gamma2 * L * M2) if M2 is not None else None
     zero_noise_pl = (min(zero_noise, 2.0 * gamma2 / (mu * gamma1**2))
-                     if (mu and M2) else None)
-    ratio_ok = ((gamma2 / gamma1) ** 2 > 1.0 - 1.0 / (4.0 * M2)) if M2 else None
+                     if mu is not None and M2 is not None else None)
+    ratio_ok = ((gamma2 / gamma1) ** 2 > 1.0 - 1.0 / (4.0 * M2)
+                if M2 is not None else None)
     return StepsizeBounds(base=base, pl=pl, zero_noise=zero_noise,
                           zero_noise_pl=zero_noise_pl, ratio_ok=ratio_ok)
 
@@ -72,7 +74,7 @@ def asymptotic_gaps(beta: float, M_g: float, mu: float,
                     gamma2: float) -> tuple[float, float]:
     """Limit values of the optimality gap (PL case) and of the averaged
     squared gradient norm (nonconvex case)."""
-    if beta <= 0 or mu <= 0 or gamma2 <= 0 or M_g < 0:
+    if not (beta > 0 and mu > 0 and gamma2 > 0 and M_g >= 0):  # NaN fails
         raise ValueError("constants must be positive (M_g nonnegative)")
     return 2.0 * beta * M_g / (mu * gamma2), 4.0 * beta * M_g / gamma2
 

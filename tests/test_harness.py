@@ -282,7 +282,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 0), ("batch_size", True), ("batch_size", 64.0),
-        ("budget_epochs", -1.0), ("budget_epochs", 0.0), ("budget_epochs", math.inf),
+        ("budget_epochs", True), ("budget_epochs", -1.0), ("budget_epochs", 0.0), ("budget_epochs", math.inf),
         ("budget_epochs", math.nan), ("train_fraction", 0.0), ("train_fraction", 1.0),
         ("train_fraction", 2.0), ("train_fraction", math.nan), ("g_value", -3.0),
         ("g_value", 0.0), ("g_value", math.inf), ("g_value", math.nan)])
@@ -309,6 +309,30 @@ class TestConfig:
         axis then ran 0 cells and `trish run` failed at max([])."""
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig(model="logistic", algorithm="trish_as", **grid)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"data_path": "d", "train_path": "a", "test_path": "b"},
+         "data_path excludes train_path and test_path"),
+        ({"data_path": "d", "train_path": "a"}, "must be given together"),
+        ({"train_path": "a"}, "must be given together"),
+        ({"test_path": "b"}, "must be given together"),
+        ({"positive_label": 1.0}, "positive_label applies only to mlp_classifier"),
+        ({"model": "mlp_regressor", "data_path": "d", "positive_label": 1.0},
+         "positive_label applies only to mlp_classifier")])
+    def test_rejects_ignored_data_sources(self, fields, message):
+        """These used to construct: data_path silently won over train_path
+        and test_path, a lone train or test path failed only in
+        load_problem, and positive_label was ignored outside mlp_classifier."""
+        kwargs = {"model": "logistic", "algorithm": "trish", **fields}
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig(**kwargs)
+
+    def test_accepts_every_data_source_and_none(self):
+        """No data source stays legal: run_grid accepts an injected problem."""
+        ExperimentConfig(model="logistic", algorithm="trish")
+        ExperimentConfig(model="logistic", algorithm="trish", data_path="d")
+        ExperimentConfig(model="mlp_classifier", algorithm="trish",
+                         train_path="a", test_path="b", positive_label=2.0)
 
     def test_accepts_edge_values(self):
         config = ExperimentConfig(model="logistic", algorithm="trish_as",

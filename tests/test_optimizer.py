@@ -283,11 +283,13 @@ class TestRunSg:
 @pytest.mark.parametrize("driver", ("trish", "sg", "trish_as"))
 @pytest.mark.parametrize("size, budget", [
     (0, 1.0), (9, 1.0), (2.7, 1.0), (8.4, 1.0),  # N = 8
-    (2, 0.0), (2, -1.0), (2, float("nan")), (2, float("inf"))])
+    (2, 0.0), (2, -1.0), (2, float("nan")), (2, float("inf")),
+    (True, 1.0), (2, True)])
 def test_driver_arguments_validated(driver, size, budget):
     """Out-of-range or non-integral sizes and budgets that are not positive
-    and finite are rejected; a NaN budget would otherwise never stop an
-    adaptive run, and a size of 2.7 would run with batch 2."""
+    and finite are rejected, and so is a bool as either; a NaN budget would
+    otherwise never stop an adaptive run, a size of 2.7 would run with
+    batch 2, and a size of True with batch 1."""
     problem = quadratic()
     params = HyperParams(alpha=0.1, gamma1=4.0, gamma2=1.0)
     rng = np.random.default_rng(0)

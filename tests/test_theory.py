@@ -29,6 +29,13 @@ class TestBetaConst:
             assert beta_const(rng.uniform(1e-4, 10), g1, g2,
                               rng.uniform(0.1, 10)) > 0
 
+    @pytest.mark.parametrize("alpha, L", [
+        (np.nan, 1.0), (0.1, np.nan), (0.0, 1.0), (0.1, 0.0), (0.1, -1.0)])
+    def test_rejects_nan_and_nonpositive(self, alpha, L):
+        """A NaN alpha or L used to return beta = NaN."""
+        with pytest.raises(ValueError, match="alpha and L must be positive"):
+            beta_const(alpha, 4.0, 1.0, L)
+
 
 class TestStepsizeBounds:
     def test_base_bound_hand_value(self):
@@ -58,6 +65,17 @@ class TestStepsizeBounds:
         assert np.isclose(b.zero_noise, 1.0 / 8.0)
         assert np.isclose(b.zero_noise_pl, min(1 / 8, 2.0 / (0.5 * 4.0)))
 
+    @pytest.mark.parametrize("name, value", [
+        ("L", np.nan), ("L", 0.0), ("L", -1.0),
+        ("mu", np.nan), ("mu", 0.0), ("mu", -1.0),
+        ("M2", np.nan), ("M2", 0.0), ("M2", -2.0)])
+    def test_rejects_nan_and_nonpositive_constants(self, name, value):
+        """mu=-1 used to give pl=-1.0, M2=-2 zero_noise=-0.125 and L=nan
+        base=nan; mu=0.0 and M2=0.0 were silently taken as absent."""
+        kwargs = {"L": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            stepsize_bounds(2.0, 1.0, **kwargs)
+
 
 class TestAsymptoticGaps:
     def test_hand_computed_values(self):
@@ -67,6 +85,14 @@ class TestAsymptoticGaps:
 
     def test_noise_free_limit(self):
         assert asymptotic_gaps(8.3, 0.0, 0.5, 1.0) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("args", [
+        (np.nan, 0.01, 0.5, 1.0), (8.3, np.nan, 0.5, 1.0),
+        (8.3, 0.01, np.nan, 1.0), (8.3, 0.01, 0.5, np.nan)])
+    def test_rejects_nan(self, args):
+        """Each of these used to return NaN gaps."""
+        with pytest.raises(ValueError, match="constants must be positive"):
+            asymptotic_gaps(*args)
 
     def test_linear_in_noise(self):
         g1 = asymptotic_gaps(2.0, 1.0, 0.5, 1.0)
