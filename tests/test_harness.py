@@ -282,8 +282,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("field, value", [
         ("batch_size", 0), ("batch_size", True), ("batch_size", 64.0),
-        ("budget_epochs", True), ("budget_epochs", -1.0), ("budget_epochs", 0.0), ("budget_epochs", math.inf),
-        ("budget_epochs", math.nan), ("train_fraction", 0.0), ("train_fraction", 1.0),
+        ("budget_epochs", True), ("budget_epochs", -1.0), ("budget_epochs", 0.0),
+        ("budget_epochs", math.inf), ("budget_epochs", math.nan),
+        ("train_fraction", 0.0), ("train_fraction", 1.0),
         ("train_fraction", 2.0), ("train_fraction", math.nan), ("g_value", -3.0),
         ("g_value", 0.0), ("g_value", math.inf), ("g_value", math.nan)])
     def test_rejects_bad_values_at_construction(self, field, value):
