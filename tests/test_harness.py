@@ -281,17 +281,24 @@ class TestConfig:
             ExperimentConfig(model="logistic", algorithm="trish", reps=reps)
 
     @pytest.mark.parametrize("field, value", [
+        ("theta", math.nan), ("theta", -1.0), ("nu", 0.0), ("r", True), ("r", 2.5),
+        ("r", 0), ("s0", 0), ("s0", True), ("s0", 2.5),
         ("batch_size", 0), ("batch_size", True), ("batch_size", 64.0),
         ("budget_epochs", True), ("budget_epochs", -1.0), ("budget_epochs", 0.0),
         ("budget_epochs", math.inf), ("budget_epochs", math.nan),
         ("train_fraction", 0.0), ("train_fraction", 1.0),
         ("train_fraction", 2.0), ("train_fraction", math.nan), ("g_value", -3.0),
         ("g_value", 0.0), ("g_value", math.inf), ("g_value", math.nan)])
-    def test_rejects_bad_values_at_construction(self, field, value):
+    def test_rejects_bad_values_at_construction(self, field, value, tmp_path):
         """These used to construct and fail only inside run_grid, after the
-        dataset was parsed and G calibrated (or not at all)."""
-        with pytest.raises(ValueError, match=field):
-            ExperimentConfig(model="logistic", algorithm="trish", **{field: value})
+        dataset was parsed and G calibrated (or not at all). theta, nu, r and
+        s0 are no longer config keys: a config that sets one is refused as an
+        unknown key, whatever its value, instead of being silently ignored."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(
+            {"model": "logistic", "algorithm": "trish", field: value}))
+        with pytest.raises(ValueError, match=rf"\b{field}\b"):
+            load_config(path)
 
     @pytest.mark.parametrize("grid, message", [
         ({"alphas": ()}, "alphas must be non-empty"),
