@@ -31,18 +31,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_calibrate_g(args) -> int:
-    from .harness import ExperimentConfig, calibration_rng, compute_G, load_problem
+    from .harness import calibration_rng, compute_G, load_config, load_problem
 
-    kwargs = dict(model=args.model, algorithm="sg", seed=args.seed)
-    if args.model == "mlp_regressor":
-        kwargs.update(data_path=args.dataset, normalize=args.normalize,
-                      train_fraction=args.train_fraction)
-    else:
-        kwargs.update(train_path=args.dataset, test_path=args.dataset,
-                      positive_label=args.positive_label)
-    problem, _, _ = load_problem(ExperimentConfig(**kwargs))
-    G = compute_G(problem, calibration_rng(args.seed))
-    print(f"G = {G!r}  (N={problem.N}, n={problem.n}, seed={args.seed})")
+    config = load_config(args.config)
+    problem, _, _ = load_problem(config)
+    G = compute_G(problem, calibration_rng(config.seed))
+    print(f"G = {G!r}  (N={problem.N}, n={problem.n}, seed={config.seed})")
     return 0
 
 
@@ -144,14 +138,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", required=True)
     p_run.set_defaults(func=_cmd_run)
 
-    p_cal = sub.add_parser("calibrate-g", help="measure the SG gradient scale G")
-    p_cal.add_argument("--dataset", required=True)
-    p_cal.add_argument("--model", default="logistic",
-                       choices=("logistic", "mlp_classifier", "mlp_regressor"))
-    p_cal.add_argument("--seed", type=int, default=0)
-    p_cal.add_argument("--positive-label", type=float, default=None)
-    p_cal.add_argument("--normalize", action="store_true")
-    p_cal.add_argument("--train-fraction", type=float, default=0.7)
+    p_cal = sub.add_parser("calibrate-g", help="measure the G that run calibrates")
+    p_cal.add_argument("--config", required=True)
     p_cal.set_defaults(func=_cmd_calibrate_g)
 
     p_ver = sub.add_parser("verify-theory", help="check constants and bounds empirically")

@@ -9,7 +9,7 @@ import pytest
 import trish.harness as harness
 from trish.cli import main
 from trish.data import Dataset, dump_libsvm
-from trish.harness import ExperimentConfig, run_grid
+from trish.harness import load_config, run_grid
 import scipy.sparse as sp
 
 
@@ -41,28 +41,45 @@ def test_convert_roundtrip(tmp_path, capsys):
     assert "wrote 2 rows" in capsys.readouterr().out
 
 
-def test_calibrate_g(logistic_files, capsys):
-    code = main(["calibrate-g", "--dataset", str(logistic_files / "train.libsvm"),
-                 "--model", "logistic", "--seed", "3"])
-    assert code == 0
+def write_config(path, **fields):
+    path.write_text(json.dumps({"model": "logistic", "algorithm": "sg", **fields}))
+    return str(path)
+
+
+def printed_g(capsys, config_path):
+    assert main(["calibrate-g", "--config", config_path]) == 0
     out = capsys.readouterr().out
     assert out.startswith("G = ")
-    assert float(out.split()[2]) > 0
+    return float(out.split()[2])
+
+
+def test_calibrate_g(logistic_files, capsys):
+    path = write_config(logistic_files / "config.json", seed=3,
+                        train_path=str(logistic_files / "train.libsvm"),
+                        test_path=str(logistic_files / "test.libsvm"))
+    assert printed_g(capsys, path) > 0
 
 
 def test_calibrate_g_prints_the_g_run_grid_uses(logistic_files, capsys):
-    """Pasting the printed G into `g_value` reproduces the calibrated grid bit for bit."""
-    path = str(logistic_files / "train.libsvm")
-    main(["calibrate-g", "--dataset", path, "--model", "logistic", "--seed", "0"])
-    printed = float(capsys.readouterr().out.split()[2])
-    config = ExperimentConfig(model="logistic", algorithm="sg", seed=0, train_path=path,
-                              test_path=path, alphas=(0.1,), gamma1_multipliers=(4.0,),
-                              gamma2_multipliers=(1.0,), reps=2)
-    [cell] = run_grid(config)
-    assert (cell.gamma1, cell.gamma2) == (4.0 / printed, 1.0 / printed)
+    """Pasting the printed G into `g_value` reproduces the calibrated grid bit
+    for bit, whatever data source, normalization and split the config sets."""
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(120, 4))
+    write_libsvm(logistic_files / "air.libsvm", X, 5.0 + X @ rng.normal(size=4))
+    train_test = dict(train_path=str(logistic_files / "train.libsvm"),
+                      test_path=str(logistic_files / "test.libsvm"))
+    for fields in (train_test, dict(train_test, normalize=True),
+                   dict(model="mlp_regressor", data_path=str(logistic_files / "air.libsvm"),
+                        normalize=True, train_fraction=0.6)):
+        path = write_config(logistic_files / "config.json", alphas=[0.1],
+                            gamma1_multipliers=[4.0], gamma2_multipliers=[1.0],
+                            reps=2, seed=0, **fields)
+        G = printed_g(capsys, path)
+        [cell] = run_grid(load_config(path))
+        assert (cell.gamma1, cell.gamma2) == (4.0 / G, 1.0 / G), fields
 
 
-def test_calibrate_g_parses_the_dataset_once(logistic_files, monkeypatch):
+def test_calibrate_g_parses_the_dataset_once(logistic_files, monkeypatch, capsys):
     parsed = []
     original = harness.parse_libsvm
 
@@ -71,9 +88,10 @@ def test_calibrate_g_parses_the_dataset_once(logistic_files, monkeypatch):
         return original(stream, *args, **kwargs)
 
     monkeypatch.setattr(harness, "parse_libsvm", counting)
-    path = str(logistic_files / "train.libsvm")
-    assert main(["calibrate-g", "--dataset", path, "--model", "logistic"]) == 0
-    assert parsed == [path]
+    data = str(logistic_files / "train.libsvm")
+    printed_g(capsys, write_config(logistic_files / "config.json",
+                                   train_path=data, test_path=data))
+    assert parsed == [data]
 
 
 def test_verify_theory_fast_module(capsys):
