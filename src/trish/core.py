@@ -29,10 +29,10 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-def check_count(name: str, value) -> None:
-    """Reject anything but an integer >= 1; a bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+def check_count(name: str, value, low: int = 1) -> None:
+    """Reject anything but an integer >= `low`; a bool is not a count."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 class FiniteSumProblem(ABC):

@@ -48,7 +48,7 @@ class ExperimentConfig:
     train_path: Optional[str] = None
     test_path: Optional[str] = None
     data_path: Optional[str] = None          # single file, split chronologically
-    train_fraction: float = 0.7
+    train_fraction: Optional[float] = None   # data_path's training share; None is 0.7
     normalize: bool = False                  # joint min-max over train+test
     positive_label: Optional[float] = None   # mlp_classifier targets: 1 iff label equals this
     alphas: tuple = DEFAULT_ALPHAS
@@ -74,16 +74,19 @@ class ExperimentConfig:
             raise ValueError("train_path and test_path must be given together")
         if has_train and self.data_path is not None:
             raise ValueError("data_path excludes train_path and test_path")
+        if self.train_fraction is not None and self.data_path is None:
+            raise ValueError("train_fraction applies only to data_path")
         if self.positive_label is not None and self.model != "mlp_classifier":
             raise ValueError(f"positive_label applies only to mlp_classifier, "
                              f"not {self.model}")
         check_count("reps", self.reps)
         check_count("batch_size", self.batch_size)
+        check_count("seed", self.seed, low=0)
         budget = self.budget_epochs
         if isinstance(budget, bool) or not 0 < budget < math.inf:  # NaN fails
             raise ValueError(f"budget_epochs must be positive and finite (not a bool), "
                              f"got {budget!r}")
-        if not 0 < self.train_fraction < 1:
+        if self.train_fraction is not None and not 0 < self.train_fraction < 1:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.g_value is not None and not 0 < self.g_value < math.inf:
             raise ValueError(f"g_value must be positive and finite, got {self.g_value}")
@@ -194,8 +197,8 @@ def load_problem(config: ExperimentConfig):
         if config.normalize:
             both = minmax_normalize(np.column_stack([X, y]))
             X, y = both[:, :-1], both[:, -1]
-        (X_train, y_train), (X_test, y_test) = chronological_split(
-            X, y, config.train_fraction)
+        fraction = 0.7 if config.train_fraction is None else config.train_fraction
+        (X_train, y_train), (X_test, y_test) = chronological_split(X, y, fraction)
     elif config.train_path is not None:  # ExperimentConfig pairs it with test_path
         with open(config.train_path) as fh:
             train = parse_libsvm(fh)
@@ -218,6 +221,9 @@ def load_problem(config: ExperimentConfig):
         if config.positive_label is not None:
             y_train = (y_train == config.positive_label).astype(np.float64)
             y_test = (y_test == config.positive_label).astype(np.float64)
+            if not y_train.any():  # NaN equals nothing
+                raise ValueError(f"positive_label {config.positive_label!r} matches "
+                                 f"no training label")
         problem = MlpModel.classifier(X_train, y_train)
     else:
         problem = MlpModel.regressor(X_train, y_train)

@@ -2,12 +2,15 @@
 
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import trish.harness as harness
-from trish.cli import main
+from trish.cli import build_parser, main
 from trish.data import Dataset, dump_libsvm
 from trish.harness import load_config, run_grid
 import scipy.sparse as sp
@@ -139,3 +142,15 @@ def test_failed_convert_leaves_output_untouched(tmp_path, old):
     assert {p.name for p in tmp_path.iterdir()} == {"table.csv"} | ({dst.name} if old else set())
     if old:
         assert dst.read_text() == old
+
+
+def test_readme_commands_parse():
+    """Every `trish ...` line of a README bash block is a command the parser takes."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    blocks = re.findall(r"^ *```bash\n(.*?)^ *```", readme, re.M | re.S)
+    commands = [line.strip() for block in blocks for line in block.splitlines()
+                if line.strip().startswith("trish ")]
+    assert any(c.startswith("trish calibrate-g ") for c in commands)
+    for command in commands:
+        argv = shlex.split(command.split("#", 1)[0])[1:]
+        build_parser().parse_args(argv)

@@ -238,6 +238,19 @@ class TestLoadProblem:
         assert set(np.unique(y_test)) <= {0.0, 1.0}
         assert problem.n == (6 + 2) * 5 + 1
 
+    @pytest.mark.parametrize("label", [7.0, math.nan])
+    def test_positive_label_matching_no_training_label_raises(self, tmp_path, label):
+        """Both used to turn every train and test target into 0, and run_grid
+        then reported a mean metric without a word."""
+        X, y = synthetic_logistic(N=30)
+        self.write_libsvm(tmp_path / "train.libsvm", X, y)
+        config = ExperimentConfig(model="mlp_classifier", algorithm="trish",
+                                  train_path=str(tmp_path / "train.libsvm"),
+                                  test_path=str(tmp_path / "train.libsvm"),
+                                  positive_label=label)
+        with pytest.raises(ValueError, match="positive_label .* matches no training label"):
+            load_problem(config)
+
     def test_logistic_path_aligns_feature_dimensions(self, tmp_path):
         (tmp_path / "train.libsvm").write_text("1 2:1\n-1 1:1\n")
         (tmp_path / "test.libsvm").write_text("1 5:1\n")
@@ -288,15 +301,18 @@ class TestConfig:
         ("budget_epochs", math.inf), ("budget_epochs", math.nan),
         ("train_fraction", 0.0), ("train_fraction", 1.0),
         ("train_fraction", 2.0), ("train_fraction", math.nan), ("g_value", -3.0),
-        ("g_value", 0.0), ("g_value", math.inf), ("g_value", math.nan)])
+        ("g_value", 0.0), ("g_value", math.inf), ("g_value", math.nan),
+        ("seed", True), ("seed", -1), ("seed", 1.5), ("seed", "7")])
     def test_rejects_bad_values_at_construction(self, field, value, tmp_path):
         """These used to construct and fail only inside run_grid, after the
         dataset was parsed and G calibrated (or not at all). theta, nu, r and
         s0 are no longer config keys: a config that sets one is refused as an
-        unknown key, whatever its value, instead of being silently ignored."""
+        unknown key, whatever its value, instead of being silently ignored.
+        A seed of True ran as seed 1. Every row names a data_path, the one
+        source that reads train_fraction, so each fails on its own value."""
         path = tmp_path / "config.json"
         path.write_text(json.dumps(
-            {"model": "logistic", "algorithm": "trish", field: value}))
+            {"model": "logistic", "algorithm": "trish", "data_path": "d", field: value}))
         with pytest.raises(ValueError, match=rf"\b{field}\b"):
             load_config(path)
 
@@ -326,11 +342,15 @@ class TestConfig:
         ({"test_path": "b"}, "must be given together"),
         ({"positive_label": 1.0}, "positive_label applies only to mlp_classifier"),
         ({"model": "mlp_regressor", "data_path": "d", "positive_label": 1.0},
-         "positive_label applies only to mlp_classifier")])
+         "positive_label applies only to mlp_classifier"),
+        ({"train_path": "a", "test_path": "b", "train_fraction": 0.5},
+         "train_fraction applies only to data_path"),
+        ({"train_fraction": 0.7}, "train_fraction applies only to data_path")])
     def test_rejects_ignored_data_sources(self, fields, message):
         """These used to construct: data_path silently won over train_path
         and test_path, a lone train or test path failed only in
-        load_problem, and positive_label was ignored outside mlp_classifier."""
+        load_problem, and positive_label was ignored outside mlp_classifier,
+        as train_fraction was outside data_path."""
         kwargs = {"model": "logistic", "algorithm": "trish", **fields}
         with pytest.raises(ValueError, match=message):
             ExperimentConfig(**kwargs)
@@ -345,7 +365,8 @@ class TestConfig:
     def test_accepts_edge_values(self):
         config = ExperimentConfig(model="logistic", algorithm="trish_as",
                                   batch_size=np.int64(1), g_value=1e-300,
-                                  budget_epochs=1e-9, train_fraction=0.999)
+                                  budget_epochs=1e-9, data_path="d",
+                                  train_fraction=0.999, seed=np.int64(0))
         assert config.batch_size == 1 and config.g_value == 1e-300
 
     def test_readme_config_loads(self, tmp_path):
