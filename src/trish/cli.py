@@ -117,8 +117,7 @@ def _cmd_convert(args) -> int:
     try:
         with open(args.csv) as src, open(tmp, "w") as dst:
             rows = csv_to_libsvm(src, dst, label_col=args.label_col,
-                                 missing_value=args.missing_value,
-                                 has_header=args.header, delimiter=args.delimiter)
+                                 missing_value=args.missing_value)
         os.replace(tmp, args.libsvm)
     except BaseException:
         if os.path.exists(tmp):
@@ -152,8 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--libsvm", required=True)
     p_conv.add_argument("--label-col", type=int, default=0)
     p_conv.add_argument("--missing-value", type=float, default=None)
-    p_conv.add_argument("--header", action="store_true")
-    p_conv.add_argument("--delimiter", default=",")
     p_conv.set_defaults(func=_cmd_convert)
     return parser
 

@@ -217,9 +217,9 @@ def chronological_split(features, labels, train_fraction: float):
 
 
 def csv_to_libsvm(csv_stream, out_stream, label_col: int = 0,
-                  missing_value: float | None = None,
-                  has_header: bool = False, delimiter: str = ",") -> int:
-    """Convert a dense numeric CSV to LIBSVM text; returns rows written.
+                  missing_value: float | None = None) -> int:
+    """Convert a dense numeric comma-separated file with no header row to
+    LIBSVM text; returns rows written.
 
     One column holds the target; the others become 1-based indexed features
     in column order (zeros are omitted, as usual for the format), each as its
@@ -232,9 +232,7 @@ def csv_to_libsvm(csv_stream, out_stream, label_col: int = 0,
     the 1-based line number.  Rows are converted `PARSE_BLOCK` at a time; on
     a fault, the out stream holds the blocks before the faulty one.
     """
-    reader = csv.reader(csv_stream, delimiter=delimiter)
-    if has_header:
-        next(reader, None)
+    reader = csv.reader(csv_stream)
     numbered = zip(reader, map(attrgetter("line_num"), repeat(reader)))
     written, width = 0, None
     while block := list(islice(numbered, PARSE_BLOCK)):

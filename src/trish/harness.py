@@ -235,14 +235,13 @@ def _run_once(config, problem, params, algorithm, seed_seq, metric_fn):
     x0 = default_x0(problem, init_rng)
     if algorithm == "trish_as":
         return run_trish_as(problem, x0, params, initial_sample_size(problem.N),
-                            config.budget_epochs, batch_rng, track_loss=True,
-                            metric_fn=metric_fn)
+                            config.budget_epochs, batch_rng, metric_fn=metric_fn)
     batch = min(config.batch_size, problem.N)
     if algorithm == "trish":
         return run_trish(problem, x0, params, batch, config.budget_epochs,
-                         batch_rng, track_loss=True, metric_fn=metric_fn)
+                         batch_rng, metric_fn=metric_fn)
     return run_sg(problem, x0, params.alpha, batch, config.budget_epochs,
-                  batch_rng, track_loss=True, metric_fn=metric_fn)
+                  batch_rng, metric_fn=metric_fn)
 
 
 def _regrid_curves(rep_records):

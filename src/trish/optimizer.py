@@ -8,11 +8,11 @@ accepted; no ratio test.  Runs are budgeted in effective gradient evaluations
 epoch equals EGE 1.
 
 Telemetry is optional and leaves the trajectory untouched.  With
-`track_loss` or `metric_fn` set, a driver keeps a reference to every iterate
-and, after its loop, fills in each record's train loss and held-out metric
-once, in stacked calls of at most TELEMETRY_BLOCK iterates each, the blocks
-of one run balanced in size.  `metric_fn` receives a K x n stack of iterates
-and returns K values.  With both off, no iterate is kept.
+`metric_fn` set, a driver keeps a reference to every iterate and, after its
+loop, fills in each record's train loss and held-out metric once, in stacked
+calls of at most TELEMETRY_BLOCK iterates each, the blocks of one run
+balanced in size.  `metric_fn` receives a K x n stack of iterates and
+returns K values.  Without it, no iterate is kept and nothing is evaluated.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ MetricFn = Optional[Callable[[np.ndarray], np.ndarray]]
 TELEMETRY_BLOCK = 32  # most iterates per stacked telemetry evaluation
 
 
-def _fill_telemetry(records, iterates, problem, track_loss, metric_fn):
+def _fill_telemetry(records, iterates, problem, metric_fn):
     """Set train_loss and test_metric of every record from its iterate.
 
     The n iterates go in ceil(n / TELEMETRY_BLOCK) stacks of sizes within one
@@ -132,16 +132,13 @@ def _fill_telemetry(records, iterates, problem, track_loss, metric_fn):
     for start, stop in zip([0] + cuts, cuts):
         block = records[start:stop]
         xs = np.stack(iterates[start:stop])
-        if track_loss:
-            for rec, value in zip(block, problem.losses(xs).tolist()):
-                rec.train_loss = value
-        if metric_fn is not None:
-            values = np.asarray(metric_fn(xs), dtype=np.float64)
-            if values.shape != (len(block),):
-                raise ValueError(f"metric_fn returned shape {values.shape} "
-                                 f"for {len(block)} iterates")
-            for rec, value in zip(block, values.tolist()):
-                rec.test_metric = value
+        losses = problem.losses(xs).tolist()
+        values = np.asarray(metric_fn(xs), dtype=np.float64)
+        if values.shape != (len(block),):
+            raise ValueError(f"metric_fn returned shape {values.shape} "
+                             f"for {len(block)} iterates")
+        for rec, loss, value in zip(block, losses, values.tolist()):
+            rec.train_loss, rec.test_metric = loss, value
 
 
 def _trish_rule(params: HyperParams):
@@ -154,9 +151,8 @@ def _trish_rule(params: HyperParams):
 
 
 def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
-         rng: np.random.Generator, track_loss: bool, metric_fn: MetricFn,
-         step, sampler: Optional[HyperParams] = None
-         ) -> tuple[np.ndarray, list[IterationRecord]]:
+         rng: np.random.Generator, metric_fn: MetricFn, step,
+         sampler: Optional[HyperParams] = None) -> tuple[np.ndarray, list[IterationRecord]]:
     """The run loop behind every driver.
 
     `step(g, gnorm)` returns the step case (None for SG) and the step.  The
@@ -175,7 +171,6 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
     size = int(size)
     ege = 0.0
     records: list[IterationRecord] = []
-    keep = track_loss or metric_fn is not None
     iterates: list[np.ndarray] = []
 
     def sample():
@@ -203,7 +198,7 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
         case, p = step(est.aggregate, gnorm)
         x = x + p
         records.append(IterationRecord(len(records), case, gnorm, size, ege))
-        if keep:
+        if metric_fn is not None:
             iterates.append(x)
         if ege >= budget_epochs:
             break
@@ -220,40 +215,37 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
             est, gsq = grow(proposed)
             history.replace_last(size, est.aggregate)
 
-    _fill_telemetry(records, iterates, problem, track_loss, metric_fn)
+    _fill_telemetry(records, iterates, problem, metric_fn)  # none kept: a no-op
     return x, records
 
 
 def run_trish(problem: FiniteSumProblem, x0, params: HyperParams,
               batch_size: int, budget_epochs: float, rng: np.random.Generator,
-              track_loss: bool = False, metric_fn: MetricFn = None
-              ) -> tuple[np.ndarray, list[IterationRecord]]:
+              metric_fn: MetricFn = None) -> tuple[np.ndarray, list[IterationRecord]]:
     """Fixed-batch run of the step rule until the EGE budget is spent.
 
-    Records carry train_loss / test_metric when `track_loss` / `metric_fn`
-    are set, filled in once per run from the kept iterates before return.
+    With `metric_fn` set, records carry train_loss and test_metric, filled
+    in once per run from the kept iterates before return.
     """
-    return _run(problem, x0, batch_size, budget_epochs, rng, track_loss,
-                metric_fn, _trish_rule(params))
+    return _run(problem, x0, batch_size, budget_epochs, rng, metric_fn,
+                _trish_rule(params))
 
 
 def run_sg(problem: FiniteSumProblem, x0, alpha: float, batch_size: int,
            budget_epochs: float, rng: np.random.Generator,
-           track_loss: bool = False, metric_fn: MetricFn = None
-           ) -> tuple[np.ndarray, list[IterationRecord]]:
+           metric_fn: MetricFn = None) -> tuple[np.ndarray, list[IterationRecord]]:
     """Plain stochastic-gradient baseline: x <- x - alpha * g.
 
     Telemetry is filled in after the loop, as in `run_trish`.
     """
     # x + (-alpha) * g equals x - alpha * g bit for bit.
-    return _run(problem, x0, batch_size, budget_epochs, rng, track_loss,
-                metric_fn, lambda g, gnorm: (None, (-alpha) * g))
+    return _run(problem, x0, batch_size, budget_epochs, rng, metric_fn,
+                lambda g, gnorm: (None, (-alpha) * g))
 
 
 def run_trish_as(problem: FiniteSumProblem, x0, params: HyperParams,
                  s0: int, budget_epochs: float, rng: np.random.Generator,
-                 track_loss: bool = False, metric_fn: MetricFn = None
-                 ) -> tuple[np.ndarray, list[IterationRecord]]:
+                 metric_fn: MetricFn = None) -> tuple[np.ndarray, list[IterationRecord]]:
     """Adaptive-sampling run: the batch grows when the variance tests fail.
 
     Per iteration: take the step with the current gradient, then form the
@@ -268,5 +260,5 @@ def run_trish_as(problem: FiniteSumProblem, x0, params: HyperParams,
     non-finite in floating point.  Telemetry is filled in after the loop, as
     in `run_trish`.
     """
-    return _run(problem, x0, s0, budget_epochs, rng, track_loss, metric_fn,
+    return _run(problem, x0, s0, budget_epochs, rng, metric_fn,
                 _trish_rule(params), sampler=params)

@@ -334,16 +334,13 @@ class TestChronologicalSplit:
             chronological_split(np.zeros((5, 1)), np.zeros(5), 0.999)
 
 
-def format_csv_to_libsvm(csv_stream, out_stream, label_col=0, missing_value=None,
-                         has_header=False, delimiter=","):
+def format_csv_to_libsvm(csv_stream, out_stream, label_col=0, missing_value=None):
     """Reference converter: re-prints every written number with ``.17g``.
 
     It makes the checks `csv_to_libsvm` makes but the non-finite and ASCII
     ones, which `parse_libsvm` makes on its output.
     """
-    reader = csv.reader(csv_stream, delimiter=delimiter)
-    if has_header:
-        next(reader, None)
+    reader = csv.reader(csv_stream)
     written = 0
     width = None
     for row in reader:
@@ -399,13 +396,10 @@ def csv_tables(draw):
     return "".join(",".join(row) + "\n" for row in rows), label_col
 
 
-def loop_csv_to_libsvm(csv_stream, out_stream, label_col=0, missing_value=None,
-                       has_header=False, delimiter=","):
+def loop_csv_to_libsvm(csv_stream, out_stream, label_col=0, missing_value=None):
     """Reference converter: one row at a time, with the text, checks, messages
     and line numbers `csv_to_libsvm` must reproduce."""
-    reader = csv.reader(csv_stream, delimiter=delimiter)
-    if has_header:
-        next(reader, None)
+    reader = csv.reader(csv_stream)
     written = 0
     width = None
     for row in reader:
@@ -451,12 +445,11 @@ ODD_CELLS = ["", " ", "x", "nan", "inf", "-inf", "1e999", "\uff12", "\u0665", "\
 
 @st.composite
 def csv_inputs(draw):
-    """CSV text with a header, blank, ragged, dropped and faulty rows, and converter options.
+    """CSV text with blank, ragged, dropped and faulty rows, and converter options.
 
     Returns the text and the keyword arguments; `label_col` may be negative
-    or out of range, the delimiter is "," or ";" and some cells are quoted.
+    or out of range and some cells are quoted.
     """
-    delimiter = draw(st.sampled_from([",", ";"]))
     width = draw(st.integers(1, 4))
     label_col = draw(st.integers(-width, width - 1) if draw(st.integers(0, 9)) else
                      st.sampled_from([-width - 1, width]))
@@ -466,24 +459,21 @@ def csv_inputs(draw):
         text = draw(st.sampled_from(ODD_CELLS) if draw(st.integers(0, odd - 1)) == 0 else CELL)
         return draw(st.sampled_from(["{}", "{}", " {} ", "\t{}", '"{}"', '" {} "'])).format(text)
 
-    has_header = draw(st.booleans())
-    lines = [delimiter.join(f"c{j}" for j in range(width))] if has_header else []
+    lines = []
     for _ in range(draw(st.integers(0, 10))):
         kind = draw(st.integers(0, 9))
         if kind == 0:  # blank or whitespace-only
-            lines.append(draw(st.sampled_from(["", " ", "\t", delimiter * (width - 1),
-                                               f" {delimiter} "])))
+            lines.append(draw(st.sampled_from(["", " ", "\t", "," * (width - 1), " , "])))
             continue
         size = width + draw(st.sampled_from([1, -1])) if kind == 1 else width  # 1: ragged
         row = [cell(odd=2 if kind == 2 else 30) for _ in range(size)]
         if kind > 1 and -width <= label_col < width:  # 2: a missing label among odd cells
             row[label_col] = "-200" if kind == 2 else draw(
                 st.sampled_from(["-200", " -2e2 ", "", " ", cell()]))
-        lines.append(delimiter.join(row))
+        lines.append(",".join(row))
     end = draw(st.sampled_from(["\n", "\r\n"]))
     text = "".join(line + end for line in lines)
-    return text, dict(label_col=label_col, missing_value=missing_value, has_header=has_header,
-                      delimiter=delimiter)
+    return text, dict(label_col=label_col, missing_value=missing_value)
 
 
 class TestCsvToLibsvm:
@@ -518,12 +508,6 @@ class TestCsvToLibsvm:
         with pytest.raises(ValueError, match=f"^line 1: label_col {label_col} is out of range"):
             csv_to_libsvm(io.StringIO("1,2,3\n"), io.StringIO(), label_col=label_col)
 
-    def test_header_and_delimiter(self):
-        src = io.StringIO("a;b\n1;2\n")
-        out = io.StringIO()
-        rows = csv_to_libsvm(src, out, has_header=True, delimiter=";")
-        assert rows == 1 and out.getvalue() == "1 1:2\n"
-
     def test_round_trip_through_parser(self):
         rng = np.random.default_rng(3)
         table = rng.normal(size=(50, 5))
@@ -535,26 +519,25 @@ class TestCsvToLibsvm:
         np.testing.assert_allclose(ds.labels, table[:, 0], rtol=1e-15)
         np.testing.assert_allclose(ds.features.toarray(), table[:, 1:], rtol=1e-15)
 
-    @pytest.mark.parametrize("text, header, line", [
-        ("1,2,3,4\n2.0,5\n", False, 2),         # short row after 4 cells
-        ("1,2\n3,4\n5,6,7\n", False, 3),        # long row
-        ("a,b,c\n1,2,3\n\n4,5\n", True, 4),     # header and blank line count
-        ("1,2\n-200,9,9\n", False, 2),          # a row that would be dropped
+    @pytest.mark.parametrize("text, line", [
+        ("1,2,3,4\n2.0,5\n", 2),         # short row after 4 cells
+        ("1,2\n3,4\n5,6,7\n", 3),        # long row
+        ("1,2,3\n\n4,5\n", 3),           # a blank line counts
+        ("1,2\n-200,9,9\n", 2),          # a row that would be dropped
     ])
-    def test_ragged_row_rejected_with_line_number(self, text, header, line):
+    def test_ragged_row_rejected_with_line_number(self, text, line):
         with pytest.raises(ValueError, match=f"^line {line}: .*cells"):
             csv_to_libsvm(io.StringIO(text), io.StringIO(), label_col=0,
-                          missing_value=-200.0, has_header=header)
+                          missing_value=-200.0)
 
     @pytest.mark.parametrize("text, line", [
         ("1,2\n3,x\n", 2),      # feature cell
         ("1,2\nnan?,4\n", 2),   # label cell
-        ("h,h\n1,2\n3,4\n5,six\n", 4),
+        ("1,2\n3,4\n5,six\n", 3),
     ])
     def test_non_numeric_cell_names_line(self, text, line):
         with pytest.raises(ValueError, match=f"^line {line}: could not convert"):
-            csv_to_libsvm(io.StringIO(text), io.StringIO(), label_col=0,
-                          has_header=text.startswith("h"))
+            csv_to_libsvm(io.StringIO(text), io.StringIO(), label_col=0)
 
     @settings(max_examples=300, deadline=None)
     @given(csv_tables(), st.sampled_from([None, -200.0]))

@@ -98,13 +98,10 @@ def run_case(problem_name, driver, params, size, budget, seed):
     x0 = np.random.default_rng(seed + 1).uniform(-0.5, 0.5, size=model.n)
     rng = np.random.default_rng(seed)
     if driver == "trish":
-        return run_trish(model, x0, params, size, budget, rng,
-                         track_loss=True, metric_fn=metric_fn)
+        return run_trish(model, x0, params, size, budget, rng, metric_fn=metric_fn)
     if driver == "sg":
-        return run_sg(model, x0, params.alpha, size, budget, rng,
-                      track_loss=True, metric_fn=metric_fn)
-    return run_trish_as(model, x0, params, size, budget, rng,
-                        track_loss=True, metric_fn=metric_fn)
+        return run_sg(model, x0, params.alpha, size, budget, rng, metric_fn=metric_fn)
+    return run_trish_as(model, x0, params, size, budget, rng, metric_fn=metric_fn)
 
 
 # (problem, driver, params, batch size or s0, budget in epochs, seed): digest

@@ -486,7 +486,7 @@ def check_deferred_telemetry(driver, kind, budget, seed, vacuous=False):
 
     on, off = CountingProblem(model), CountingProblem(model)
     x_on, rec_on = telemetry_driver(driver, on, budget, seed, vacuous,
-                                    track_loss=True, metric_fn=metric_fn)
+                                    metric_fn=metric_fn)
     x_off, rec_off = telemetry_driver(driver, off, budget, seed, vacuous)
 
     np.testing.assert_array_equal(x_on, x_off)
@@ -548,7 +548,7 @@ class TestDeferredTelemetry:
             return metric(xs)
 
         _, records = telemetry_driver("trish", StackCounting(model), iters / 8, 0,
-                                      track_loss=True, metric_fn=metric_fn)
+                                      metric_fn=metric_fn)
         assert len(records) == iters
         assert stacks == losses == sizes
         assert max(stacks) <= TELEMETRY_BLOCK
@@ -557,6 +557,13 @@ class TestDeferredTelemetry:
         model, _ = telemetry_problem("logistic_dense", 0)
         with pytest.raises(ValueError, match="shape"):
             telemetry_driver("trish", model, 1.0, 0, metric_fn=lambda xs: 0.5)
+
+    @pytest.mark.parametrize("driver", ("trish", "sg", "trish_as"))
+    def test_metric_fn_alone_fills_both_curves(self, driver):
+        model, metric = telemetry_problem("logistic_dense", 0)
+        _, records = telemetry_driver(driver, model, 2.0, 0, metric_fn=metric)
+        assert all(r.train_loss is not None and r.test_metric is not None
+                   for r in records)
 
     def test_off_evaluates_no_loss(self):
         model, _ = telemetry_problem("logistic_sparse", 0)
