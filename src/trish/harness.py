@@ -49,7 +49,7 @@ class ExperimentConfig:
     test_path: Optional[str] = None
     data_path: Optional[str] = None          # single file, split chronologically
     train_fraction: Optional[float] = None   # data_path's training share; None is 0.7
-    normalize: bool = False                  # joint min-max over train+test
+    normalize: bool = False                  # joint min-max over train+test features
     positive_label: Optional[float] = None   # mlp_classifier targets: 1 iff label equals this
     alphas: tuple = DEFAULT_ALPHAS
     gamma1_multipliers: tuple = DEFAULT_GAMMA1_MULTIPLIERS
@@ -67,8 +67,13 @@ class ExperimentConfig:
         if self.algorithm not in _ALGORITHMS:
             raise ValueError(f"algorithm must be one of {_ALGORITHMS}, got {self.algorithm!r}")
         for axis in ("alphas", "gamma1_multipliers", "gamma2_multipliers"):
-            if not getattr(self, axis):
+            values = getattr(self, axis)
+            if not values:
                 raise ValueError(f"{axis} must be non-empty")
+            if any(isinstance(v, bool) for v in values):
+                raise ValueError(f"{axis} must hold numbers, not bools, got {values!r}")
+        if not isinstance(self.normalize, bool):
+            raise ValueError(f"normalize must be true or false, got {self.normalize!r}")
         has_train, has_test = self.train_path is not None, self.test_path is not None
         if has_train != has_test:
             raise ValueError("train_path and test_path must be given together")
@@ -88,8 +93,9 @@ class ExperimentConfig:
                              f"got {budget!r}")
         if self.train_fraction is not None and not 0 < self.train_fraction < 1:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if self.g_value is not None and not 0 < self.g_value < math.inf:
-            raise ValueError(f"g_value must be positive and finite, got {self.g_value}")
+        g = self.g_value
+        if g is not None and (isinstance(g, bool) or not 0 < g < math.inf):
+            raise ValueError(f"g_value must be positive and finite (not a bool), got {g!r}")
         # every cell at G = 1, before any data is read (run_grid rechecks at G)
         for cell in build_grid(1.0, self.alphas, self.gamma1_multipliers,
                                self.gamma2_multipliers):
@@ -194,9 +200,11 @@ def load_problem(config: ExperimentConfig):
             full = parse_libsvm(fh)
         X = _dense(full.features)
         y = full.labels
-        if config.normalize:
+        if config.normalize and config.model == "mlp_regressor":  # targets too
             both = minmax_normalize(np.column_stack([X, y]))
             X, y = both[:, :-1], both[:, -1]
+        elif config.normalize:  # class labels stay as they are
+            X = minmax_normalize(X)
         fraction = 0.7 if config.train_fraction is None else config.train_fraction
         (X_train, y_train), (X_test, y_test) = chronological_split(X, y, fraction)
     elif config.train_path is not None:  # ExperimentConfig pairs it with test_path

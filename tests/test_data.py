@@ -519,13 +519,14 @@ class TestCsvToLibsvm:
         np.testing.assert_allclose(ds.labels, table[:, 0], rtol=1e-15)
         np.testing.assert_allclose(ds.features.toarray(), table[:, 1:], rtol=1e-15)
 
-    @pytest.mark.parametrize("text, line", [
-        ("1,2,3,4\n2.0,5\n", 2),         # short row after 4 cells
-        ("1,2\n3,4\n5,6,7\n", 3),        # long row
-        ("1,2,3\n\n4,5\n", 3),           # a blank line counts
-        ("1,2\n-200,9,9\n", 2),          # a row that would be dropped
+    @pytest.mark.parametrize("text, crlf, line", [
+        ("1,2,3,4\n2.0,5\n", False, 2),         # short row after 4 cells
+        ("1,2\n3,4\n5,6,7\n", False, 3),        # long row
+        ("1,2,3\n\n4,5\n", True, 3),            # a blank line counts, with \r\n ends too
+        ("1,2\n-200,9,9\n", False, 2),          # a row that would be dropped
     ])
-    def test_ragged_row_rejected_with_line_number(self, text, line):
+    def test_ragged_row_rejected_with_line_number(self, text, crlf, line):
+        text = text.replace("\n", "\r\n") if crlf else text
         with pytest.raises(ValueError, match=f"^line {line}: .*cells"):
             csv_to_libsvm(io.StringIO(text), io.StringIO(), label_col=0,
                           missing_value=-200.0)

@@ -251,6 +251,30 @@ class TestLoadProblem:
         with pytest.raises(ValueError, match="positive_label .* matches no training label"):
             load_problem(config)
 
+    def test_normalize_keeps_logistic_labels(self, tmp_path):
+        """On data_path, normalize used to rescale the +-1 labels to 0/1,
+        which LogisticModel rejects."""
+        X, y = synthetic_logistic(N=50)
+        self.write_libsvm(tmp_path / "d.libsvm", 3.0 * X, y)
+        config = ExperimentConfig(model="logistic", algorithm="trish", normalize=True,
+                                  data_path=str(tmp_path / "d.libsvm"))
+        problem, X_test, y_test = load_problem(config)
+        features = np.vstack([problem.features, X_test])
+        assert features.min() == 0.0 and features.max() == 1.0
+        np.testing.assert_array_equal(np.concatenate([problem.labels, y_test]), y)
+
+    def test_normalize_keeps_classifier_labels(self, tmp_path):
+        """On data_path, positive_label used to be compared with labels
+        rescaled into [0, 1]."""
+        rng = np.random.default_rng(1)
+        X = rng.random(size=(40, 4))
+        y = np.arange(40) % 10.0
+        self.write_libsvm(tmp_path / "d.libsvm", X, y)
+        config = ExperimentConfig(model="mlp_classifier", algorithm="trish", normalize=True,
+                                  data_path=str(tmp_path / "d.libsvm"), positive_label=2.0)
+        problem, _, y_test = load_problem(config)
+        np.testing.assert_array_equal(np.concatenate([problem.targets, y_test]), y == 2.0)
+
     def test_logistic_path_aligns_feature_dimensions(self, tmp_path):
         (tmp_path / "train.libsvm").write_text("1 2:1\n-1 1:1\n")
         (tmp_path / "test.libsvm").write_text("1 5:1\n")
@@ -302,13 +326,17 @@ class TestConfig:
         ("train_fraction", 0.0), ("train_fraction", 1.0),
         ("train_fraction", 2.0), ("train_fraction", math.nan), ("g_value", -3.0),
         ("g_value", 0.0), ("g_value", math.inf), ("g_value", math.nan),
-        ("seed", True), ("seed", -1), ("seed", 1.5), ("seed", "7")])
+        ("seed", True), ("seed", -1), ("seed", 1.5), ("seed", "7"),
+        ("normalize", "false"), ("normalize", 1), ("normalize", None), ("g_value", True),
+        ("alphas", [True]), ("gamma1_multipliers", [4.0, True]),
+        ("gamma2_multipliers", [False, 1.0])])
     def test_rejects_bad_values_at_construction(self, field, value, tmp_path):
         """These used to construct and fail only inside run_grid, after the
         dataset was parsed and G calibrated (or not at all). theta, nu, r and
         s0 are no longer config keys: a config that sets one is refused as an
         unknown key, whatever its value, instead of being silently ignored.
-        A seed of True ran as seed 1. Every row names a data_path, the one
+        A seed of True ran as seed 1, a g_value or grid entry of true as 1,
+        and normalize "false" normalized. Every row names a data_path, the one
         source that reads train_fraction, so each fails on its own value."""
         path = tmp_path / "config.json"
         path.write_text(json.dumps(
