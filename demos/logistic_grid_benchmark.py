@@ -36,7 +36,7 @@ print(f"grid of {len(grid)} triplets; adaptive runs start at "
       f"|S_0|={initial_sample_size(N)}\n")
 
 config = ExperimentConfig(model="logistic", algorithm="trish", reps=5, seed=42,
-                          budget_epochs=1.0, batch_size=64)
+                          budget_epochs=1.0)
 results = []
 for algorithm in ("trish", "trish_as"):
     cfg = dataclasses.replace(config, algorithm=algorithm)

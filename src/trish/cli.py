@@ -13,10 +13,15 @@ import sys
 
 import numpy as np
 
+from .data import csv_to_libsvm
+from .harness import (calibration_rng, compute_G, load_config, load_problem,
+                      run_grid)
+from .optimizer import HyperParams, run_trish
+from .theory import (SyntheticQuadratic, gradient_moments, stepsize_bounds,
+                     verify_lemma1, verify_theorem_gap)
+
 
 def _cmd_run(args) -> int:
-    from .harness import load_config, run_grid
-
     config = load_config(args.config)
     results = run_grid(config)
     best = max(results, key=lambda r: r.mean_metric) if config.model != "mlp_regressor" \
@@ -31,8 +36,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_calibrate_g(args) -> int:
-    from .harness import calibration_rng, compute_G, load_config, load_problem
-
     config = load_config(args.config)
     problem, _, _ = load_problem(config)
     G = compute_G(problem, calibration_rng(config.seed))
@@ -41,9 +44,6 @@ def _cmd_calibrate_g(args) -> int:
 
 
 def _verify_lemma1(seed: int) -> bool:
-    from .optimizer import HyperParams
-    from .theory import SyntheticQuadratic, stepsize_bounds, verify_lemma1
-
     rng = np.random.default_rng(seed)
     problem = SyntheticQuadratic(diag=[0.5, 1.0, 2.0],
                                  offsets=rng.normal(size=(6, 3)))
@@ -66,9 +66,6 @@ def _verify_lemma1(seed: int) -> bool:
 
 
 def _verify_thm2(seed: int) -> bool:
-    from .optimizer import HyperParams
-    from .theory import SyntheticQuadratic, verify_theorem_gap
-
     rng = np.random.default_rng(seed)
     problem = SyntheticQuadratic(
         diag=[0.5, 1.0],
@@ -83,9 +80,6 @@ def _verify_thm2(seed: int) -> bool:
 
 
 def _verify_thm3(seed: int) -> bool:
-    from .optimizer import HyperParams, run_trish
-    from .theory import SyntheticQuadratic, gradient_moments, stepsize_bounds
-
     rng = np.random.default_rng(seed)
     problem = SyntheticQuadratic(diag=[0.5, 1.0],
                                  scales=1.0 + 0.1 * np.linspace(-1, 1, 8))
@@ -111,8 +105,6 @@ def _cmd_verify_theory(args) -> int:
 
 
 def _cmd_convert(args) -> int:
-    from .data import csv_to_libsvm
-
     tmp = f"{args.libsvm}.{os.getpid()}.tmp"  # replaces the output only once complete
     try:
         with open(args.csv) as src, open(tmp, "w") as dst:

@@ -32,6 +32,7 @@ _MODELS = ("logistic", "mlp_classifier", "mlp_regressor")
 DEFAULT_ALPHAS = (0.1, 10.0**-0.5, 1.0, 10.0**0.5, 10.0)
 DEFAULT_GAMMA1_MULTIPLIERS = (4.0, 8.0, 16.0, 32.0)
 DEFAULT_GAMMA2_MULTIPLIERS = (0.5, 1.0, 2.0)
+FIXED_BATCH = 64  # batch of G calibration and of fixed-batch runs, capped at N
 
 GRID_CSV_HEADER = ("alpha,gamma1,gamma2,algorithm,mean_metric,std_metric,"
                    "mean_final_batch,case1_frac,case2_frac,case3_frac")
@@ -41,7 +42,8 @@ CURVE_CSV_HEADER = "ege,train_loss,test_metric"
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a grid experiment needs, JSON-loadable.  Adaptive runs take
-    theta, nu and r from `HyperParams` and s0 from `initial_sample_size`."""
+    theta, nu and r from `HyperParams` and s0 from `initial_sample_size`;
+    fixed-batch runs and G calibration take `FIXED_BATCH`."""
 
     model: str
     algorithm: str
@@ -57,7 +59,6 @@ class ExperimentConfig:
     reps: int = 50
     seed: int = 0
     budget_epochs: float = 1.0
-    batch_size: int = 64                     # fixed batch for trish / sg
     g_value: Optional[float] = None          # skip calibration, use this G
     output_dir: Optional[str] = None
 
@@ -85,7 +86,6 @@ class ExperimentConfig:
             raise ValueError(f"positive_label applies only to mlp_classifier, "
                              f"not {self.model}")
         check_count("reps", self.reps)
-        check_count("batch_size", self.batch_size)
         check_count("seed", self.seed, low=0)
         budget = self.budget_epochs
         if isinstance(budget, bool) or not 0 < budget < math.inf:  # NaN fails
@@ -117,18 +117,18 @@ def load_config(path) -> ExperimentConfig:
 
 
 def initial_sample_size(N: int) -> int:
-    """Starting batch size rule for the adaptive algorithm."""
-    return min(32, math.ceil(N / 100))
+    """Adaptive starting batch size: ceil(N / 100), clamped to [2, 32]."""
+    return min(32, max(2, math.ceil(N / 100)))
 
 
 def compute_G(problem: FiniteSumProblem, rng: np.random.Generator) -> float:
     """Average stochastic-gradient norm over one epoch of SG.
 
-    SG runs with steplength 0.1 and batch size 64 (capped at N); the value
-    calibrates the gamma grids to the dataset's gradient scale.
+    SG runs with steplength 0.1 and the grid's fixed batch `FIXED_BATCH`
+    (capped at N); the value calibrates the gamma grids to the gradient scale.
     """
     init_rng, batch_rng = rng.spawn(2)
-    batch = min(64, problem.N)
+    batch = min(FIXED_BATCH, problem.N)
     x0 = default_x0(problem, init_rng)
     _, records = run_sg(problem, x0, alpha=0.1, batch_size=batch,
                         budget_epochs=1.0, rng=batch_rng)
@@ -244,7 +244,7 @@ def _run_once(config, problem, params, algorithm, seed_seq, metric_fn):
     if algorithm == "trish_as":
         return run_trish_as(problem, x0, params, initial_sample_size(problem.N),
                             config.budget_epochs, batch_rng, metric_fn=metric_fn)
-    batch = min(config.batch_size, problem.N)
+    batch = min(FIXED_BATCH, problem.N)
     if algorithm == "trish":
         return run_trish(problem, x0, params, batch, config.budget_epochs,
                          batch_rng, metric_fn=metric_fn)

@@ -187,8 +187,6 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
         size = min(N, max(size, proposed))
         return sample()
 
-    if size < 2:
-        sampler = None  # a batch of one has no sample variance: its size stays
     est, gsq = sample()
     if sampler is not None:
         history = GradientHistory(sampler.r)
@@ -255,10 +253,12 @@ def run_trish_as(problem: FiniteSumProblem, x0, params: HyperParams,
     grow and redraw once more.  The size never decreases and never exceeds N.
     Every drawn batch is charged to EGE, re-evaluations included.
 
-    Guard rails: the tests are skipped (size kept) when the batch has fewer
-    than two components, the gradient is zero, or any test quantity comes out
-    non-finite in floating point.  Telemetry is filled in after the loop, as
-    in `run_trish`.
+    The tests need a sample variance, so `s0` must be at least 2; a batch
+    of one is `run_trish`'s.  Guard rails: the tests are skipped (size kept)
+    when the gradient is zero or any test quantity comes out non-finite in
+    floating point.  Telemetry is filled in after the loop, as in `run_trish`.
     """
+    if s0 < 2:
+        raise ValueError(f"s0 must be >= 2, got {s0!r}; run_trish runs a batch of one")
     return _run(problem, x0, s0, budget_epochs, rng, metric_fn,
                 _trish_rule(params), sampler=params)

@@ -20,7 +20,9 @@ from .core import GradientEstimate, NumericError, as_vector, check_count
 
 
 class DegenerateBatchError(ValueError):
-    """Batch too small for a sample variance (needs at least 2 components)."""
+    """Batch too small for a sample variance (needs at least 2 components).
+    No driver meets it (`run_trish_as` rejects s0 < 2); only direct callers
+    of `variance_report`, `required_size` or `noisy_regime_step` can."""
 
 
 class ZeroReferenceError(ValueError):

@@ -278,16 +278,16 @@ def verify_theorem_gap(problem: SyntheticQuadratic, params: HyperParams,
 
     Runs `reps` independent fixed-batch trajectories for `horizon_iters`
     steps from minimizer + 1 and compares the averaged final gap with its
-    asymptotic ceiling 2 * beta * M_g / (mu * gamma2).  M_g is the exact
-    enumerated gradient-estimate variance at the start point; for
-    additive-noise quadratics it is position-independent, hence a uniform
-    bound.
+    asymptotic ceiling 2 * beta * M_g / (mu * gamma2) from `asymptotic_gaps`.
+    M_g is the exact enumerated gradient-estimate variance at the start
+    point; for additive-noise quadratics it is position-independent, hence
+    a uniform bound.
     """
     x0 = problem.minimizer + 1.0
     L, mu = problem.lipschitz, problem.pl_constant
     beta = beta_const(params.alpha, params.gamma1, params.gamma2, L)
     m_g = gradient_moments(problem, x0, batch_size).e_err_sq
-    bound = 2.0 * beta * m_g / (mu * params.gamma2)
+    bound = asymptotic_gaps(beta, m_g, mu, params.gamma2)[0]
 
     budget = horizon_iters * batch_size / problem.N
     gaps = np.empty(reps)

@@ -260,7 +260,7 @@ def a1a_grids():
     config = ExperimentConfig(
         model="logistic", algorithm="trish",
         train_path=str(data_file("a1a")), test_path=str(data_file("a1a.t")),
-        reps=50, seed=20240601, budget_epochs=1.0, batch_size=64)
+        reps=50, seed=20240601, budget_epochs=1.0)
     problem, X_test, y_test = load_problem(config)
     G = compute_G(problem, calibration_rng(config.seed))
     grids = {}
@@ -298,8 +298,7 @@ def test_criterion_08_air_reproduction():
     config = ExperimentConfig(
         model="mlp_regressor", algorithm="trish",
         data_path=str(data_file("air.libsvm")), train_fraction=0.7,
-        normalize=True, reps=50, seed=20240602, budget_epochs=1.0,
-        batch_size=64)
+        normalize=True, reps=50, seed=20240602, budget_epochs=1.0)
     problem, X_test, y_test = load_problem(config)
     assert problem.N == 6294
     G = compute_G(problem, calibration_rng(config.seed))

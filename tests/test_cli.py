@@ -111,7 +111,7 @@ def test_run_with_config(logistic_files, tmp_path, capsys):
         "test_path": str(logistic_files / "test.libsvm"),
         "alphas": [0.1], "gamma1_multipliers": [4.0],
         "gamma2_multipliers": [1.0], "reps": 2, "seed": 5,
-        "batch_size": 16, "output_dir": str(tmp_path / "results"),
+        "output_dir": str(tmp_path / "results"),
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))

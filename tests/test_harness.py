@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from trish.core import FiniteSumProblem
 from trish.data import dump_libsvm, parse_libsvm, Dataset
@@ -56,10 +57,20 @@ class TestComputeG:
 
 class TestInitialSampleSize:
     @pytest.mark.parametrize("N,expected", [
-        (1605, 17), (2477, 25), (6294, 32), (60000, 32), (50, 1), (100, 1),
+        (1605, 17), (2477, 25), (6294, 32), (60000, 32), (50, 2), (100, 2),
     ])
     def test_rule(self, N, expected):
         assert initial_sample_size(N) == expected
+
+    @given(N=st.integers(2, 10**7))
+    def test_floor_of_two(self, N):
+        """The variance tests need two components: N <= 100 used to start at
+        1, where the adaptive run never adapted.  Elsewhere the rule is
+        min(32, ceil(N / 100)) as before."""
+        size = initial_sample_size(N)
+        assert 2 <= size <= min(32, N)
+        if math.ceil(N / 100) >= 2:
+            assert size == min(32, math.ceil(N / 100))
 
 
 class TestBuildGrid:
@@ -92,7 +103,7 @@ def tiny_config(**overrides):
     base = dict(model="logistic", algorithm="trish_as",
                 alphas=(0.1, 1.0), gamma1_multipliers=(4.0, 8.0),
                 gamma2_multipliers=(1.0,), reps=2, seed=7,
-                budget_epochs=1.0, batch_size=16, g_value=None)
+                budget_epochs=1.0, g_value=None)
     base.update(overrides)
     return ExperimentConfig(**base)
 
@@ -166,6 +177,15 @@ class TestRunGrid:
                              gamma1_multipliers=(4.0,), reps=1)
         results = self.run(config)
         assert results[0].case_fracs == (0.0, 0.0, 0.0)
+
+    def test_adaptive_grid_grows_batch_at_n_100(self):
+        """At N = 100 the harness used to start trish_as at batch 1, where
+        the variance tests never ran: mean_final_batch stayed 1.0."""
+        X, y = synthetic_logistic(N=100)
+        config = tiny_config(alphas=(0.1,), gamma1_multipliers=(4.0,))
+        [cell] = run_grid(config, problem=LogisticModel(X, y),
+                          test_features=self.test[0], test_labels=self.test[1])
+        assert cell.mean_final_batch > initial_sample_size(100)
 
     def test_seeds_differ_across_cells_and_reps(self):
         config = tiny_config(reps=2)
@@ -332,9 +352,10 @@ class TestConfig:
         ("gamma2_multipliers", [False, 1.0])])
     def test_rejects_bad_values_at_construction(self, field, value, tmp_path):
         """These used to construct and fail only inside run_grid, after the
-        dataset was parsed and G calibrated (or not at all). theta, nu, r and
-        s0 are no longer config keys: a config that sets one is refused as an
-        unknown key, whatever its value, instead of being silently ignored.
+        dataset was parsed and G calibrated (or not at all). theta, nu, r, s0
+        and batch_size are no longer config keys: a config that sets one is
+        refused as an unknown key, whatever its value, instead of being
+        silently ignored.
         A seed of True ran as seed 1, a g_value or grid entry of true as 1,
         and normalize "false" normalized. Every row names a data_path, the one
         source that reads train_fraction, so each fails on its own value."""
@@ -392,10 +413,10 @@ class TestConfig:
 
     def test_accepts_edge_values(self):
         config = ExperimentConfig(model="logistic", algorithm="trish_as",
-                                  batch_size=np.int64(1), g_value=1e-300,
+                                  reps=np.int64(1), g_value=1e-300,
                                   budget_epochs=1e-9, data_path="d",
                                   train_fraction=0.999, seed=np.int64(0))
-        assert config.batch_size == 1 and config.g_value == 1e-300
+        assert config.reps == 1 and config.g_value == 1e-300
 
     def test_readme_config_loads(self, tmp_path):
         """The README's config example, with its // comments removed, loads

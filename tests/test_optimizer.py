@@ -99,7 +99,7 @@ class ConstantRows(FiniteSumProblem):
         return self.rows[indices]
 
 
-@pytest.mark.parametrize("driver", (run_trish, run_trish_as))
+@pytest.mark.parametrize("driver", (run_trish,))
 @pytest.mark.parametrize("gamma1, gamma2", [(4.0, 1.0), (7.0, 3.0), (10.0, 3.0)])
 def test_run_cases_match_classify_case(driver, gamma1, gamma2):
     """The run's step branch equals `classify_case` on each recorded norm,
@@ -365,7 +365,7 @@ class TestRunTrishAs:
 
     @settings(max_examples=60, deadline=None)
     @given(theta=TEST_CONSTANT, nu=TEST_CONSTANT, r=st.integers(1, 12),
-           s0=st.integers(1, 30))
+           s0=st.integers(2, 30))
     @example(theta=0.3, nu=0.5, r=3, s0=2)
     def test_batch_sizes_monotone_and_capped(self, theta, nu, r, s0):
         problem = quadratic(N=30, noise=5.0, seed=3)
@@ -377,7 +377,7 @@ class TestRunTrishAs:
         assert sizes[0] == s0
         assert all(b - a >= 0 for a, b in zip(sizes, sizes[1:]))
         assert max(sizes) <= 30
-        if max(theta, nu) <= 0.5 and 2 <= s0 < 30:
+        if max(theta, nu) <= 0.5 and s0 < 30:
             assert sizes[-1] > s0  # tight tests on a noisy problem force growth
 
     def test_zero_gradient_guard_keeps_size(self):
@@ -391,17 +391,19 @@ class TestRunTrishAs:
         assert all(r.grad_norm == 0.0 for r in records)
         np.testing.assert_array_equal(x, np.zeros(1))
 
-    def test_singleton_batch_skips_tests(self):
-        problem = quadratic(N=10, noise=5.0)
-        params = HyperParams(alpha=0.1, gamma1=4.0, gamma2=1.0,
-                             theta=1e-6, nu=1e-6)  # would fail instantly
-        _, records = run_trish_as(problem, np.ones(2), params, 1, 1.0,
-                                  np.random.default_rng(0))
-        assert all(r.batch_size == 1 for r in records)
+    @pytest.mark.parametrize("N", (1, 10))
+    def test_singleton_batch_rejected(self, N):
+        """A batch of one has no sample variance: s0 = 1 used to run as
+        `run_trish` with batch 1, on any problem size."""
+        problem = quadratic(N=N, noise=5.0)
+        params = HyperParams(alpha=0.1, gamma1=4.0, gamma2=1.0)
+        with pytest.raises(ValueError, match="run_trish runs a batch of one"):
+            run_trish_as(problem, np.ones(2), params, 1, 1.0,
+                         np.random.default_rng(0))
 
     @settings(max_examples=60, deadline=None)
     @given(theta=TEST_CONSTANT, nu=TEST_CONSTANT, r=st.integers(1, 12),
-           s0=st.integers(1, 25))
+           s0=st.integers(2, 25))
     @example(theta=0.4, nu=0.8, r=3, s0=2)
     def test_ege_counts_every_evaluation(self, theta, nu, r, s0):
         inner = quadratic(N=25, noise=3.0, seed=5)
