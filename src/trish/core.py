@@ -63,6 +63,10 @@ class FiniteSumProblem(ABC):
         """Gradient of component i at x."""
         return self.component_gradients([i], x)[0]
 
+    def component_loss_stack(self, i: int, xs: np.ndarray) -> np.ndarray:
+        """Loss of component i at each row of a K x n stack of points."""
+        return np.array([self.component_loss(i, x) for x in xs])
+
     def loss(self, x: np.ndarray) -> float:
         """Full objective F(x)."""
         return float(np.mean(self.component_losses(np.arange(self.N), x)))

@@ -213,6 +213,16 @@ class MlpModel(FiniteSumProblem):
         h = self._forward(Z, self.unpack(x))[-1].ravel()
         return self._losses_from_h(h, self.targets[idx])
 
+    def component_loss_stack(self, i: int, xs: np.ndarray) -> np.ndarray:
+        # One batched forward pass of row i through K parameter vectors.
+        if xs.shape[1] != self.n:
+            raise ValueError(f"parameter vectors have length {xs.shape[1]}, expected {self.n}")
+        a = self.features[i][None, :, None]
+        for (w, b, fan_out, fan_in), kind in zip(self._slices, self.activations):
+            pre = xs[:, w].reshape(-1, fan_out, fan_in) @ a + xs[:, b, None]
+            a = expit(pre) if kind == "sigmoid" else pre
+        return self._losses_from_h(a.ravel(), self.targets[i])
+
     def _backward_deltas(self, acts, layers, y):
         """Output-layer delta seeded from dL/dh, chained through activations."""
         hc = np.clip(acts[-1].ravel(), _CLAMP_EPS, 1.0 - _CLAMP_EPS)
@@ -247,21 +257,24 @@ class MlpModel(FiniteSumProblem):
         return float(np.mean(self._losses_from_h(h, self.targets)))
 
 
+FD_CHUNK = 256  # most perturbed points per `component_loss_stack` call
+
+
 def finite_difference_gradient(problem: FiniteSumProblem, i: int, x,
                                h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of component i, one coordinate at a time."""
+    """Central-difference gradient of component i, each coordinate moved by
+    +-h alone, the losses taken FD_CHUNK points at a time."""
     if h <= 0:
         raise ValueError("h must be positive")
-    x = as_vector(x).copy()
+    x = as_vector(x)
     grad = np.empty(x.size)
-    for j in range(x.size):
-        old = x[j]
-        x[j] = old + h
-        up = problem.component_loss(i, x)
-        x[j] = old - h
-        down = problem.component_loss(i, x)
-        x[j] = old
-        grad[j] = (up - down) / (2.0 * h)
+    for lo in range(0, x.size, FD_CHUNK):
+        js = np.arange(lo, min(lo + FD_CHUNK, x.size))
+        up, down = np.tile(x, (2, js.size, 1))
+        up[np.arange(js.size), js] += h
+        down[np.arange(js.size), js] -= h
+        grad[js] = (problem.component_loss_stack(i, up)
+                    - problem.component_loss_stack(i, down)) / (2.0 * h)
     return grad
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteSumProblem, as_vector
+from .core import FiniteSumProblem, as_vector, check_count
 from .optimizer import HyperParams, run_trish, trish_step
 
 
@@ -152,19 +152,40 @@ class SyntheticQuadratic(FiniteSumProblem):
         return self.diag * as_vector(x)
 
 
+ENUM_BLOCK = 4096  # most batches gathered at once; bounds the temporaries
+
+
 def _batch_gradients(problem: FiniteSumProblem, x: np.ndarray, batch_size: int):
-    """Full gradient, the gradient of every batch of `batch_size` in index
-    order, and the averages of ||g||^2 and ||g - grad||^2 over them."""
+    """Full gradient and a generator of the gradients of every batch of
+    `batch_size` in index order, as blocks of at most ENUM_BLOCK rows; each
+    row is the mean of the batch's component gradients, summed first to last.
+    """
+    check_count("batch_size", batch_size)
+    if batch_size > problem.N:
+        raise ValueError(f"batch_size must be at most N = {problem.N}, got {batch_size!r}")
     grad = problem.gradient(x)
     per = problem.component_gradients(np.arange(problem.N), x)
-    gs = [per[list(batch)].mean(axis=0)
-          for batch in itertools.combinations(range(problem.N), batch_size)]
-    e_g_sq = e_err_sq = 0.0
-    for g in gs:
-        e_g_sq += float(g @ g)
-        diff = g - grad
-        e_err_sq += float(diff @ diff)
-    return grad, gs, e_g_sq / len(gs), e_err_sq / len(gs)
+    combos = itertools.combinations(range(problem.N), batch_size)
+
+    def blocks():
+        while flat := list(itertools.chain.from_iterable(
+                itertools.islice(combos, ENUM_BLOCK))):
+            yield per[np.reshape(flat, (-1, batch_size))].mean(axis=1)
+    return grad, blocks()
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] (or a[i] @ b for a vector b) for every row i, each through
+    the dot kernel `a[i] @ b[i]` itself uses; an elementwise sum rounds
+    differently."""
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+
+
+def _add_in_order(total: float, values: np.ndarray) -> float:
+    """total + values[0] + values[1] + ..., added first to last as a loop
+    does; `values` is overwritten."""
+    values[0] += total
+    return float(np.add.accumulate(values, out=values)[-1])
 
 
 @dataclass(frozen=True)
@@ -181,23 +202,34 @@ class GradientMoments:
 def gradient_moments(problem: FiniteSumProblem, x, batch_size: int) -> GradientMoments:
     """Moments of the uniform without-replacement batch gradient, enumerated.
 
-    Feasible for small N only (C(N, batch_size) batches).  The projection
-    moments require a nonzero full gradient.
+    Every one of the C(N, batch_size) batches is visited, ENUM_BLOCK at a
+    time, so memory stays O(ENUM_BLOCK * batch_size * n) for any count; the
+    time still grows with C(N, batch_size).  Each moment is added batch by
+    batch in index order, so the values equal a loop over the batches bit for
+    bit.  `batch_size` must be an integer in [1, N] (a bool is not); anything
+    else raises ValueError.  The projection moments require a nonzero full
+    gradient and are NaN otherwise.
     """
-    grad, gs, e_g_sq, e_err_sq = _batch_gradients(problem, as_vector(x), batch_size)
+    grad, blocks = _batch_gradients(problem, as_vector(x), batch_size)
     grad_sq = float(grad @ grad)
-    inner = orth = float("nan")
-    if grad_sq > 0:
-        inner = orth = 0.0
-        for g in gs:
-            dot = float(g @ grad)
-            inner += (dot - grad_sq) ** 2
-            residual = g - (dot / grad_sq) * grad
-            orth += float(residual @ residual)
-        inner /= len(gs)
-        orth /= len(gs)
-    return GradientMoments(grad=grad, e_g_sq=e_g_sq, e_err_sq=e_err_sq,
-                           inner_moment=inner, orth_moment=orth)
+    e_g_sq = e_err_sq = inner = orth = 0.0
+    for gs in blocks:
+        diff = gs - grad
+        e_g_sq = _add_in_order(e_g_sq, _dots(gs, gs))
+        e_err_sq = _add_in_order(e_err_sq, _dots(diff, diff))
+        if grad_sq > 0:
+            dot = _dots(gs, grad)
+            # Python's ** 2 is libm pow, which can round unlike x * x.
+            inner = _add_in_order(inner, np.array(
+                [v ** 2 for v in (dot - grad_sq).tolist()]))
+            residual = gs - (dot / grad_sq)[:, None] * grad
+            orth = _add_in_order(orth, _dots(residual, residual))
+    count = math.comb(problem.N, batch_size)
+    if not grad_sq > 0:
+        inner = orth = float("nan")
+    return GradientMoments(grad=grad, e_g_sq=e_g_sq / count,
+                           e_err_sq=e_err_sq / count,
+                           inner_moment=inner / count, orth_moment=orth / count)
 
 
 @dataclass(frozen=True)
@@ -228,18 +260,23 @@ def verify_lemma1(problem: FiniteSumProblem, x, params: HyperParams,
                   batch_size: int, L: float) -> ExpectedDecreaseReport:
     """Check both expected-decrease inequalities at x.
 
-    Expectations are exact enumerations over all batches of `batch_size`.
-    The inequalities hold for every admissible parameter tuple, so
-    violations beyond floating-point slack indicate a defect.
+    Expectations are exact enumerations over all batches of `batch_size`:
+    E||g||^2 and E||g - grad||^2 come from `gradient_moments` (blocks of
+    ENUM_BLOCK batches, memory O(ENUM_BLOCK * batch_size * n), the same input
+    checks), and E[F(x + p)] takes one step and one loss per batch.  The
+    inequalities hold for every admissible parameter tuple, so violations
+    beyond floating-point slack indicate a defect.
     """
     x = as_vector(x)
     f_x = problem.loss(x)
-    grad, gs, e_g_sq, e_err_sq = _batch_gradients(problem, x, batch_size)
-    grad_sq = float(grad @ grad)
+    moments = gradient_moments(problem, x, batch_size)
+    grad_sq = float(moments.grad @ moments.grad)
+    e_g_sq, e_err_sq = moments.e_g_sq, moments.e_err_sq
     e_next = 0.0
-    for g in gs:
-        e_next += problem.loss(x + trish_step(g, params))
-    e_next /= len(gs)
+    for gs in _batch_gradients(problem, x, batch_size)[1]:
+        for g in gs:
+            e_next += problem.loss(x + trish_step(g, params))
+    e_next /= math.comb(problem.N, batch_size)
 
     alpha, g1, g2 = params.alpha, params.gamma1, params.gamma2
     beta = beta_const(alpha, g1, g2, L)
@@ -281,8 +318,10 @@ def verify_theorem_gap(problem: SyntheticQuadratic, params: HyperParams,
     asymptotic ceiling 2 * beta * M_g / (mu * gamma2) from `asymptotic_gaps`.
     M_g is the exact enumerated gradient-estimate variance at the start
     point; for additive-noise quadratics it is position-independent, hence
-    a uniform bound.
+    a uniform bound.  `reps` must be an integer >= 1 and `batch_size` one in
+    [1, N]; anything else raises ValueError.
     """
+    check_count("reps", reps)
     x0 = problem.minimizer + 1.0
     L, mu = problem.lipschitz, problem.pl_constant
     beta = beta_const(params.alpha, params.gamma1, params.gamma2, L)

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
+from trish import models
 from trish.models import (_CLAMP_EPS, LogisticModel, MlpModel, _dense,
                           default_x0, finite_difference_gradient,
                           testing_accuracy, testing_loss)
@@ -338,8 +339,11 @@ class TestMlpModel:
 
     def test_parameter_length_mismatch_rejected(self):
         model = self.classifier_fixture()
-        with pytest.raises(ValueError):
-            model.component_loss(0, np.zeros(model.n + 1))
+        for x in (np.zeros(model.n - 1), np.zeros(model.n + 1)):
+            with pytest.raises(ValueError):
+                model.component_loss(0, x)
+            with pytest.raises(ValueError, match="parameter vectors have length"):
+                finite_difference_gradient(model, 0, x)
 
 
 class TestFiniteDifferenceOracle:
@@ -377,6 +381,45 @@ class TestFiniteDifferenceOracle:
         model = logistic_fixture()
         with pytest.raises(ValueError):
             finite_difference_gradient(model, 0, np.zeros(model.n), h=0.0)
+
+    @pytest.mark.parametrize("K", [1, 5, 40])
+    def test_mlp_loss_stack_equals_single_losses(self, K):
+        """The batched forward pass through K parameter vectors at one row
+        gives `component_loss` at each, up to rounding."""
+        rng = np.random.default_rng(K)
+        for model in (TestMlpModel().classifier_fixture(),
+                      TestMlpModel().regressor_fixture()):
+            xs = rng.uniform(-1, 1, (K, model.n))
+            for i in (0, model.N - 1):
+                np.testing.assert_allclose(
+                    model.component_loss_stack(i, xs),
+                    [model.component_loss(i, x) for x in xs], rtol=1e-13, atol=0)
+
+    def test_chunks_equal_one_coordinate_loop(self, monkeypatch):
+        """Chunks of 7 coordinates, the last one short, against the loop that
+        moved one coordinate at a time and took one loss per point."""
+        def loop_fd(problem, i, x, h):
+            x = x.copy()
+            grad = np.empty(x.size)
+            for j in range(x.size):
+                old = x[j]
+                x[j] = old + h
+                up = problem.component_loss(i, x)
+                x[j] = old - h
+                down = problem.component_loss(i, x)
+                x[j] = old
+                grad[j] = (up - down) / (2.0 * h)
+            return grad
+
+        monkeypatch.setattr(models, "FD_CHUNK", 7)
+        rng = np.random.default_rng(6)
+        for model in (TestMlpModel().classifier_fixture(), logistic_fixture(n=9)):
+            assert model.n % 7
+            x = rng.uniform(-0.5, 0.5, model.n)
+            # Loss rounding (~1e-16) over 2h bounds the difference.
+            np.testing.assert_allclose(finite_difference_gradient(model, 1, x, 1e-5),
+                                       loop_fd(model, 1, x, 1e-5),
+                                       rtol=0, atol=1e-9)
 
 
 class TestMetrics:

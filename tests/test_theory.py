@@ -1,9 +1,15 @@
 """Tests for convergence constants, bounds, and the verification oracles."""
 
+import dataclasses
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trish.optimizer import HyperParams, run_trish
+from trish import theory
+from trish.optimizer import HyperParams, run_trish, trish_step
 from trish.theory import (SyntheticQuadratic, asymptotic_gaps, beta_const,
                           gradient_moments, second_moment_coefficient,
                           stepsize_bounds, verify_lemma1, verify_theorem_gap)
@@ -228,3 +234,174 @@ class TestGradientMoments:
         m1 = gradient_moments(p, np.zeros(2), batch_size=2)
         m2 = gradient_moments(p, rng.normal(size=2), batch_size=2)
         assert np.isclose(m1.e_err_sq, m2.e_err_sq, rtol=1e-10)
+
+    def test_err_sq_matches_without_replacement_closed_form(self):
+        """E||g_S - grad||^2 = (N-s)/(s(N-1)) * (1/N) sum_i ||grad_i - grad||^2,
+        the identity that scores batch sizes beyond enumeration."""
+        rng = np.random.default_rng(10)
+        for N in range(2, 10):
+            for _ in range(5):
+                n = int(rng.integers(1, 6))
+                p = SyntheticQuadratic(diag=rng.uniform(0.1, 3.0, n),
+                                       offsets=rng.normal(size=(N, n)),
+                                       scales=rng.uniform(0.2, 3.0, N))
+                x = rng.normal(size=n)
+                dev = p.component_gradients(np.arange(N), x) - p.gradient(x)
+                spread = float(np.mean(np.sum(dev * dev, axis=1)))
+                for s in range(1, N):
+                    closed = (N - s) / (s * (N - 1)) * spread
+                    np.testing.assert_allclose(
+                        gradient_moments(p, x, s).e_err_sq, closed,
+                        rtol=1e-12, atol=0)
+                # At s = N the closed form is 0; the batch mean and the
+                # closed-form gradient differ by rounding only.
+                assert gradient_moments(p, x, N).e_err_sq <= 1e-28 * spread
+
+
+class TestEnumerationInputChecks:
+    """`gradient_moments(p, x, 0)` used to return NaN moments with only
+    RuntimeWarnings, N + 1 raised a bare ZeroDivisionError and True ran as 1."""
+
+    def problem(self):
+        return SyntheticQuadratic(diag=[0.5, 1.0],
+                                  offsets=np.random.default_rng(0).normal(size=(6, 2)))
+
+    BAD_SIZES = [True, False, 0, -1, 2.0, 2.5, "2", None, 7]
+
+    @pytest.mark.parametrize("batch_size", BAD_SIZES)
+    def test_gradient_moments_rejects_batch_size(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            gradient_moments(self.problem(), np.ones(2), batch_size)
+
+    @pytest.mark.parametrize("batch_size", BAD_SIZES)
+    def test_verify_lemma1_rejects_batch_size(self, batch_size):
+        p = self.problem()
+        params = HyperParams(alpha=0.05, gamma1=2.0, gamma2=1.0)
+        with pytest.raises(ValueError, match="batch_size"):
+            verify_lemma1(p, np.ones(2), params, batch_size, L=p.lipschitz)
+
+    @pytest.mark.parametrize("batch_size", BAD_SIZES)
+    def test_verify_theorem_gap_rejects_batch_size(self, batch_size):
+        params = HyperParams(alpha=0.1, gamma1=2.0, gamma2=1.0)
+        with pytest.raises(ValueError, match="batch_size"):
+            verify_theorem_gap(self.problem(), params, batch_size, horizon_iters=10,
+                               reps=2, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_verify_theorem_gap_rejects_reps(self, reps):
+        params = HyperParams(alpha=0.1, gamma1=2.0, gamma2=1.0)
+        with pytest.raises(ValueError, match="reps"):
+            verify_theorem_gap(self.problem(), params, 2, horizon_iters=10,
+                               reps=reps, rng=np.random.default_rng(0))
+
+    def test_bounds_are_accepted(self):
+        p = self.problem()
+        assert gradient_moments(p, np.ones(2), np.int64(1)).e_err_sq > 0
+        assert gradient_moments(p, np.ones(2), p.N).e_err_sq < 1e-30
+
+
+# ---------------------------------------------------------------------------
+# The enumeration as a loop over the batches, kept verbatim as the reference
+# for the block enumeration in `trish.theory`.
+
+def loop_batch_gradients(problem, x, batch_size):
+    grad = problem.gradient(x)
+    per = problem.component_gradients(np.arange(problem.N), x)
+    gs = [per[list(batch)].mean(axis=0)
+          for batch in itertools.combinations(range(problem.N), batch_size)]
+    e_g_sq = e_err_sq = 0.0
+    for g in gs:
+        e_g_sq += float(g @ g)
+        diff = g - grad
+        e_err_sq += float(diff @ diff)
+    return grad, gs, e_g_sq / len(gs), e_err_sq / len(gs)
+
+
+def loop_gradient_moments(problem, x, batch_size):
+    grad, gs, e_g_sq, e_err_sq = loop_batch_gradients(problem, x, batch_size)
+    grad_sq = float(grad @ grad)
+    inner = orth = float("nan")
+    if grad_sq > 0:
+        inner = orth = 0.0
+        for g in gs:
+            dot = float(g @ grad)
+            inner += (dot - grad_sq) ** 2
+            residual = g - (dot / grad_sq) * grad
+            orth += float(residual @ residual)
+        inner /= len(gs)
+        orth /= len(gs)
+    return theory.GradientMoments(grad=grad, e_g_sq=e_g_sq, e_err_sq=e_err_sq,
+                                  inner_moment=inner, orth_moment=orth)
+
+
+def loop_verify_lemma1(problem, x, params, batch_size, L):
+    f_x = problem.loss(x)
+    grad, gs, e_g_sq, e_err_sq = loop_batch_gradients(problem, x, batch_size)
+    grad_sq = float(grad @ grad)
+    e_next = 0.0
+    for g in gs:
+        e_next += problem.loss(x + trish_step(g, params))
+    e_next /= len(gs)
+
+    alpha, g1, g2 = params.alpha, params.gamma1, params.gamma2
+    beta = beta_const(alpha, g1, g2, L)
+    rhs_sm = f_x - alpha * g1**2 / (2.0 * g2) * grad_sq + alpha * beta * e_g_sq
+    rhs_var = (f_x - 0.5 * alpha * (g2 - alpha * g1**2 * L) * grad_sq
+               + alpha * beta * e_err_sq)
+    slack = 1e-12 * max(1.0, abs(f_x))
+    return theory.ExpectedDecreaseReport(
+        f_x=f_x, expected_next=e_next, grad_sq=grad_sq,
+        e_g_sq=e_g_sq, e_err_sq=e_err_sq,
+        rhs_second_moment=rhs_sm, rhs_variance=rhs_var,
+        holds_second_moment=bool(e_next <= rhs_sm + slack),
+        holds_variance=bool(e_next <= rhs_var + slack))
+
+
+def same_bits(new, old) -> bool:
+    """Every field equal bit for bit (NaN equal to the same NaN)."""
+    return all(np.asarray(getattr(new, f.name)).tobytes()
+               == np.asarray(getattr(old, f.name)).tobytes()
+               for f in dataclasses.fields(old))
+
+
+@st.composite
+def enumeration_cases(draw):
+    """A quadratic with N <= 9 components in n <= 5 dimensions, additive
+    and/or multiplicative noise, and a point, scales spanning 1e-3 to 1e3."""
+    N, n = draw(st.integers(1, 9)), draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    magnitude = st.floats(-3, 3).map(lambda e: 10.0**e)
+    noise = draw(st.sampled_from(["offsets", "scales", "both"]))
+    offsets = (rng.normal(size=(N, n)) * draw(magnitude)
+               if noise != "scales" else None)
+    scales = (10.0 ** rng.uniform(-3, 3, N) if noise != "offsets" else None)
+    p = SyntheticQuadratic(diag=rng.uniform(0.1, 3.0, n) * draw(magnitude),
+                           offsets=offsets, scales=scales)
+    x = (np.zeros(n) if draw(st.booleans()) and noise == "scales"  # grad = 0
+         else rng.normal(size=n) * draw(magnitude))
+    return p, x, draw(st.integers(1, 3))
+
+
+class TestBlockEnumeration:
+    @settings(max_examples=150, deadline=None)
+    @given(enumeration_cases())
+    def test_equal_to_the_loop_bit_for_bit(self, case):
+        p, x, block = case
+        params = HyperParams(alpha=0.05, gamma1=2.0, gamma2=1.0)
+        # Blocks of 1 to 3 batches carry the running sums across blocks.
+        with mock.patch.object(theory, "ENUM_BLOCK", block):
+            for size in range(1, p.N + 1):
+                assert same_bits(gradient_moments(p, x, size),
+                                 loop_gradient_moments(p, x, size))
+                assert same_bits(verify_lemma1(p, x, params, size, p.lipschitz),
+                                 loop_verify_lemma1(p, x, params, size, p.lipschitz))
+
+    def test_squares_round_like_python_pow(self):
+        """Python's `** 2` calls libm `pow`, which need not round like x * x:
+        with glibc, one of this case's squares at size 2 does not."""
+        rng = np.random.default_rng(430)
+        p = SyntheticQuadratic(diag=[0.5, 1.0], offsets=rng.normal(size=(3, 2)))
+        x = rng.normal(size=2)
+        for size in (1, 2, 3):
+            assert same_bits(gradient_moments(p, x, size),
+                             loop_gradient_moments(p, x, size))
