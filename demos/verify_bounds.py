@@ -2,8 +2,10 @@
 """Compute the convergence constants and check the bounds they promise.
 
 On a diagonal quadratic every constant is known in closed form, and batch
-expectations are exact by enumeration, so the expected-decrease inequalities
-and the asymptotic plateau can be verified with no statistical hedging.
+expectations are exact (the batch-gradient moments from their closed forms,
+the expected next loss by enumeration), so the expected-decrease
+inequalities and the asymptotic plateau can be verified with no statistical
+hedging.
 """
 
 import numpy as np

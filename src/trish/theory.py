@@ -1,9 +1,10 @@
 """Convergence constants, parameter bounds, and empirical verification oracles.
 
 The oracles work on small synthetic quadratics whose Lipschitz and
-gradient-dominance constants are known in closed form, so conditional
-expectations over mini-batches are computed exactly, and only, by
-enumerating all batches of a given size.
+gradient-dominance constants are known in closed form.  Conditional
+expectations over mini-batches are exact: the batch-gradient moments come
+from their without-replacement closed forms, and only E[F(x + p)], which is
+not linear in the batch gradient, enumerates all batches of a given size.
 """
 
 from __future__ import annotations
@@ -83,7 +84,9 @@ class SyntheticQuadratic(FiniteSumProblem):
     """Finite-sum diagonal quadratic with controlled gradient noise.
 
     Component i is 0.5 * c_i * x.Dx + b_i.x where the scales c_i average to
-    one and the offsets b_i sum to zero, so the full objective is exactly
+    one and stay positive after that shift (every component is convex; a
+    spread that would make one concave raises ValueError), and the offsets
+    b_i sum to zero, so the full objective is exactly
     0.5 * x.Dx with gradient Dx, minimizer 0, L = max D and mu = min D.
     Offsets give additive (position-independent) noise; scales give
     multiplicative noise that vanishes at the minimizer.
@@ -113,6 +116,8 @@ class SyntheticQuadratic(FiniteSumProblem):
             raise ValueError("scales must be positive")
         scales += 1.0 - scales.mean()
         scales[-1] = N - scales[:-1].sum()  # force the mean to one
+        if np.any(scales <= 0):  # a concave component
+            raise ValueError(f"scales shifted to mean one must be positive, got {scales}")
 
         self.diag = diag
         self.offsets = offsets
@@ -152,42 +157,6 @@ class SyntheticQuadratic(FiniteSumProblem):
         return self.diag * as_vector(x)
 
 
-ENUM_BLOCK = 4096  # most batches gathered at once; bounds the temporaries
-
-
-def _batch_gradients(problem: FiniteSumProblem, x: np.ndarray, batch_size: int):
-    """Full gradient and a generator of the gradients of every batch of
-    `batch_size` in index order, as blocks of at most ENUM_BLOCK rows; each
-    row is the mean of the batch's component gradients, summed first to last.
-    """
-    check_count("batch_size", batch_size)
-    if batch_size > problem.N:
-        raise ValueError(f"batch_size must be at most N = {problem.N}, got {batch_size!r}")
-    grad = problem.gradient(x)
-    per = problem.component_gradients(np.arange(problem.N), x)
-    combos = itertools.combinations(range(problem.N), batch_size)
-
-    def blocks():
-        while flat := list(itertools.chain.from_iterable(
-                itertools.islice(combos, ENUM_BLOCK))):
-            yield per[np.reshape(flat, (-1, batch_size))].mean(axis=1)
-    return grad, blocks()
-
-
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a[i] @ b[i] (or a[i] @ b for a vector b) for every row i, each through
-    the dot kernel `a[i] @ b[i]` itself uses; an elementwise sum rounds
-    differently."""
-    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
-
-
-def _add_in_order(total: float, values: np.ndarray) -> float:
-    """total + values[0] + values[1] + ..., added first to last as a loop
-    does; `values` is overwritten."""
-    values[0] += total
-    return float(np.add.accumulate(values, out=values)[-1])
-
-
 @dataclass(frozen=True)
 class GradientMoments:
     """Exact conditional moments of the batch gradient at a point."""
@@ -200,36 +169,37 @@ class GradientMoments:
 
 
 def gradient_moments(problem: FiniteSumProblem, x, batch_size: int) -> GradientMoments:
-    """Moments of the uniform without-replacement batch gradient, enumerated.
+    """Moments of the uniform without-replacement batch gradient, in closed form.
 
-    Every one of the C(N, batch_size) batches is visited, ENUM_BLOCK at a
-    time, so memory stays O(ENUM_BLOCK * batch_size * n) for any count; the
-    time still grows with C(N, batch_size).  Each moment is added batch by
-    batch in index order, so the values equal a loop over the batches bit for
-    bit.  `batch_size` must be an integer in [1, N] (a bool is not); anything
-    else raises ValueError.  The projection moments require a nonzero full
-    gradient and are NaN otherwise.
+    The mean g of s = batch_size of the N component gradients g_i, drawn
+    without replacement, has E||g - grad||^2 = c * mean_i ||g_i - grad||^2
+    with c = (N - s) / (s (N - 1)), and 0 at s = N.  The same finite-
+    population factor gives inner_moment = c * mean_i (g_i.grad - ||grad||^2)^2
+    and orth_moment = c * mean_i ||P g_i||^2, where P removes the component
+    along grad; e_g_sq is ||grad||^2 + e_err_sq.  One component_gradients call
+    and O(N n) work.  `batch_size` must be an integer in [1, N] (a bool is
+    not); anything else raises ValueError.  The projection moments require a
+    nonzero full gradient and are NaN otherwise.
     """
-    grad, blocks = _batch_gradients(problem, as_vector(x), batch_size)
+    check_count("batch_size", batch_size)
+    N = problem.N
+    if batch_size > N:
+        raise ValueError(f"batch_size must be at most N = {N}, got {batch_size!r}")
+    x = as_vector(x)
+    grad = problem.gradient(x)
+    per = problem.component_gradients(np.arange(N), x)
     grad_sq = float(grad @ grad)
-    e_g_sq = e_err_sq = inner = orth = 0.0
-    for gs in blocks:
-        diff = gs - grad
-        e_g_sq = _add_in_order(e_g_sq, _dots(gs, gs))
-        e_err_sq = _add_in_order(e_err_sq, _dots(diff, diff))
-        if grad_sq > 0:
-            dot = _dots(gs, grad)
-            # Python's ** 2 is libm pow, which can round unlike x * x.
-            inner = _add_in_order(inner, np.array(
-                [v ** 2 for v in (dot - grad_sq).tolist()]))
-            residual = gs - (dot / grad_sq)[:, None] * grad
-            orth = _add_in_order(orth, _dots(residual, residual))
-    count = math.comb(problem.N, batch_size)
-    if not grad_sq > 0:
-        inner = orth = float("nan")
-    return GradientMoments(grad=grad, e_g_sq=e_g_sq / count,
-                           e_err_sq=e_err_sq / count,
-                           inner_moment=inner / count, orth_moment=orth / count)
+    c = (N - batch_size) / (batch_size * (N - 1)) if batch_size < N else 0.0
+    dev = per - grad
+    e_err_sq = c * float(np.vdot(dev, dev)) / N
+    inner = orth = float("nan")
+    if grad_sq > 0:
+        along = dev @ grad  # g_i.grad - ||grad||^2
+        residual = dev - np.outer(along / grad_sq, grad)  # P g_i, as P grad = 0
+        inner = c * float(along @ along) / N
+        orth = c * float(np.vdot(residual, residual)) / N
+    return GradientMoments(grad=grad, e_g_sq=grad_sq + e_err_sq, e_err_sq=e_err_sq,
+                           inner_moment=inner, orth_moment=orth)
 
 
 @dataclass(frozen=True)
@@ -256,25 +226,32 @@ class ExpectedDecreaseReport:
         return self.holds_second_moment and self.holds_variance
 
 
+ENUM_BLOCK = 4096  # most batches gathered at once; bounds the temporaries
+
+
 def verify_lemma1(problem: FiniteSumProblem, x, params: HyperParams,
                   batch_size: int, L: float) -> ExpectedDecreaseReport:
     """Check both expected-decrease inequalities at x.
 
-    Expectations are exact enumerations over all batches of `batch_size`:
-    E||g||^2 and E||g - grad||^2 come from `gradient_moments` (blocks of
-    ENUM_BLOCK batches, memory O(ENUM_BLOCK * batch_size * n), the same input
-    checks), and E[F(x + p)] takes one step and one loss per batch.  The
-    inequalities hold for every admissible parameter tuple, so violations
-    beyond floating-point slack indicate a defect.
+    E||g||^2 and E||g - grad||^2 are the closed forms of `gradient_moments`
+    (with its input checks).  Only E[F(x + p)] enumerates, since the step is
+    not linear in g: every batch of `batch_size`, in index order, gathered
+    ENUM_BLOCK batches at a time (memory O(ENUM_BLOCK * batch_size * n)),
+    takes one step and one loss.  The inequalities hold for every admissible
+    parameter tuple, so violations beyond floating-point slack indicate a
+    defect.
     """
     x = as_vector(x)
     f_x = problem.loss(x)
     moments = gradient_moments(problem, x, batch_size)
     grad_sq = float(moments.grad @ moments.grad)
     e_g_sq, e_err_sq = moments.e_g_sq, moments.e_err_sq
+    per = problem.component_gradients(np.arange(problem.N), x)
+    combos = itertools.combinations(range(problem.N), batch_size)
     e_next = 0.0
-    for gs in _batch_gradients(problem, x, batch_size)[1]:
-        for g in gs:
+    while flat := list(itertools.chain.from_iterable(
+            itertools.islice(combos, ENUM_BLOCK))):
+        for g in per[np.reshape(flat, (-1, batch_size))].mean(axis=1):
             e_next += problem.loss(x + trish_step(g, params))
     e_next /= math.comb(problem.N, batch_size)
 
@@ -316,7 +293,7 @@ def verify_theorem_gap(problem: SyntheticQuadratic, params: HyperParams,
     Runs `reps` independent fixed-batch trajectories for `horizon_iters`
     steps from minimizer + 1 and compares the averaged final gap with its
     asymptotic ceiling 2 * beta * M_g / (mu * gamma2) from `asymptotic_gaps`.
-    M_g is the exact enumerated gradient-estimate variance at the start
+    M_g is the exact closed-form gradient-estimate variance at the start
     point; for additive-noise quadratics it is position-independent, hence
     a uniform bound.  `reps` must be an integer >= 1 and `batch_size` one in
     [1, N]; anything else raises ValueError.

@@ -1,6 +1,5 @@
 """Tests for convergence constants, bounds, and the verification oracles."""
 
-import dataclasses
 import itertools
 from unittest import mock
 
@@ -9,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trish import theory
+from trish.harness import build_grid
 from trish.optimizer import HyperParams, run_trish, trish_step
 from trish.theory import (SyntheticQuadratic, asymptotic_gaps, beta_const,
                           gradient_moments, second_moment_coefficient,
@@ -54,6 +54,16 @@ class TestStepsizeBounds:
         threshold = 1.0 - 1.0 / (4.0 * M2)
         assert np.isclose(threshold, 0.99304, atol=5e-6)
         assert b.ratio_ok is ((1.0 / 4.0) ** 2 > threshold) is False
+
+    def test_default_grid_fails_the_ratio_condition_everywhere(self):
+        """The largest (gamma2/gamma1)^2 of the default grid is (2/4)^2 =
+        0.25 at any G, far below 1 - 1/(4 M2) = 0.993."""
+        M2 = second_moment_coefficient(0.9, 5.84)
+        for G in (1e-2, 1.0, 1e2):
+            cells = build_grid(G)
+            assert len(cells) == 60
+            assert not any(stepsize_bounds(g1, g2, 1.0, M2=M2).ratio_ok
+                           for _, g1, g2 in cells)
 
     def test_ratio_condition_near_equal_gammas(self):
         M2 = second_moment_coefficient(0.9, 5.84)
@@ -132,6 +142,12 @@ class TestSyntheticQuadratic:
             x = rng.normal(scale=3.0, size=3)
             g = p.gradient(x)
             assert g @ g >= 2.0 * mu * (p.loss(x) - p.F_star) - 1e-12
+
+    def test_rejects_scales_that_shift_to_a_concave_component(self):
+        """Each scale used to be checked before the shift to mean one, so
+        [0.1, 10.0] was stored as [-3.95, 5.95]."""
+        with pytest.raises(ValueError, match="shifted to mean one must be positive"):
+            SyntheticQuadratic(diag=[1.0, 2.0], scales=[0.1, 10.0])
 
     def test_lipschitz_constant_is_max_eigenvalue(self):
         rng = np.random.default_rng(3)
@@ -236,26 +252,42 @@ class TestGradientMoments:
         assert np.isclose(m1.e_err_sq, m2.e_err_sq, rtol=1e-10)
 
     def test_err_sq_matches_without_replacement_closed_form(self):
-        """E||g_S - grad||^2 = (N-s)/(s(N-1)) * (1/N) sum_i ||grad_i - grad||^2,
-        the identity that scores batch sizes beyond enumeration."""
+        """With c = (N-s)/(s(N-1)), E||g_S - grad||^2 = c * mean_i ||grad_i -
+        grad||^2, E[(g_S.grad - ||grad||^2)^2] = c * mean_i (grad_i.grad -
+        ||grad||^2)^2 and E||P g_S||^2 = c * mean_i ||P grad_i||^2, where P
+        projects off grad: the identities, checked against the loop over
+        every batch."""
         rng = np.random.default_rng(10)
         for N in range(2, 10):
             for _ in range(5):
                 n = int(rng.integers(1, 6))
+                raw = rng.uniform(0.2, 3.0, N)
                 p = SyntheticQuadratic(diag=rng.uniform(0.1, 3.0, n),
                                        offsets=rng.normal(size=(N, n)),
-                                       scales=rng.uniform(0.2, 3.0, N))
+                                       scales=raw / raw.mean())
                 x = rng.normal(size=n)
-                dev = p.component_gradients(np.arange(N), x) - p.gradient(x)
-                spread = float(np.mean(np.sum(dev * dev, axis=1)))
+                grad = p.gradient(x)
+                grad_sq = float(grad @ grad)
+                per = p.component_gradients(np.arange(N), x)
+                dev = per - grad
+                proj = np.eye(n) - np.outer(grad, grad) / grad_sq
+                err_sq = float(np.mean(np.sum(dev * dev, axis=1)))
+                inner = float(np.mean((per @ grad - grad_sq) ** 2))
+                orth = float(np.mean(np.sum((per @ proj) ** 2, axis=1)))
+                spread = float(np.mean(np.sum(per * per, axis=1)))
                 for s in range(1, N):
-                    closed = (N - s) / (s * (N - 1)) * spread
-                    np.testing.assert_allclose(
-                        gradient_moments(p, x, s).e_err_sq, closed,
-                        rtol=1e-12, atol=0)
-                # At s = N the closed form is 0; the batch mean and the
+                    c = (N - s) / (s * (N - 1))
+                    loop = loop_gradient_moments(p, x, s)
+                    np.testing.assert_allclose(loop.e_err_sq, c * err_sq,
+                                               rtol=1e-12, atol=0)
+                    np.testing.assert_allclose(loop.inner_moment, c * inner,
+                                               rtol=1e-12, atol=1e-13 * spread * grad_sq)
+                    # At n = 1 the orthogonal moment is 0 up to rounding.
+                    np.testing.assert_allclose(loop.orth_moment, c * orth,
+                                               rtol=1e-12, atol=1e-13 * spread)
+                # At s = N every moment is 0; the batch mean and the
                 # closed-form gradient differ by rounding only.
-                assert gradient_moments(p, x, N).e_err_sq <= 1e-28 * spread
+                assert loop_gradient_moments(p, x, N).e_err_sq <= 1e-28 * err_sq
 
 
 class TestEnumerationInputChecks:
@@ -302,7 +334,7 @@ class TestEnumerationInputChecks:
 
 # ---------------------------------------------------------------------------
 # The enumeration as a loop over the batches, kept verbatim as the reference
-# for the block enumeration in `trish.theory`.
+# for the closed-form moments and the block enumeration in `trish.theory`.
 
 def loop_batch_gradients(problem, x, batch_size):
     grad = problem.gradient(x)
@@ -357,24 +389,65 @@ def loop_verify_lemma1(problem, x, params, batch_size, L):
         holds_variance=bool(e_next <= rhs_var + slack))
 
 
-def same_bits(new, old) -> bool:
-    """Every field equal bit for bit (NaN equal to the same NaN)."""
-    return all(np.asarray(getattr(new, f.name)).tobytes()
-               == np.asarray(getattr(old, f.name)).tobytes()
-               for f in dataclasses.fields(old))
+def assert_within(new, old, scale):
+    """new within 1e-13 * scale of old; both NaN passes.  A bound relative
+    to the value itself fails where the moment is 0 but rounds to a tiny
+    nonzero number (the orthogonal moment at n = 1)."""
+    if np.isnan(old):
+        assert np.isnan(new)
+    else:
+        assert abs(new - old) <= 1e-13 * scale, (new, old, scale)
+
+
+def assert_moments_match(new, old, problem, x):
+    """Each moment within 1e-13 of its scale, the full gradient bit for bit."""
+    per = problem.component_gradients(np.arange(problem.N), x)
+    spread = float(np.mean(np.sum(per * per, axis=1)))  # mean ||grad_i||^2
+    grad_sq = float(old.grad @ old.grad)
+    assert new.grad.tobytes() == old.grad.tobytes()
+    assert_within(new.e_err_sq, old.e_err_sq, spread)
+    assert_within(new.e_g_sq, old.e_g_sq, spread + grad_sq)
+    assert_within(new.inner_moment, old.inner_moment, spread * grad_sq)
+    assert_within(new.orth_moment, old.orth_moment, spread)
+
+
+def assert_lemma1_matches(new, old, problem, x, params, L):
+    """The enumerated fields bit for bit, the moment-derived ones within the
+    moments' scaled bound, and the verdicts equal."""
+    for name in ("f_x", "expected_next", "grad_sq", "holds_second_moment",
+                 "holds_variance"):
+        assert getattr(new, name) == getattr(old, name), name
+    per = problem.component_gradients(np.arange(problem.N), x)
+    spread = float(np.mean(np.sum(per * per, axis=1)))
+    alpha, g1, g2 = params.alpha, params.gamma1, params.gamma2
+    ab = alpha * beta_const(alpha, g1, g2, L)
+    assert_within(new.e_err_sq, old.e_err_sq, spread)
+    assert_within(new.e_g_sq, old.e_g_sq, spread + old.grad_sq)
+    # A right-hand side rounds at the size of its largest term.
+    assert_within(new.rhs_second_moment, old.rhs_second_moment,
+                  abs(old.f_x) + alpha * g1**2 / (2.0 * g2) * old.grad_sq
+                  + ab * (spread + old.grad_sq))
+    assert_within(new.rhs_variance, old.rhs_variance,
+                  abs(old.f_x) + abs(0.5 * alpha * (g2 - alpha * g1**2 * L)) * old.grad_sq
+                  + ab * spread)
 
 
 @st.composite
 def enumeration_cases(draw):
     """A quadratic with N <= 9 components in n <= 5 dimensions, additive
-    and/or multiplicative noise, and a point, scales spanning 1e-3 to 1e3."""
+    and/or multiplicative noise, and a point, magnitudes spanning 1e-3 to
+    1e3; the scales spread over 1e-3 to 1e3 before division by their mean,
+    so every component stays convex."""
     N, n = draw(st.integers(1, 9)), draw(st.integers(1, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     magnitude = st.floats(-3, 3).map(lambda e: 10.0**e)
     noise = draw(st.sampled_from(["offsets", "scales", "both"]))
     offsets = (rng.normal(size=(N, n)) * draw(magnitude)
                if noise != "scales" else None)
-    scales = (10.0 ** rng.uniform(-3, 3, N) if noise != "offsets" else None)
+    scales = None
+    if noise != "offsets":
+        raw = 10.0 ** rng.uniform(-3, 3, N)
+        scales = raw / raw.mean()
     p = SyntheticQuadratic(diag=rng.uniform(0.1, 3.0, n) * draw(magnitude),
                            offsets=offsets, scales=scales)
     x = (np.zeros(n) if draw(st.booleans()) and noise == "scales"  # grad = 0
@@ -382,26 +455,22 @@ def enumeration_cases(draw):
     return p, x, draw(st.integers(1, 3))
 
 
-class TestBlockEnumeration:
+class TestLoopOracle:
     @settings(max_examples=150, deadline=None)
     @given(enumeration_cases())
-    def test_equal_to_the_loop_bit_for_bit(self, case):
+    def test_matches_the_loop(self, case):
         p, x, block = case
         params = HyperParams(alpha=0.05, gamma1=2.0, gamma2=1.0)
-        # Blocks of 1 to 3 batches carry the running sums across blocks.
+        # Blocks of 1 to 3 batches carry verify_lemma1's sum across blocks.
         with mock.patch.object(theory, "ENUM_BLOCK", block):
             for size in range(1, p.N + 1):
-                assert same_bits(gradient_moments(p, x, size),
-                                 loop_gradient_moments(p, x, size))
-                assert same_bits(verify_lemma1(p, x, params, size, p.lipschitz),
-                                 loop_verify_lemma1(p, x, params, size, p.lipschitz))
-
-    def test_squares_round_like_python_pow(self):
-        """Python's `** 2` calls libm `pow`, which need not round like x * x:
-        with glibc, one of this case's squares at size 2 does not."""
-        rng = np.random.default_rng(430)
-        p = SyntheticQuadratic(diag=[0.5, 1.0], offsets=rng.normal(size=(3, 2)))
-        x = rng.normal(size=2)
-        for size in (1, 2, 3):
-            assert same_bits(gradient_moments(p, x, size),
-                             loop_gradient_moments(p, x, size))
+                moments = gradient_moments(p, x, size)
+                assert_moments_match(moments, loop_gradient_moments(p, x, size), p, x)
+                assert_lemma1_matches(
+                    verify_lemma1(p, x, params, size, p.lipschitz),
+                    loop_verify_lemma1(p, x, params, size, p.lipschitz),
+                    p, x, params, p.lipschitz)
+        # The last size is N, where a batch is the whole population.
+        assert moments.e_err_sq == 0.0
+        if moments.grad @ moments.grad > 0:
+            assert moments.inner_moment == 0.0 and moments.orth_moment == 0.0
