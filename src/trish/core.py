@@ -126,9 +126,13 @@ def draw_batch(N: int, size: int, rng: np.random.Generator) -> SampleBatch:
 
     Every size-subset is equally probable.  Sorted indices fix the downstream
     reduction order.  A sorted draw is already integer, non-empty, strictly
-    increasing and in range, so the batch is built without re-validation."""
+    increasing and in range, so the batch is built without re-validation.
+    At size N the only subset is every index: nothing is drawn and `rng` is
+    left untouched."""
     if not 1 <= size <= N:
         raise ValueError(f"batch size {size} out of range [1, {N}]")
+    if size == N:
+        return SampleBatch._drawn(np.arange(N))
     idx = rng.choice(N, size=size, replace=False)
     idx.sort()  # in place: the draw is a fresh array
     return SampleBatch._drawn(idx)

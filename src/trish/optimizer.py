@@ -157,9 +157,9 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
 
     `step(g, gnorm)` returns the step case (None for SG) and the step.  The
     batch size stays `size` unless `sampler` holds the adaptive-sampling
-    constants, in which case it follows `run_trish_as`.  Each iteration
-    steps with the current gradient, records, stops once the budget is
-    spent, and otherwise forms the next gradient.
+    constants, in which case it follows `run_trish_as`, whose controls stop
+    at size N.  Each iteration steps with the current gradient, records,
+    stops once the budget is spent, and otherwise forms the next gradient.
     """
     N = problem.N
     if isinstance(size, bool) or not 1 <= size <= N or size != int(size):
@@ -201,12 +201,14 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
         if ege >= budget_epochs:
             break
         est, gsq = sample()
-        if sampler is None:
-            continue
+        if sampler is None or size == N:
+            continue  # a batch of all N components is the exact gradient
         if 0.0 < gsq < math.inf:
             proposed = required_size(est, est.aggregate, sampler.theta, sampler.nu, N)
             if proposed is not None:
                 est, gsq = grow(proposed)
+                if size == N:
+                    continue
         history.push(size, est.aggregate)
         proposed = noisy_regime_step(history, est, sampler.theta, sampler.nu, N)
         if proposed is not None:
@@ -251,7 +253,10 @@ def run_trish_as(problem: FiniteSumProblem, x0, params: HyperParams,
     test fails, grow the size via the proposed-size formula and redraw a
     completely fresh batch; finally apply the noisy-regime control, which may
     grow and redraw once more.  The size never decreases and never exceeds N.
-    Every drawn batch is charged to EGE, re-evaluations included.
+    Every drawn batch is charged to EGE, re-evaluations included.  Once the
+    size is N the batch gradient is the full gradient: neither control runs
+    and nothing is redrawn, so each later iteration is a full-batch step
+    charged exactly one epoch.
 
     The tests need a sample variance, so `s0` must be at least 2; a batch
     of one is `run_trish`'s.  Guard rails: the tests are skipped (size kept)

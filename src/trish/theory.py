@@ -88,14 +88,14 @@ class SyntheticQuadratic(FiniteSumProblem):
     spread that would make one concave raises ValueError), and the offsets
     b_i sum to zero, so the full objective is exactly
     0.5 * x.Dx with gradient Dx, minimizer 0, L = max D and mu = min D.
-    Offsets give additive (position-independent) noise; scales give
-    multiplicative noise that vanishes at the minimizer.
+    Every input must be finite.  Offsets give additive (position-independent)
+    noise; scales give multiplicative noise that vanishes at the minimizer.
     """
 
     def __init__(self, diag, offsets=None, scales=None):
         diag = as_vector(diag)
-        if np.any(diag <= 0):
-            raise ValueError("diagonal entries must be positive")
+        if not ((diag > 0) & (diag < np.inf)).all():  # NaN fails both
+            raise ValueError(f"diagonal entries must be positive and finite, got {diag}")
         if offsets is None and scales is None:
             raise ValueError("provide offsets and/or scales to fix N")
         ref = offsets if offsets is not None else scales
@@ -106,14 +106,16 @@ class SyntheticQuadratic(FiniteSumProblem):
         offsets = np.array(offsets, dtype=np.float64)
         if offsets.shape != (N, diag.size):
             raise ValueError("offsets must be N rows of dimension n")
+        if not np.isfinite(offsets).all():
+            raise ValueError("offsets must be finite")
         offsets -= offsets.mean(axis=0)
         offsets[-1] = -offsets[:-1].sum(axis=0)  # force the sum to zero
 
         if scales is None:
             scales = np.ones(N)
         scales = np.array(scales, dtype=np.float64)
-        if np.any(scales <= 0):
-            raise ValueError("scales must be positive")
+        if not ((scales > 0) & (scales < np.inf)).all():
+            raise ValueError(f"scales must be positive and finite, got {scales}")
         scales += 1.0 - scales.mean()
         scales[-1] = N - scales[:-1].sum()  # force the mean to one
         if np.any(scales <= 0):  # a concave component

@@ -53,6 +53,29 @@ class TestDrawBatch:
         batch = draw_batch(5, 5, rng)
         assert set(batch.indices.tolist()) == set(range(5))
 
+    @settings(max_examples=100, deadline=None)
+    @given(N=st.integers(1, 500), seed=st.integers(0, 2**32 - 1))
+    def test_full_size_draws_nothing(self, N, seed):
+        """Size N has one subset, every index: no draw, the stream untouched."""
+        rng = np.random.default_rng(seed)
+        state = rng.bit_generator.state
+        batch = draw_batch(N, N, rng)
+        np.testing.assert_array_equal(batch.indices, np.arange(N))
+        assert batch.indices.dtype.kind == "i"
+        assert rng.bit_generator.state == state
+
+    @settings(max_examples=200, deadline=None)
+    @given(args=draw_args().filter(lambda a: a[1] < a[0]))
+    def test_draw_below_full_size_is_sorted_choice(self, args):
+        """Below N a draw is `rng.choice` without replacement, sorted, and it
+        leaves the stream where that call leaves it."""
+        N, size, seed = args
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch = draw_batch(N, size, rng)
+        np.testing.assert_array_equal(
+            batch.indices, np.sort(twin.choice(N, size=size, replace=False)))
+        assert rng.bit_generator.state == twin.bit_generator.state
+
     def test_single_index_problem(self):
         rng = np.random.default_rng(0)
         assert draw_batch(1, 1, rng).indices.tolist() == [0]

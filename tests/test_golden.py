@@ -127,7 +127,7 @@ GOLDEN = {
     ("mlp", "sg", "FIXED", 8, 2.0, 0):
         "b702d93740380cabef9f549643236c6365d6a51b1442471c7be9b1252b4e7ac5",
     ("mlp", "trish_as", "TIGHT", 2, 4.0, 0):
-        "baddf5566fb20160d390dad585a2cea229d6bed372fbc5c643bbbf2e3a15534c",
+        "1ed2b50907e3b70fd577f6766256b7319c141da29ec8501025a0b4664c676e48",
     ("mlp", "trish_as", "LOOSE", 3, 4.0, 2):
         "7489e497a4e1b980b53c9b7b80e14c6c16781329f65ae830e0acbeceed663c0a",
     ("mlp_classifier", "trish", "FIXED", 8, 2.0, 0):
@@ -135,7 +135,7 @@ GOLDEN = {
     ("mlp_classifier", "sg", "FIXED", 8, 2.0, 0):
         "82ebc0bf8efb4fb8fe75b7548c92e1ea97e84e9b91a278323481eabd1d335c4b",
     ("mlp_classifier", "trish_as", "TIGHT", 2, 4.0, 0):
-        "45a4a7ae40ae8f434727a07c1488f86a6c4a76f805a48bc56fa5f0cedc327034",
+        "8d16e4baa6a8e7cfd4ebf6edf3d8f19ad2bf1625bdf846a96700cced7428a65e",
     ("mlp_classifier", "trish_as", "LOOSE", 3, 4.0, 2):
         "01ff1250d7a0368de413c0c5ef35a90975f5286fc89f973868a4404b0dfa4ce8",
     ("quadratic", "trish", "FIXED", 6, 4.0, 0):
@@ -143,7 +143,7 @@ GOLDEN = {
     ("quadratic", "sg", "FIXED", 6, 4.0, 0):
         "87ca7f9e5795d1605a986c7ecde0cba08f0c77be57593d5d779797975dc9f232",
     ("quadratic", "trish_as", "TIGHT", 2, 8.0, 0):
-        "d7041d070240e49a338d17c81a3aa0b7cc88847979821ce7840bb5a358e0660d",
+        "da944477a72d1feb0b20057898e3dafa14dfb237ae700b37d4ea74d621823999",
     ("quadratic", "trish_as", "LOOSE", 2, 10.0, 3):
         "46d7cb0701eb7c85096aa7d3123acd8efe6984c76e6034c3129ddaae36c9b97a",
 }

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 import trish.optimizer as optimizer
+import trish.sampling as sampling
 from trish.core import FiniteSumProblem
 from trish.models import (LogisticModel, MlpModel, testing_accuracy,
                           testing_loss)
@@ -424,6 +425,66 @@ class TestRunTrishAs:
         # the last iteration may redraw twice, so at most three batch charges
         max_batch = max(r.batch_size for r in records)
         assert records[-1].ege <= 1.5 + 3 * max_batch / 10
+
+
+# Tight variance tests on a noisy quadratic grow the batch to N early.
+TIGHT = HyperParams(alpha=0.3, gamma1=4.0, gamma2=1.0, theta=0.5, nu=0.5, r=3)
+
+
+def keep_iterates(kept):
+    """A metric_fn that appends every iterate it is given to `kept`."""
+    def metric_fn(xs):
+        kept.extend(np.array(xs))
+        return np.zeros(len(xs))
+    return metric_fn
+
+
+class TestFullBatch:
+    """At |S| = N the batch gradient is the full gradient: no test runs and
+    nothing is redrawn, so each later iteration is one full-batch step."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(2, 12), theta=TEST_CONSTANT, nu=TEST_CONSTANT,
+           r=st.integers(1, 6), s0=st.integers(2, 12), seed=st.integers(0, 2**16))
+    @example(N=8, theta=0.5, nu=0.5, r=3, s0=2, seed=0)
+    @example(N=2, theta=0.5, nu=0.5, r=1, s0=2, seed=0)
+    def test_controls_never_see_a_full_batch(self, N, theta, nu, r, s0, seed):
+        rows = []
+        with pytest.MonkeyPatch.context() as mp:
+            for module, name, arg in ((optimizer, "required_size", 0),
+                                      (optimizer, "noisy_regime_step", 1),
+                                      (sampling, "variance_report", 0)):
+                def spy(*args, _original=getattr(module, name), _arg=arg):
+                    rows.append(args[_arg].per_component.shape[0])
+                    return _original(*args)
+                mp.setattr(module, name, spy)
+            params = HyperParams(alpha=0.1, gamma1=4.0, gamma2=1.0,
+                                 theta=theta, nu=nu, r=r)
+            run_trish_as(quadratic(N=N, noise=3.0, seed=seed), np.ones(2), params,
+                         min(s0, N), 6.0, np.random.default_rng(seed))
+        assert all(m < N for m in rows)
+
+    @pytest.mark.parametrize("N, noise, seed", [(8, 3.0, 0), (20, 2.0, 1), (60, 1.0, 2)])
+    def test_after_reaching_full_size_it_is_full_batch_trish(self, N, noise, seed):
+        """From the first record at size N on, the run is `run_trish` with
+        batch N from that record's iterate, bit for bit, at one epoch a step."""
+        problem = quadratic(N=N, noise=noise, seed=seed)
+        kept = []
+        x, records = run_trish_as(problem, np.ones(2), TIGHT, 2, 12.0,
+                                  np.random.default_rng(seed),
+                                  metric_fn=keep_iterates(kept))
+        first = next(k for k, rec in enumerate(records) if rec.batch_size == N)
+        later = records[first + 1:]
+        assert len(later) >= 3
+        assert all(rec.ege == prev.ege + 1.0 for prev, rec in zip(records[first:], later))
+
+        tail = []
+        x_full, full = run_trish(problem, kept[first], TIGHT, N, float(len(later)),
+                                 np.random.default_rng(99), metric_fn=keep_iterates(tail))
+        assert [(r.case, r.grad_norm, r.batch_size) for r in full] == \
+            [(r.case, r.grad_norm, r.batch_size) for r in later]
+        np.testing.assert_array_equal(np.array(tail), np.array(kept[first + 1:]))
+        np.testing.assert_array_equal(x_full, x)
 
 
 TELEMETRY_KINDS = ("logistic_sparse", "logistic_dense", "mlp_classifier",

@@ -149,6 +149,20 @@ class TestSyntheticQuadratic:
         with pytest.raises(ValueError, match="shifted to mean one must be positive"):
             SyntheticQuadratic(diag=[1.0, 2.0], scales=[0.1, 10.0])
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    @pytest.mark.parametrize("field", ("diag", "offsets", "scales"))
+    def test_rejects_nonfinite_inputs(self, field, bad):
+        """`<= 0` is False for NaN, so diag=[nan, 1.0] used to give
+        lipschitz = nan and a NaN scale made every scale NaN; an infinite
+        offset was accepted."""
+        inputs = {"diag": [1.0, 2.0], "offsets": np.ones((3, 2)),
+                  "scales": [0.5, 1.0, 1.5]}
+        values = np.array(inputs[field], dtype=np.float64)
+        values.flat[1] = bad
+        inputs[field] = values
+        with pytest.raises(ValueError, match="finite"):
+            SyntheticQuadratic(**inputs)
+
     def test_lipschitz_constant_is_max_eigenvalue(self):
         rng = np.random.default_rng(3)
         p = SyntheticQuadratic(diag=[0.5, 1.0, 3.0], offsets=np.zeros((4, 3)))
