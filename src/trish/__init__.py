@@ -11,9 +11,9 @@ from .core import (FiniteSumProblem, GradientEstimate, NumericError,
                    SampleBatch, draw_batch, sampled_gradient)
 from .optimizer import (HyperParams, IterationRecord, StepCase, classify_case,
                         run_sg, run_trish, run_trish_as, trish_step)
-from .sampling import (DegenerateBatchError, GradientHistory, VarianceReport,
-                       ZeroReferenceError, noisy_regime_step,
-                       proposed_sample_size, variance_report)
+from .sampling import (DegenerateBatchError, VarianceReport, ZeroReferenceError,
+                       noisy_regime_step, proposed_sample_size,
+                       variance_report)
 from .models import (LogisticModel, MlpModel, default_x0,
                      finite_difference_gradient, testing_accuracy,
                      testing_loss)
@@ -31,9 +31,8 @@ __all__ = [
     "draw_batch", "sampled_gradient",
     "HyperParams", "IterationRecord", "StepCase", "classify_case",
     "run_sg", "run_trish", "run_trish_as", "trish_step",
-    "DegenerateBatchError", "GradientHistory", "VarianceReport",
-    "ZeroReferenceError", "noisy_regime_step", "proposed_sample_size",
-    "variance_report",
+    "DegenerateBatchError", "VarianceReport", "ZeroReferenceError",
+    "noisy_regime_step", "proposed_sample_size", "variance_report",
     "LogisticModel", "MlpModel", "default_x0", "finite_difference_gradient",
     "testing_accuracy", "testing_loss",
     "Dataset", "LibsvmParseError", "chronological_split", "csv_to_libsvm",

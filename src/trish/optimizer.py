@@ -18,6 +18,7 @@ returns K values.  Without it, no iterate is kept and nothing is evaluated.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Optional
@@ -26,7 +27,7 @@ import numpy as np
 
 from .core import (FiniteSumProblem, NumericError, as_vector, check_count,
                    draw_batch, sampled_gradient)
-from .sampling import GradientHistory, noisy_regime_step, required_size
+from .sampling import noisy_regime_step, required_size
 
 
 @dataclass(frozen=True)
@@ -182,15 +183,20 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
         return est, est.aggregate.dot(est.aggregate)
 
     def grow(proposed):
-        """Adopt a proposed size, never shrinking and at most N, and redraw."""
+        """Adopt a proposed size, never shrinking and at most N, and redraw.
+        A new size empties `recent`, which holds one size's aggregates."""
         nonlocal size
-        size = min(N, max(size, proposed))
+        adopted = min(N, max(size, proposed))
+        if adopted != size:
+            recent.clear()
+        size = adopted
         return sample()
 
     est, gsq = sample()
     if sampler is not None:
-        history = GradientHistory(sampler.r)
-        history.push(size, est.aggregate)
+        # Aggregates drawn at the current size, oldest first, for the
+        # noisy-regime control.
+        recent = deque([est.aggregate], maxlen=sampler.r + 1)
     while True:
         gnorm = math.sqrt(gsq)
         case, p = step(est.aggregate, gnorm)
@@ -209,11 +215,12 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
                 est, gsq = grow(proposed)
                 if size == N:
                     continue
-        history.push(size, est.aggregate)
-        proposed = noisy_regime_step(history, est, sampler.theta, sampler.nu, N)
+        recent.append(est.aggregate)
+        proposed = noisy_regime_step(recent, sampler.r, est, sampler.theta, sampler.nu, N)
         if proposed is not None:
+            recent.pop()  # the redraw replaces this gradient
             est, gsq = grow(proposed)
-            history.replace_last(size, est.aggregate)
+            recent.append(est.aggregate)
 
     _fill_telemetry(records, iterates, problem, metric_fn)  # none kept: a no-op
     return x, records
@@ -252,7 +259,10 @@ def run_trish_as(problem: FiniteSumProblem, x0, params: HyperParams,
     next gradient at the current size; if the inner-product or orthogonality
     test fails, grow the size via the proposed-size formula and redraw a
     completely fresh batch; finally apply the noisy-regime control, which may
-    grow and redraw once more.  The size never decreases and never exceeds N.
+    grow and redraw once more.  That control averages the last r gradients
+    kept at the current size once it has held for r + 1 iterations; a
+    redrawn gradient replaces the one it discards.  The size never decreases
+    and never exceeds N.
     Every drawn batch is charged to EGE, re-evaluations included.  Once the
     size is N the batch gradient is the full gradient: neither control runs
     and nothing is redrawn, so each later iteration is a full-batch step

@@ -5,13 +5,12 @@ enough: one bounds the variance of the inner products grad_i . ref, the other
 the variance of the components of grad_i orthogonal to ref.  On failure a
 larger batch size is proposed from the measured variances.  A separate
 control handles the noisy regime near stationarity by re-running the tests
-against an average of recent gradients.
+against an average of recent gradients, which the run loop keeps.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,71 +114,23 @@ def required_size(est: GradientEstimate, ref_vec: np.ndarray, theta: float,
         return None
 
 
-class GradientHistory:
-    """Ring buffer of the last `window` batch-gradient aggregates.
-
-    Tracks how many consecutive iterations the batch size has stayed
-    unchanged; the buffer is cleared whenever the size changes, so the stored
-    aggregates always belong to the current constant-size streak.
-    """
-
-    def __init__(self, window: int):
-        check_count("window", window)
-        self.window = window
-        self._aggregates: deque[np.ndarray] = deque(maxlen=window)
-        self._size: int | None = None
-        self._streak = 0
-
-    def push(self, size: int, aggregate: np.ndarray) -> None:
-        if size == self._size:
-            self._streak += 1
-        else:
-            self._size = size
-            self._streak = 1
-            self._aggregates.clear()
-        self._aggregates.append(np.asarray(aggregate, dtype=np.float64))
-
-    def replace_last(self, size: int, aggregate: np.ndarray) -> None:
-        """Overwrite the most recent entry (a redraw replaced its gradient)."""
-        if not self._aggregates:
-            raise ValueError("history is empty")
-        if size == self._size:
-            self._aggregates[-1] = np.asarray(aggregate, dtype=np.float64)
-        else:
-            self.push(size, aggregate)
-
-    def __len__(self) -> int:
-        return len(self._aggregates)
-
-    @property
-    def steady(self) -> bool:
-        """True when the size was unchanged for window+1 consecutive iterations.
-
-        The buffer is cleared on each size change and holds at most `window`
-        entries, so a steady history holds exactly `window` aggregates."""
-        return self._streak > self.window
-
-    def average(self) -> np.ndarray:
-        """Mean of the stored aggregates (the averaged gradient of the streak)."""
-        if not self._aggregates:
-            raise ValueError("history is empty")
-        # Adds the rows oldest to newest; that order fixes the rounding.
-        return np.add.reduce(np.array(self._aggregates)) / len(self._aggregates)
-
-
-def noisy_regime_step(history: GradientHistory, current: GradientEstimate,
+def noisy_regime_step(recent, r: int, current: GradientEstimate,
                       theta: float, nu: float, N: int) -> int | None:
     """Averaged-gradient control for the noisy regime.
 
-    Engages only when the batch size has been constant long enough for the
-    history to be steady (`current` must already be pushed).  If the averaged
-    gradient is shorter than the current one, the variance tests are re-run
-    with the average as reference over the current batch, and the result is
-    `required_size`'s; otherwise None.
+    `recent` holds the aggregates drawn at the current batch size, oldest
+    first, ending with `current`'s.  The control engages once it holds more
+    than the window `r` (an integer >= 1), i.e. the size has been constant
+    for r + 1 iterations.  If the average of the newest r is shorter than the
+    current gradient, the variance tests are re-run with the average as
+    reference over the current batch, and the result is `required_size`'s;
+    otherwise None.
     """
-    if not history.steady:
+    check_count("r", r)
+    if len(recent) <= r:
         return None
-    g_avg = history.average()
+    # Adds the rows oldest to newest; that order fixes the rounding.
+    g_avg = np.add.reduce(np.array(recent, dtype=np.float64)[-r:]) / r
     current_norm = math.sqrt(current.aggregate.dot(current.aggregate))
     if not math.sqrt(g_avg.dot(g_avg)) < current_norm:
         return None

@@ -110,6 +110,8 @@ class SyntheticQuadratic(FiniteSumProblem):
             raise ValueError("offsets must be finite")
         offsets -= offsets.mean(axis=0)
         offsets[-1] = -offsets[:-1].sum(axis=0)  # force the sum to zero
+        if not np.isfinite(offsets).all():
+            raise ValueError("offsets overflow when centered to sum to zero")
 
         if scales is None:
             scales = np.ones(N)
@@ -228,18 +230,14 @@ class ExpectedDecreaseReport:
         return self.holds_second_moment and self.holds_variance
 
 
-ENUM_BLOCK = 4096  # most batches gathered at once; bounds the temporaries
-
-
 def verify_lemma1(problem: FiniteSumProblem, x, params: HyperParams,
                   batch_size: int, L: float) -> ExpectedDecreaseReport:
     """Check both expected-decrease inequalities at x.
 
     E||g||^2 and E||g - grad||^2 are the closed forms of `gradient_moments`
     (with its input checks).  Only E[F(x + p)] enumerates, since the step is
-    not linear in g: every batch of `batch_size`, in index order, gathered
-    ENUM_BLOCK batches at a time (memory O(ENUM_BLOCK * batch_size * n)),
-    takes one step and one loss.  The inequalities hold for every admissible
+    not linear in g: every batch of `batch_size`, in index order, takes one
+    step and one loss.  The inequalities hold for every admissible
     parameter tuple, so violations beyond floating-point slack indicate a
     defect.
     """
@@ -249,12 +247,10 @@ def verify_lemma1(problem: FiniteSumProblem, x, params: HyperParams,
     grad_sq = float(moments.grad @ moments.grad)
     e_g_sq, e_err_sq = moments.e_g_sq, moments.e_err_sq
     per = problem.component_gradients(np.arange(problem.N), x)
-    combos = itertools.combinations(range(problem.N), batch_size)
     e_next = 0.0
-    while flat := list(itertools.chain.from_iterable(
-            itertools.islice(combos, ENUM_BLOCK))):
-        for g in per[np.reshape(flat, (-1, batch_size))].mean(axis=1):
-            e_next += problem.loss(x + trish_step(g, params))
+    for batch in itertools.combinations(range(problem.N), batch_size):
+        g = per[list(batch)].mean(axis=0)
+        e_next += problem.loss(x + trish_step(g, params))
     e_next /= math.comb(problem.N, batch_size)
 
     alpha, g1, g2 = params.alpha, params.gamma1, params.gamma2

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import trish
 from trish.core import (FiniteSumProblem, NumericError, SampleBatch,
                         draw_batch, sampled_gradient)
 from trish.optimizer import HyperParams, run_trish
@@ -270,3 +271,9 @@ class TestDeterminism:
             runs.append((x, [r.grad_norm for r in records]))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
+
+
+def test_every_export_resolves():
+    """Each name in `trish.__all__` is listed once and bound on the package."""
+    assert len(set(trish.__all__)) == len(trish.__all__)
+    assert [name for name in trish.__all__ if not hasattr(trish, name)] == []

@@ -426,6 +426,76 @@ class TestRunTrishAs:
         max_batch = max(r.batch_size for r in records)
         assert records[-1].ege <= 1.5 + 3 * max_batch / 10
 
+    @settings(max_examples=60, deadline=None)
+    @given(N=st.integers(8, 60), noise=st.floats(0.5, 5.0), theta=TEST_CONSTANT,
+           nu=TEST_CONSTANT, r=st.integers(1, 6), s0=st.integers(2, 8),
+           seed=st.integers(0, 2**16))
+    @example(N=40, noise=1.0, theta=2.0, nu=3.0, r=2, s0=2, seed=1)
+    def test_noisy_history_holds_the_current_streak(self, N, noise, theta, nu,
+                                                    r, s0, seed):
+        params = HyperParams(alpha=1.0, gamma1=8.0, gamma2=0.5,
+                             theta=theta, nu=nu, r=r)
+        noisy_history_run(quadratic(N=N, noise=noise, seed=seed), params,
+                          min(s0, N - 1), seed)
+
+    def test_noisy_history_meets_both_resets(self):
+        """The example run grows the size both through the tests and through
+        noisy-regime redraws, and redraws at an unchanged size too."""
+        params = HyperParams(alpha=1.0, gamma1=8.0, gamma2=0.5,
+                             theta=2.0, nu=3.0, r=2)
+        redraws, same_size, changes = noisy_history_run(
+            quadratic(N=40, noise=1.0, seed=1), params, 2, 1)
+        assert redraws > same_size > 0 and changes > 0
+
+
+def noisy_history_run(problem, params, s0, seed):
+    """Run `run_trish_as` and check what each noisy-regime control call is
+    handed: the aggregates of the batches drawn at the current size since
+    the last size change, newest last (the current one) and at most r + 1,
+    without any that a redraw replaced.  Returns the control's redraws, those
+    that kept the size, and the changes of size made by the inner-product and
+    orthogonality tests."""
+    draws, discarded = [], set()
+    redraws = same_size = changes = 0
+    sampled, tested, noisy = (optimizer.sampled_gradient, optimizer.required_size,
+                              optimizer.noisy_regime_step)
+
+    def spy_sampled(*args):
+        draws.append(sampled(*args))
+        return draws[-1]
+
+    def spy_tested(est, *args):
+        nonlocal changes
+        proposed = tested(est, *args)
+        if proposed is not None:
+            discarded.add(id(est.aggregate))
+            changes += proposed > est.per_component.shape[0]
+        return proposed
+
+    def spy_noisy(recent, r, current, *args):
+        nonlocal redraws, same_size
+        size = current.per_component.shape[0]
+        older = [k for k, d in enumerate(draws) if d.per_component.shape[0] != size]
+        streak = [d.aggregate for d in draws[older[-1] + 1 if older else 0:]
+                  if id(d.aggregate) not in discarded]
+        assert r == params.r and 1 <= len(recent) <= r + 1
+        assert recent[-1] is current.aggregate
+        assert [id(a) for a in recent] == [id(a) for a in streak[-(r + 1):]]
+        proposed = noisy(recent, r, current, *args)
+        if proposed is not None:
+            discarded.add(id(current.aggregate))
+            redraws += 1
+            same_size += proposed <= size
+        return proposed
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "sampled_gradient", spy_sampled)
+        mp.setattr(optimizer, "required_size", spy_tested)
+        mp.setattr(optimizer, "noisy_regime_step", spy_noisy)
+        run_trish_as(problem, np.ones(2), params, s0, 10.0,
+                     np.random.default_rng(seed))
+    return redraws, same_size, changes
+
 
 # Tight variance tests on a noisy quadratic grow the batch to N early.
 TIGHT = HyperParams(alpha=0.3, gamma1=4.0, gamma2=1.0, theta=0.5, nu=0.5, r=3)
@@ -452,7 +522,7 @@ class TestFullBatch:
         rows = []
         with pytest.MonkeyPatch.context() as mp:
             for module, name, arg in ((optimizer, "required_size", 0),
-                                      (optimizer, "noisy_regime_step", 1),
+                                      (optimizer, "noisy_regime_step", 2),
                                       (sampling, "variance_report", 0)):
                 def spy(*args, _original=getattr(module, name), _arg=arg):
                     rows.append(args[_arg].per_component.shape[0])

@@ -2,16 +2,18 @@
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trish.sampling as sampling
 from trish.core import GradientEstimate, NumericError, as_vector
-from trish.sampling import (DegenerateBatchError, GradientHistory,
-                            VarianceReport, ZeroReferenceError,
-                            noisy_regime_step, proposed_sample_size,
-                            required_size, variance_report)
+from trish.sampling import (DegenerateBatchError, VarianceReport,
+                            ZeroReferenceError, noisy_regime_step,
+                            proposed_sample_size, required_size,
+                            variance_report)
 from trish.theory import SyntheticQuadratic, gradient_moments
 
 
@@ -244,112 +246,91 @@ class TestSecondMomentLink:
                                    rtol=1e-12)
 
 
-class TestGradientHistory:
-    def test_not_steady_until_window_plus_one(self):
-        h = GradientHistory(window=3)
-        for k in range(3):
-            h.push(5, np.array([float(k)]))
-            assert not h.steady
-        h.push(5, np.array([3.0]))
-        assert h.steady
+def handed_reference(recent, r, current, theta=0.9, nu=5.84, N=100):
+    """The reference `noisy_regime_step` passes to `required_size`, or None
+    when it never calls it."""
+    refs = []
 
-    def test_size_change_resets(self):
-        h = GradientHistory(window=2)
-        for _ in range(3):
-            h.push(4, np.zeros(1))
-        assert h.steady
-        h.push(5, np.zeros(1))
-        assert not h.steady
-        assert len(h) == 1
+    def spy(est, ref, *args):
+        refs.append(ref)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sampling, "required_size", spy)
+        noisy_regime_step(recent, r, current, theta, nu, N)
+    return refs[0] if refs else None
+
+
+class TestGradientHistory:
+    """The noisy-regime history as `noisy_regime_step` reads it: the
+    aggregates kept at the current size, newest last.  The run loop's resets
+    and replacements are checked on `run_trish_as` in test_optimizer.py."""
+
+    def test_not_steady_until_window_plus_one(self):
+        """With r = 3 the control needs r + 1 = 4 aggregates of one size;
+        the first three and the last three both average (0, 0.01)."""
+        est = estimate([[2.0, 0.0], [0.0, 0.0]])  # aggregate (1, 0)
+        recent = [np.array([1.0, 0.0]), np.array([-2.0, 0.03]),
+                  np.array([1.0, 0.0]), est.aggregate]
+        for k in range(1, 4):
+            assert noisy_regime_step(recent[:k], 3, est, 0.9, 5.84, 100) is None
+        assert noisy_regime_step(recent, 3, est, 0.9, 5.84, 100) == 100
 
     def test_average_over_stored_entries(self):
-        h = GradientHistory(window=2)
-        for v in (1.0, 2.0, 3.0):
-            h.push(7, np.array([v]))
-        np.testing.assert_allclose(h.average(), [2.5])  # last two entries
-
-    def test_replace_last_same_size(self):
-        h = GradientHistory(window=2)
-        for v in (1.0, 2.0, 3.0):
-            h.push(7, np.array([v]))
-        h.replace_last(7, np.array([10.0]))
-        assert h.steady
-        np.testing.assert_allclose(h.average(), [6.0])
+        est = estimate([[8.0], [0.0]])  # aggregate (4,)
+        recent = [np.array([v]) for v in (1.0, 2.0, 3.0)]
+        np.testing.assert_array_equal(handed_reference(recent, 2, est), [2.5])  # newest two
 
     @pytest.mark.parametrize("window", [True, 2.5, 2.0, "3", 0])
     def test_rejects_bool_and_nonintegral_window(self, window):
-        """GradientHistory(True) used to keep a window of 1, and 2.5 failed
-        inside deque with an unrelated message."""
-        with pytest.raises(ValueError, match="window"):
-            GradientHistory(window)
-
-    def test_replace_last_new_size_resets(self):
-        h = GradientHistory(window=2)
-        for v in (1.0, 2.0, 3.0):
-            h.push(7, np.array([v]))
-        h.replace_last(9, np.array([10.0]))
-        assert not h.steady
-        assert len(h) == 1
+        """A window of True would average one aggregate, and with r = 0 the
+        slice [-0:] would divide the whole stack by zero."""
+        est = estimate([[2.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="r must be"):
+            noisy_regime_step([est.aggregate] * 4, window, est, 0.9, 5.84, 100)
 
 
 class TestNoisyRegimeStep:
-    def fresh_history(self, aggregates, size=2, window=2):
-        h = GradientHistory(window=window)
-        for agg in aggregates:
-            h.push(size, np.asarray(agg, dtype=np.float64))
-        return h
-
     def test_not_steady_returns_none(self):
-        h = self.fresh_history([[1.0, 0.0]] * 2)  # streak 2, window 2
         est = estimate([[2.0, 0.0], [0.0, 0.0]])
-        assert noisy_regime_step(h, est, 0.9, 5.84, 100) is None
+        recent = [np.array([1.0, 0.0]), est.aggregate]  # r + 1 = 3 needed
+        assert noisy_regime_step(recent, 2, est, 0.9, 5.84, 100) is None
 
     def test_average_equal_to_current_returns_none(self):
         """Threshold ||g_avg|| < ||g|| fails when all gradients coincide."""
-        agg = [1.0, 0.0]
-        h = self.fresh_history([agg] * 3)
         est = estimate([[2.0, 0.0], [0.0, 0.0]])  # aggregate (1, 0)
-        assert noisy_regime_step(h, est, 0.9, 5.84, 100) is None
+        recent = [np.array([1.0, 0.0])] * 2 + [est.aggregate]
+        assert noisy_regime_step(recent, 2, est, 0.9, 5.84, 100) is None
 
     def test_cancelling_history_triggers_growth(self):
         """Stored gradients nearly cancel; the tiny average fails the
         orthogonality retest and the returned size matches hand arithmetic."""
         est = estimate([[2.0, 0.0], [0.0, 0.0]])  # aggregate (1, 0)
-        h = GradientHistory(window=2)
-        h.push(2, np.array([1.0, 0.0]))
-        h.push(2, np.array([-1.0, 0.02]))
-        h.push(2, est.aggregate)  # streak 3 > window; buffer: [(-1,0.02),(1,0)]
-        np.testing.assert_allclose(h.average(), [0.0, 0.01])
+        recent = [np.array([1.0, 0.0]), np.array([-1.0, 0.02]), est.aggregate]
+        np.testing.assert_allclose(handed_reference(recent, 2, est), [0.0, 0.01])
         # The retest residuals are the rows themselves, so var_orth = 4 against
         # threshold nu^2 ||g_avg||^2 = 34.1056e-4; proposal ceil(4 / 34.1056e-4).
-        size = noisy_regime_step(h, est, 0.9, 5.84, 2000)
-        assert size == 1173
+        assert noisy_regime_step(recent, 2, est, 0.9, 5.84, 2000) == 1173
 
     def test_growth_capped_at_population(self):
         est = estimate([[2.0, 0.0], [0.0, 0.0]])
-        h = GradientHistory(window=2)
-        h.push(2, np.array([1.0, 0.0]))
-        h.push(2, np.array([-1.0, 0.02]))
-        h.push(2, est.aggregate)
-        assert noisy_regime_step(h, est, 0.9, 5.84, 100) == 100
+        recent = [np.array([1.0, 0.0]), np.array([-1.0, 0.02]), est.aggregate]
+        assert noisy_regime_step(recent, 2, est, 0.9, 5.84, 100) == 100
 
     def test_zero_average_returns_none(self):
         """An average that cancels exactly passes the gate but leaves the
         retest undefined; the control then keeps the size."""
         est = estimate([[2.0, 0.0], [0.0, 0.0]])
-        h = GradientHistory(window=2)
-        h.push(2, np.array([1.0, 0.0]))
-        h.push(2, np.array([-1.0, 0.0]))
-        h.push(2, est.aggregate)
-        np.testing.assert_array_equal(h.average(), [0.0, 0.0])
+        recent = [np.array([1.0, 0.0]), np.array([-1.0, 0.0]), est.aggregate]
+        g_avg = handed_reference(recent, 2, est)
+        np.testing.assert_array_equal(g_avg, [0.0, 0.0])
         with pytest.raises(ZeroReferenceError):
-            variance_report(est, h.average(), 0.9, 5.84)
-        assert noisy_regime_step(h, est, 0.9, 5.84, 100) is None
+            variance_report(est, g_avg, 0.9, 5.84)
+        assert noisy_regime_step(recent, 2, est, 0.9, 5.84, 100) is None
 
 
 # ---------------------------------------------------------------------------
-# Bit-for-bit oracles: the numpy-wrapper forms of `variance_report`,
-# `GradientHistory.average` and `proposed_sample_size`, kept verbatim.
+# Bit-for-bit oracles: the numpy-wrapper forms of `variance_report`, the
+# noisy-regime average and `proposed_sample_size`, kept verbatim.
 
 def wrapper_variance_report(est, ref_vec, theta, nu):
     per = est.per_component
@@ -405,7 +386,8 @@ def outcome(fn, *args):
 @st.composite
 def sampler_cases(draw):
     """A batch of m x n component gradients, a reference (the batch mean or
-    the average of a history of 1..r aggregates), test constants and N."""
+    the average of the newest r of r + 1..2r + 1 aggregates), test
+    constants and N."""
     m, n = draw(st.integers(2, 64)), draw(st.integers(1, 130))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     shape = draw(st.sampled_from(["normal", "row_scales", "near_parallel",
@@ -423,7 +405,7 @@ def sampler_cases(draw):
     if draw(st.booleans()):
         r = draw(st.integers(1, 12))
         pushed = [est.aggregate + rng.normal(size=n) * 10.0 ** rng.uniform(-3, 1)
-                  for _ in range(draw(st.integers(1, 2 * r)))]
+                  for _ in range(draw(st.integers(r + 1, 2 * r + 1)))]
         history = (r, pushed)
     constant = st.one_of(st.floats(-2, 2).map(lambda e: 10.0**e), st.just(math.inf))
     return (est, history, draw(constant), draw(constant),
@@ -431,12 +413,12 @@ def sampler_cases(draw):
 
 
 def history_average(est, history):
-    """The averaged gradient of a history pushed at the batch's size."""
+    """The averaged gradient `noisy_regime_step` forms from the aggregates
+    pushed at the batch's size, kept as the run loop keeps them.  A current
+    gradient of infinite norm opens the control's norm gate."""
     r, pushed = history
-    h = GradientHistory(r)
-    for agg in pushed:
-        h.push(est.per_component.shape[0], agg)
-    return h.average()
+    gate_open = GradientEstimate(np.full(est.aggregate.shape, np.inf), est.per_component)
+    return handed_reference(deque(pushed, maxlen=r + 1), r, gate_open)
 
 
 class TestWrapperOracles:

@@ -1,7 +1,6 @@
 """Tests for convergence constants, bounds, and the verification oracles."""
 
 import itertools
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -162,6 +161,12 @@ class TestSyntheticQuadratic:
         inputs[field] = values
         with pytest.raises(ValueError, match="finite"):
             SyntheticQuadratic(**inputs)
+
+    def test_rejects_offsets_that_overflow_when_centered(self):
+        """Finite offsets whose sum overflows were stored as [-inf, -inf, inf]
+        with only a RuntimeWarning."""
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflow"):
+            SyntheticQuadratic(diag=[1.0], offsets=[[1e308], [1e308], [-1e308]])
 
     def test_lipschitz_constant_is_max_eigenvalue(self):
         rng = np.random.default_rng(3)
@@ -348,7 +353,7 @@ class TestEnumerationInputChecks:
 
 # ---------------------------------------------------------------------------
 # The enumeration as a loop over the batches, kept verbatim as the reference
-# for the closed-form moments and the block enumeration in `trish.theory`.
+# for the closed-form moments and the enumeration in `trish.theory`.
 
 def loop_batch_gradients(problem, x, batch_size):
     grad = problem.gradient(x)
@@ -466,24 +471,22 @@ def enumeration_cases(draw):
                            offsets=offsets, scales=scales)
     x = (np.zeros(n) if draw(st.booleans()) and noise == "scales"  # grad = 0
          else rng.normal(size=n) * draw(magnitude))
-    return p, x, draw(st.integers(1, 3))
+    return p, x
 
 
 class TestLoopOracle:
     @settings(max_examples=150, deadline=None)
     @given(enumeration_cases())
     def test_matches_the_loop(self, case):
-        p, x, block = case
+        p, x = case
         params = HyperParams(alpha=0.05, gamma1=2.0, gamma2=1.0)
-        # Blocks of 1 to 3 batches carry verify_lemma1's sum across blocks.
-        with mock.patch.object(theory, "ENUM_BLOCK", block):
-            for size in range(1, p.N + 1):
-                moments = gradient_moments(p, x, size)
-                assert_moments_match(moments, loop_gradient_moments(p, x, size), p, x)
-                assert_lemma1_matches(
-                    verify_lemma1(p, x, params, size, p.lipschitz),
-                    loop_verify_lemma1(p, x, params, size, p.lipschitz),
-                    p, x, params, p.lipschitz)
+        for size in range(1, p.N + 1):
+            moments = gradient_moments(p, x, size)
+            assert_moments_match(moments, loop_gradient_moments(p, x, size), p, x)
+            assert_lemma1_matches(
+                verify_lemma1(p, x, params, size, p.lipschitz),
+                loop_verify_lemma1(p, x, params, size, p.lipschitz),
+                p, x, params, p.lipschitz)
         # The last size is N, where a batch is the whole population.
         assert moments.e_err_sq == 0.0
         if moments.grad @ moments.grad > 0:
