@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import trish.optimizer as optimizer
 import trish.sampling as sampling
 from trish.core import GradientEstimate, NumericError, as_vector
+from trish.optimizer import HyperParams, run_trish_as
 from trish.sampling import (DegenerateBatchError, VarianceReport,
                             ZeroReferenceError, noisy_regime_step,
                             proposed_sample_size, required_size,
@@ -260,10 +262,43 @@ def handed_reference(recent, r, current, theta=0.9, nu=5.84, N=100):
     return refs[0] if refs else None
 
 
+def noisy_calls(r=2):
+    """Run `run_trish_as` on a noisy quadratic whose batch grows both through
+    the variance tests and through noisy-regime redraws, and record each
+    noisy-regime control call as (size, aggregates handed, answer, index of
+    the next batch drawn), with every batch the run draws."""
+    draws, calls = [], []
+    sampled, noisy = optimizer.sampled_gradient, optimizer.noisy_regime_step
+
+    def spy_sampled(*args):
+        draws.append(sampled(*args))
+        return draws[-1]
+
+    def spy_noisy(recent, r, current, *args):
+        proposed = noisy(recent, r, current, *args)
+        calls.append((current.per_component.shape[0], list(recent), proposed,
+                      len(draws)))
+        return proposed
+
+    rng = np.random.default_rng(1)
+    problem = SyntheticQuadratic(diag=np.ones(2),
+                                 offsets=rng.normal(size=(40, 2)))
+    params = HyperParams(alpha=1.0, gamma1=8.0, gamma2=0.5, theta=2.0, nu=3.0, r=r)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "sampled_gradient", spy_sampled)
+        mp.setattr(optimizer, "noisy_regime_step", spy_noisy)
+        run_trish_as(problem, np.ones(2), params, 2, 10.0, np.random.default_rng(1))
+    return calls, draws
+
+
+def same_arrays(a, b):
+    return len(a) == len(b) and all(x is y for x, y in zip(a, b))
+
+
 class TestGradientHistory:
     """The noisy-regime history as `noisy_regime_step` reads it: the
-    aggregates kept at the current size, newest last.  The run loop's resets
-    and replacements are checked on `run_trish_as` in test_optimizer.py."""
+    aggregates kept at the current size, newest last, which the run loop of
+    `run_trish_as` resets at each new size and updates on each redraw."""
 
     def test_not_steady_until_window_plus_one(self):
         """With r = 3 the control needs r + 1 = 4 aggregates of one size;
@@ -275,10 +310,45 @@ class TestGradientHistory:
             assert noisy_regime_step(recent[:k], 3, est, 0.9, 5.84, 100) is None
         assert noisy_regime_step(recent, 3, est, 0.9, 5.84, 100) == 100
 
+    def test_size_change_resets(self):
+        """Every aggregate handed over was drawn at the current size, and the
+        run leaves a full history of r + 1 for a larger size."""
+        calls, draws = noisy_calls(r=2)
+        size_of = {id(d.aggregate): d.per_component.shape[0] for d in draws}
+        assert all(size_of[id(a)] == size for size, recent, _, _ in calls
+                   for a in recent)
+        assert any(len(prev[1]) == 3 and len(cur[1]) < 3 and cur[0] > prev[0]
+                   for prev, cur in zip(calls, calls[1:]))
+
     def test_average_over_stored_entries(self):
         est = estimate([[8.0], [0.0]])  # aggregate (4,)
         recent = [np.array([v]) for v in (1.0, 2.0, 3.0)]
         np.testing.assert_array_equal(handed_reference(recent, 2, est), [2.5])  # newest two
+
+    def test_replace_last_same_size(self):
+        """A redraw that keeps the size replaces the last aggregate and
+        keeps the older ones: the next call at that size is handed them, the
+        redrawn batch's aggregate and its own, newest r + 1."""
+        calls, draws = noisy_calls(r=2)
+        kept = 0
+        for (size, recent, proposed, drawn), nxt in zip(calls, calls[1:]):
+            if proposed is not None and proposed <= size and nxt[0] == size:
+                redrawn = draws[drawn].aggregate
+                assert same_arrays(nxt[1], (recent[:-1] + [redrawn, nxt[1][-1]])[-3:])
+                assert not any(a is recent[-1] for a in nxt[1])
+                kept += 1
+        assert kept > 0
+
+    def test_replace_last_new_size_resets(self):
+        """A redraw at a larger size drops the history: the next call at the
+        new size is handed the redrawn batch's aggregate and its own."""
+        calls, draws = noisy_calls(r=2)
+        grown = 0
+        for (size, _, proposed, drawn), nxt in zip(calls, calls[1:]):
+            if proposed is not None and proposed > size and nxt[0] == proposed:
+                assert same_arrays(nxt[1], [draws[drawn].aggregate, nxt[1][-1]])
+                grown += 1
+        assert grown > 0
 
     @pytest.mark.parametrize("window", [True, 2.5, 2.0, "3", 0])
     def test_rejects_bool_and_nonintegral_window(self, window):
