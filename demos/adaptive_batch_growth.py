@@ -28,9 +28,9 @@ print("adaptive, starting from 8:")
 print(f"  iterations={len(rec_ad)}  final loss={problem.loss(x_ad):.4f}")
 
 print("\nbatch-size trajectory of the adaptive run (every 5th iteration):")
-for r in rec_ad[::5]:
+for k, r in list(enumerate(rec_ad))[::5]:
     bar = "#" * (r.batch_size // 4)
-    print(f"  k={r.k:3d}  ege={r.ege:5.2f}  |S|={r.batch_size:4d} {bar}")
+    print(f"  k={k:3d}  ege={r.ege:5.2f}  |S|={r.batch_size:4d} {bar}")
 
 sizes = [r.batch_size for r in rec_ad]
 assert all(b >= a for a, b in zip(sizes, sizes[1:])), "sizes never decrease"

@@ -49,11 +49,11 @@ for algorithm in ("trish", "trish_as"):
           f"gamma2={best.gamma2:.4g})")
 
 print("\nbest-cell comparison (each algorithm's favorite triplet):")
-for row in summarize_best(results, "max"):
-    print(f"  chosen by {row.selected_by:9s} "
-          f"({row.alpha:.4g}, {row.gamma1:.4g}, {row.gamma2:.4g}): "
-          f"fixed={row.trish_metric:.4f}  adaptive={row.trish_as_metric:.4f}  "
-          f"final |S|={row.trish_as_final_batch:.0f}")
+for selected_by, fixed, adaptive in summarize_best(results, "max"):
+    print(f"  chosen by {selected_by:9s} "
+          f"({fixed.alpha:.4g}, {fixed.gamma1:.4g}, {fixed.gamma2:.4g}): "
+          f"fixed={fixed.mean_metric:.4f}  adaptive={adaptive.mean_metric:.4f}  "
+          f"final |S|={adaptive.mean_final_batch:.0f}")
 
 with tempfile.TemporaryDirectory() as td:
     cfg = dataclasses.replace(config, algorithm="trish_as", output_dir=td)

@@ -35,6 +35,29 @@ def check_count(name: str, value, low: int = 1) -> None:
         raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
+def _check_real(name: str, value, finite: bool) -> None:
+    """Reject a bool, a non-number (int or float, numpy's too) and, if `finite`, NaN or +-inf."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    if finite and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def check_positive(name: str, value, finite: bool = True) -> None:
+    """Reject anything but a number > 0; NaN, a bool and, if `finite`, +inf fail."""
+    _check_real(name, value, finite)
+    if not value > 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
+
+
+def check_gammas(gamma1, gamma2) -> None:
+    """Reject a step interval unless 0 < gamma2 < gamma1, both finite numbers."""
+    _check_real("gamma1", gamma1, True)
+    _check_real("gamma2", gamma2, True)
+    if not 0 < gamma2 < gamma1:
+        raise ValueError(f"need 0 < gamma2 < gamma1, got {gamma2!r}, {gamma1!r}")
+
+
 class FiniteSumProblem(ABC):
     """Objective F(x) = (1/N) sum_i F_i(x) with per-component losses and gradients.
 

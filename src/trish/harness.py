@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FiniteSumProblem, check_count
+from .core import FiniteSumProblem, check_count, check_positive
 from .data import chronological_split, minmax_normalize, parse_libsvm
 from .models import (LogisticModel, MlpModel, _dense, default_x0,
                      testing_accuracy, testing_loss)
@@ -87,15 +87,11 @@ class ExperimentConfig:
                              f"not {self.model}")
         check_count("reps", self.reps)
         check_count("seed", self.seed, low=0)
-        budget = self.budget_epochs
-        if isinstance(budget, bool) or not 0 < budget < math.inf:  # NaN fails
-            raise ValueError(f"budget_epochs must be positive and finite (not a bool), "
-                             f"got {budget!r}")
+        check_positive("budget_epochs", self.budget_epochs)
         if self.train_fraction is not None and not 0 < self.train_fraction < 1:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        g = self.g_value
-        if g is not None and (isinstance(g, bool) or not 0 < g < math.inf):
-            raise ValueError(f"g_value must be positive and finite (not a bool), got {g!r}")
+        if self.g_value is not None:
+            check_positive("g_value", self.g_value)
         # every cell at G = 1, before any data is read (run_grid rechecks at G)
         for cell in build_grid(1.0, self.alphas, self.gamma1_multipliers,
                                self.gamma2_multipliers):
@@ -117,7 +113,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def initial_sample_size(N: int) -> int:
-    """Adaptive starting batch size: ceil(N / 100), clamped to [2, 32]."""
+    """Adaptive starting batch size: ceil(N / 100), clamped to [2, 32], for N >= 2."""
+    check_count("N", N, low=2)
     return min(32, max(2, math.ceil(N / 100)))
 
 
@@ -146,10 +143,9 @@ def build_grid(G: float, alphas=DEFAULT_ALPHAS,
     """Cartesian parameter grid, alpha-major then gamma1 then gamma2.
 
     The default multipliers give the canonical 5 x 4 x 3 = 60 triplets
-    (alpha, m1/G, m2/G).
+    (alpha, m1/G, m2/G).  G must be a positive finite number.
     """
-    if G <= 0:
-        raise ValueError("G must be positive")
+    check_positive("G", G)
     return [(float(a), float(m1 / G), float(m2 / G))
             for a in alphas
             for m1 in gamma1_multipliers
@@ -179,11 +175,7 @@ class GridCellResult:
 
 def _case_fractions(records) -> tuple[float, float, float]:
     cased = [rec.case for rec in records if rec.case is not None]
-    if not cased:
-        return (0.0, 0.0, 0.0)
-    total = len(cased)
-    return tuple(sum(1 for c in cased if c is case) / total
-                 for case in (StepCase.CASE1, StepCase.CASE2, StepCase.CASE3))
+    return tuple(cased.count(case) / len(cased) if cased else 0.0 for case in StepCase)
 
 
 def _metric_setup(config: ExperimentConfig, problem, test_features, test_labels):
@@ -349,49 +341,27 @@ def write_curves(results: list[GridCellResult], directory) -> None:
         (directory / f"{r.algorithm}_{ci:03d}.csv").write_text("\n".join(lines) + "\n")
 
 
-@dataclass(frozen=True)
-class BestRow:
-    """One comparison row: the triplet that was best for `selected_by`."""
-
-    selected_by: str
-    alpha: float
-    gamma1: float
-    gamma2: float
-    trish_metric: float
-    trish_as_metric: float
-    trish_as_final_batch: float
-
-
-def summarize_best(results: list[GridCellResult],
-                   metric_direction: str = "max") -> list[BestRow]:
+def summarize_best(results: list[GridCellResult], metric_direction: str = "max"
+                   ) -> list[tuple[str, GridCellResult, GridCellResult]]:
     """Two-row comparison at each algorithm's best triplet.
 
-    Row one uses the triplet where the fixed-batch algorithm scored best,
-    row two the triplet where the adaptive one did; each row reports both
-    algorithms' metrics there plus the adaptive run's mean final batch size.
-    Ties break to the earliest grid cell.
+    Each row is (selected_by, trish_cell, trish_as_cell): row one holds the
+    two algorithms' cells at the triplet where the fixed-batch algorithm
+    scored best, row two at the triplet where the adaptive one did.  Ties
+    break to the earliest grid cell.
     """
     if metric_direction not in ("max", "min"):
         raise ValueError("metric_direction must be 'max' or 'min'")
-    by_alg: dict[str, list[GridCellResult]] = {}
-    for r in results:
-        by_alg.setdefault(r.algorithm, []).append(r)
-    if "trish" not in by_alg or "trish_as" not in by_alg:
+    by_alg = {alg: [r for r in results if r.algorithm == alg] for alg in ("trish", "trish_as")}
+    if not all(by_alg.values()):
         raise ValueError("need results for both trish and trish_as")
     pick = max if metric_direction == "max" else min
-    lookup = {alg: {r.triplet: r for r in rows} for alg, rows in by_alg.items()}
-
+    lookup = {alg: {r.triplet: r for r in cells} for alg, cells in by_alg.items()}
     rows = []
-    for alg in ("trish", "trish_as"):
+    for alg in by_alg:
         best = pick(by_alg[alg], key=lambda r: r.mean_metric)
-        other = lookup["trish_as" if alg == "trish" else "trish"].get(best.triplet)
-        if other is None:
+        cells = [best if a == alg else lookup[a].get(best.triplet) for a in by_alg]
+        if any(cell is None for cell in cells):
             raise ValueError("the two algorithms ran different grids")
-        as_cell = best if alg == "trish_as" else other
-        trish_cell = best if alg == "trish" else other
-        rows.append(BestRow(
-            selected_by=alg, alpha=best.alpha, gamma1=best.gamma1,
-            gamma2=best.gamma2, trish_metric=trish_cell.mean_metric,
-            trish_as_metric=as_cell.mean_metric,
-            trish_as_final_batch=as_cell.mean_final_batch))
+        rows.append((alg, *cells))
     return rows

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .core import FiniteSumProblem, as_vector
+from .core import FiniteSumProblem, as_vector, check_positive
 
 
 def _dense(features) -> np.ndarray:
@@ -129,7 +129,7 @@ class MlpModel(FiniteSumProblem):
         for a in activations:
             if a not in _ACTIVATIONS:
                 raise ValueError(f"unknown activation {a!r}")
-        if targets.size and (targets.min() < 0.0 or targets.max() > 1.0):
+        if not np.all((targets >= 0.0) & (targets <= 1.0)):  # NaN fails
             raise ValueError("cross-entropy targets must lie in [0, 1]")
 
         self.features = _dense(features)
@@ -263,9 +263,8 @@ FD_CHUNK = 256  # most perturbed points per `component_loss_stack` call
 def finite_difference_gradient(problem: FiniteSumProblem, i: int, x,
                                h: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of component i, each coordinate moved by
-    +-h alone, the losses taken FD_CHUNK points at a time."""
-    if h <= 0:
-        raise ValueError("h must be positive")
+    +-h alone (h finite, > 0), the losses taken FD_CHUNK points at a time."""
+    check_positive("h", h)
     x = as_vector(x)
     grad = np.empty(x.size)
     for lo in range(0, x.size, FD_CHUNK):

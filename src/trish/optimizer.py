@@ -26,7 +26,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (FiniteSumProblem, NumericError, as_vector, check_count,
-                   draw_batch, sampled_gradient)
+                   check_gammas, check_positive, draw_batch, sampled_gradient)
 from .sampling import noisy_regime_step, required_size
 
 
@@ -34,9 +34,9 @@ from .sampling import noisy_regime_step, required_size
 class HyperParams:
     """Step-rule parameters plus adaptive-sampling controls.
 
-    alpha: steplength.  gamma1/gamma2 bound the normalized-step interval
-    (0 < gamma2 < gamma1).  theta, nu: variance-test constants (+inf passes
-    every test); r: averaging window of the noisy-regime control.
+    alpha > 0: steplength; 0 < gamma2 < gamma1: normalized-step interval ends,
+    all three finite.  theta, nu > 0: variance-test constants (+inf passes every
+    test); r >= 1: averaging window of the noisy-regime control.
     """
 
     alpha: float
@@ -47,15 +47,10 @@ class HyperParams:
     r: int = 10
 
     def __post_init__(self):
-        for name in ("alpha", "gamma1", "gamma2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0 < self.gamma2 < self.gamma1:
-            raise ValueError(f"need 0 < gamma2 < gamma1, got {self.gamma2}, {self.gamma1}")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if not (self.theta > 0 and self.nu > 0):  # NaN fails; +inf passes
-            raise ValueError(f"theta and nu must be positive, got {self.theta}, {self.nu}")
+        check_positive("alpha", self.alpha)
+        check_gammas(self.gamma1, self.gamma2)
+        check_positive("theta", self.theta, finite=False)
+        check_positive("nu", self.nu, finite=False)
         check_count("r", self.r)
 
 
@@ -69,9 +64,8 @@ class StepCase(Enum):
 
 @dataclass(slots=True)
 class IterationRecord:
-    """Per-iteration telemetry."""
+    """Per-iteration telemetry; the iteration number is the list index."""
 
-    k: int
     case: Optional[StepCase]
     grad_norm: float
     batch_size: int
@@ -83,11 +77,10 @@ class IterationRecord:
 def classify_case(grad_norm: float, gamma1: float, gamma2: float) -> StepCase:
     """Select the step branch from the gradient norm.
 
-    Both endpoints of [1/gamma1, 1/gamma2] belong to the normalized branch,
-    so ties never reach CASE1 or CASE3.
+    Both ends of [1/gamma1, 1/gamma2] are in the normalized branch, so ties never
+    reach CASE1 or CASE3.  Bad gammas and a NaN or negative norm raise ValueError.
     """
-    if not 0 < gamma2 < gamma1:
-        raise ValueError(f"need 0 < gamma2 < gamma1, got {gamma2}, {gamma1}")
+    check_gammas(gamma1, gamma2)
     if not grad_norm >= 0:
         raise ValueError(f"grad_norm must be >= 0, got {grad_norm}")
     return _case(grad_norm, 1.0 / gamma1, 1.0 / gamma2)
@@ -161,13 +154,12 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
     constants, in which case it follows `run_trish_as`, whose controls stop
     at size N.  Each iteration steps with the current gradient, records,
     stops once the budget is spent, and otherwise forms the next gradient.
+    `size` must be an integer in [1, N], `budget_epochs` positive and finite.
     """
     N = problem.N
     if isinstance(size, bool) or not 1 <= size <= N or size != int(size):
         raise ValueError(f"batch size {size!r} is not an integer in [1, {N}]")
-    if isinstance(budget_epochs, bool) or not 0 < budget_epochs < math.inf:
-        raise ValueError(f"budget_epochs must be positive and finite (not a bool), "
-                         f"got {budget_epochs!r}")
+    check_positive("budget_epochs", budget_epochs)
     x = as_vector(x0).copy()
     size = int(size)
     ege = 0.0
@@ -201,7 +193,7 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
         gnorm = math.sqrt(gsq)
         case, p = step(est.aggregate, gnorm)
         x = x + p
-        records.append(IterationRecord(len(records), case, gnorm, size, ege))
+        records.append(IterationRecord(case, gnorm, size, ege))
         if metric_fn is not None:
             iterates.append(x)
         if ege >= budget_epochs:
@@ -243,8 +235,11 @@ def run_sg(problem: FiniteSumProblem, x0, alpha: float, batch_size: int,
            metric_fn: MetricFn = None) -> tuple[np.ndarray, list[IterationRecord]]:
     """Plain stochastic-gradient baseline: x <- x - alpha * g.
 
+    `alpha` must be a finite number >= 0 (0 freezes the iterates).
     Telemetry is filled in after the loop, as in `run_trish`.
     """
+    if alpha != 0 or isinstance(alpha, bool):
+        check_positive("alpha", alpha)
     # x + (-alpha) * g equals x - alpha * g bit for bit.
     return _run(problem, x0, batch_size, budget_epochs, rng, metric_fn,
                 lambda g, gnorm: (None, (-alpha) * g))

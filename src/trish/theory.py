@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteSumProblem, as_vector, check_count
+from .core import FiniteSumProblem, as_vector, check_count, check_gammas, check_positive
 from .optimizer import HyperParams, run_trish, trish_step
 
 
@@ -25,9 +25,9 @@ def second_moment_coefficient(theta: float, nu: float) -> float:
 
 
 def beta_const(alpha: float, gamma1: float, gamma2: float, L: float) -> float:
-    """The positive constant governing the asymptotic optimality gap."""
-    if not 0 < gamma2 < gamma1:
-        raise ValueError("need 0 < gamma2 < gamma1")
+    """The positive constant governing the asymptotic optimality gap, for
+    gammas that pass `check_gammas` and positive alpha and L."""
+    check_gammas(gamma1, gamma2)
     if not (alpha > 0 and L > 0):  # NaN fails
         raise ValueError(f"alpha and L must be positive, got {alpha}, {L}")
     return (gamma1**2 - gamma2**2) / (2.0 * gamma2) + 0.5 * alpha * gamma1**2 * L
@@ -54,12 +54,12 @@ class StepsizeBounds:
 def stepsize_bounds(gamma1: float, gamma2: float, L: float,
                     mu: float | None = None,
                     M2: float | None = None) -> StepsizeBounds:
-    """Evaluate every steplength bound available from the given constants."""
-    if not 0 < gamma2 < gamma1:
-        raise ValueError("need 0 < gamma2 < gamma1")
+    """Every steplength bound available from the given constants: gammas
+    that pass `check_gammas`, L, mu and M2 positive (+inf passes) or absent."""
+    check_gammas(gamma1, gamma2)
     for name, value in (("L", L), ("mu", mu), ("M2", M2)):
-        if value is not None and not value > 0:  # NaN fails
-            raise ValueError(f"{name} must be positive, got {value}")
+        if value is not None:
+            check_positive(name, value, finite=False)
     base = gamma2 / (2.0 * gamma1**2 * L)
     pl = min(base, 1.0 / (mu * gamma2)) if mu is not None else None
     zero_noise = 1.0 / (4.0 * gamma2 * L * M2) if M2 is not None else None
@@ -293,10 +293,11 @@ def verify_theorem_gap(problem: SyntheticQuadratic, params: HyperParams,
     asymptotic ceiling 2 * beta * M_g / (mu * gamma2) from `asymptotic_gaps`.
     M_g is the exact closed-form gradient-estimate variance at the start
     point; for additive-noise quadratics it is position-independent, hence
-    a uniform bound.  `reps` must be an integer >= 1 and `batch_size` one in
-    [1, N]; anything else raises ValueError.
+    a uniform bound.  `reps` and `horizon_iters` must be integers >= 1 and
+    `batch_size` one in [1, N]; anything else raises ValueError.
     """
     check_count("reps", reps)
+    check_count("horizon_iters", horizon_iters)
     x0 = problem.minimizer + 1.0
     L, mu = problem.lipschitz, problem.pl_constant
     beta = beta_const(params.alpha, params.gamma1, params.gamma2, L)

@@ -1,6 +1,7 @@
 """Tests for sampling primitives and the finite-sum problem contract."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 import trish
 from trish.core import (FiniteSumProblem, NumericError, SampleBatch,
-                        draw_batch, sampled_gradient)
+                        check_gammas, check_positive, draw_batch,
+                        sampled_gradient)
 from trish.optimizer import HyperParams, run_trish
 from trish.theory import SyntheticQuadratic
 
@@ -271,6 +273,43 @@ class TestDeterminism:
             runs.append((x, [r.grad_norm for r in records]))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
+
+
+class TestInputRules:
+    @pytest.mark.parametrize("value", (
+        0.0, -1.0, -0.0, math.nan, math.inf, -math.inf, True, "1", None,
+        np.array(1.0), np.bool_(True)))
+    def test_check_positive_rejects(self, value):
+        with pytest.raises(ValueError, match=r"^x must be (a number|finite|positive), got"):
+            check_positive("x", value)
+
+    @pytest.mark.parametrize("value", (1e-300, 3, np.int64(3), np.float32(0.5)))
+    def test_check_positive_accepts(self, value):
+        check_positive("x", value)
+        check_positive("x", value, finite=False)
+
+    def test_finite_switch_admits_only_plus_inf(self):
+        check_positive("theta", math.inf, finite=False)
+        for value in (math.nan, -math.inf, 0.0, True):
+            with pytest.raises(ValueError, match="^theta must be"):
+                check_positive("theta", value, finite=False)
+
+    @pytest.mark.parametrize("gamma1, gamma2, message", [
+        (math.inf, 1.0, "gamma1 must be finite"),
+        (2.0, math.nan, "gamma2 must be finite"),
+        (True, 0.5, "gamma1 must be a number"),
+        (2.0, None, "gamma2 must be a number"),
+        (1.0, 1.0, "need 0 < gamma2 < gamma1"),
+        (1.0, 2.0, "need 0 < gamma2 < gamma1"),
+        (2.0, 0.0, "need 0 < gamma2 < gamma1"),
+        (-1.0, -2.0, "need 0 < gamma2 < gamma1")])
+    def test_check_gammas_rejects(self, gamma1, gamma2, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            check_gammas(gamma1, gamma2)
+
+    def test_check_gammas_accepts(self):
+        check_gammas(2.0, 1.0)
+        check_gammas(np.float64(1e300), 1e-300)
 
 
 def test_every_export_resolves():

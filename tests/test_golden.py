@@ -86,8 +86,8 @@ PARAMS = {
 
 def digest(x, records) -> str:
     h = hashlib.sha256(np.asarray(x, dtype=np.float64).tobytes())
-    for r in records:
-        fields = (r.k, r.case and r.case.value, r.grad_norm, r.batch_size,
+    for k, r in enumerate(records):
+        fields = (k, r.case and r.case.value, r.grad_norm, r.batch_size,
                   r.ege, r.train_loss, r.test_metric)
         h.update(repr(fields).encode())
     return h.hexdigest()

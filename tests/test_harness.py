@@ -72,6 +72,13 @@ class TestInitialSampleSize:
         if math.ceil(N / 100) >= 2:
             assert size == min(32, math.ceil(N / 100))
 
+    @pytest.mark.parametrize("N", (0, -5, True, 1, 150.0))
+    def test_rejects_bad_component_counts(self, N):
+        """Each used to return 2, a batch that no N below 2 holds; N is a
+        count, so True and 150.0 are refused as well."""
+        with pytest.raises(ValueError, match=r"\bN\b"):
+            initial_sample_size(N)
+
 
 class TestBuildGrid:
     def test_sixty_cells_in_fixed_order(self):
@@ -97,6 +104,13 @@ class TestBuildGrid:
     def test_rejects_bad_scale(self):
         with pytest.raises(ValueError):
             build_grid(0.0)
+
+    @pytest.mark.parametrize("G", (math.nan, math.inf, True))
+    def test_rejects_nonfinite_and_bool_scale(self, G):
+        """NaN used to give a grid of NaN gammas, inf one of zeros, True
+        the grid at G = 1."""
+        with pytest.raises(ValueError, match=r"\bG\b"):
+            build_grid(G)
 
 
 def tiny_config(**overrides):
@@ -207,20 +221,20 @@ class TestSummarizeBest:
         t = (0.1, 4.0, 1.0)
         rows = summarize_best([self.fake_cell("trish", t, 0.8),
                                self.fake_cell("trish_as", t, 0.9, batch=75.0)])
-        assert len(rows) == 2
-        for row in rows:
-            assert (row.alpha, row.gamma1, row.gamma2) == t
-            assert row.trish_metric == 0.8
-            assert row.trish_as_metric == 0.9
-            assert row.trish_as_final_batch == 75.0
+        assert [selected for selected, _, _ in rows] == ["trish", "trish_as"]
+        for _, trish_cell, as_cell in rows:
+            assert (trish_cell.algorithm, as_cell.algorithm) == ("trish", "trish_as")
+            assert trish_cell.triplet == as_cell.triplet == t
+            assert trish_cell.mean_metric == 0.8
+            assert as_cell.mean_metric == 0.9
+            assert as_cell.mean_final_batch == 75.0
 
     def test_ties_break_to_first_grid_cell(self):
         t1, t2 = (0.1, 4.0, 1.0), (1.0, 8.0, 2.0)
         rows = summarize_best([
             self.fake_cell("trish", t1, 0.8), self.fake_cell("trish", t2, 0.8),
             self.fake_cell("trish_as", t1, 0.7), self.fake_cell("trish_as", t2, 0.7)])
-        assert (rows[0].alpha, rows[0].gamma1, rows[0].gamma2) == t1
-        assert (rows[1].alpha, rows[1].gamma1, rows[1].gamma2) == t1
+        assert [cell.triplet for row in rows for cell in row[1:]] == [t1] * 4
 
     def test_min_direction_for_losses(self):
         t1, t2 = (0.1, 4.0, 1.0), (1.0, 8.0, 2.0)
@@ -228,8 +242,7 @@ class TestSummarizeBest:
             self.fake_cell("trish", t1, 0.5), self.fake_cell("trish", t2, 0.2),
             self.fake_cell("trish_as", t1, 0.1), self.fake_cell("trish_as", t2, 0.3)],
             metric_direction="min")
-        assert (rows[0].alpha, rows[0].gamma1, rows[0].gamma2) == t2
-        assert (rows[1].alpha, rows[1].gamma1, rows[1].gamma2) == t1
+        assert [cell.triplet for row in rows for cell in row[1:]] == [t2, t2, t1, t1]
 
     def test_missing_algorithm_rejected(self):
         with pytest.raises(ValueError):

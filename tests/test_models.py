@@ -1,5 +1,6 @@
 """Tests for the logistic and MLP objectives and the finite-difference oracle."""
 
+import math
 import re
 
 import numpy as np
@@ -268,9 +269,10 @@ class TestMlpModel:
         model = self.regressor_fixture()
         assert model.n == 102  # 7*7+7 + 5*7+5 + 1*5+1
 
-    @pytest.mark.parametrize("bad", (-0.5, 1.5))
+    @pytest.mark.parametrize("bad", (-0.5, 1.5, math.nan))
     def test_rejects_targets_outside_unit_interval(self, bad):
-        """Cross-entropy is the only loss, so every target must lie in [0, 1]."""
+        """Cross-entropy is the only loss, so every target must lie in [0, 1].
+        A NaN target used to pass and give a NaN loss."""
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             MlpModel.regressor(np.zeros((2, 7)), [0.5, bad])
 
@@ -381,6 +383,13 @@ class TestFiniteDifferenceOracle:
         model = logistic_fixture()
         with pytest.raises(ValueError):
             finite_difference_gradient(model, 0, np.zeros(model.n), h=0.0)
+
+    @pytest.mark.parametrize("h", (math.nan, math.inf))
+    def test_rejects_nonfinite_step(self, h):
+        """Both used to return a NaN gradient."""
+        model = logistic_fixture()
+        with pytest.raises(ValueError, match=r"\bh\b"):
+            finite_difference_gradient(model, 0, np.zeros(model.n), h=h)
 
     @pytest.mark.parametrize("K", [1, 5, 40])
     def test_mlp_loss_stack_equals_single_losses(self, K):

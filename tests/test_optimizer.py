@@ -85,6 +85,13 @@ class TestClassifyCase:
             assert case is (StepCase.CASE1 if in1 else
                             StepCase.CASE2 if in2 else StepCase.CASE3)
 
+    @pytest.mark.parametrize("gamma1, gamma2", [
+        (math.inf, 1.0), (True, 0.5), (4.0, math.nan), (4.0, -1.0)])
+    def test_rejects_bad_interval(self, gamma1, gamma2):
+        """gamma1 = inf and gamma1 = True used to classify (inf as CASE2)."""
+        with pytest.raises(ValueError, match="gamma"):
+            classify_case(0.5, gamma1, gamma2)
+
 
 class ConstantRows(FiniteSumProblem):
     """Component i has the gradient [values[i], 0] at every x."""
@@ -273,6 +280,13 @@ class TestRunSg:
         x0 = np.array([1.0, -2.0])
         x, _ = run_sg(problem, x0, 0.0, 2, 2.0, np.random.default_rng(0))
         np.testing.assert_array_equal(x, x0)
+
+    @pytest.mark.parametrize("alpha", (-0.1, math.nan, math.inf, True, False))
+    def test_rejects_bad_steplength(self, alpha):
+        """These used to run: -0.1 as gradient ascent, NaN and inf until a
+        non-finite gradient raised NumericError, True and False as 1 and 0."""
+        with pytest.raises(ValueError, match="alpha"):
+            run_sg(quadratic(N=4), np.ones(2), alpha, 2, 1.0, np.random.default_rng(0))
 
     def test_one_epoch_iteration_count(self):
         problem = SyntheticQuadratic(diag=[1.0], offsets=np.zeros((1605, 1)))
@@ -626,7 +640,7 @@ def check_deferred_telemetry(driver, kind, budget, seed, vacuous=False):
     assert len(on.points) == len(off.points)
     for a, b in zip(on.points, off.points):
         np.testing.assert_array_equal(a, b)
-    fields = [[(r.k, r.case, r.grad_norm, r.batch_size, r.ege) for r in recs]
+    fields = [[(r.case, r.grad_norm, r.batch_size, r.ege) for r in recs]
               for recs in (rec_on, rec_off)]
     assert fields[0] == fields[1]
     assert all(r.train_loss is None and r.test_metric is None for r in rec_off)

@@ -345,6 +345,14 @@ class TestEnumerationInputChecks:
             verify_theorem_gap(self.problem(), params, 2, horizon_iters=10,
                                reps=reps, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("horizon_iters", [10.5, 0, True])
+    def test_verify_theorem_gap_rejects_horizon(self, horizon_iters):
+        """10.5 and True used to run, as a budget of 10.5 and of 1 iterations."""
+        params = HyperParams(alpha=0.1, gamma1=2.0, gamma2=1.0)
+        with pytest.raises(ValueError, match="horizon_iters"):
+            verify_theorem_gap(self.problem(), params, 2, horizon_iters=horizon_iters,
+                               reps=2, rng=np.random.default_rng(0))
+
     def test_bounds_are_accepted(self):
         p = self.problem()
         assert gradient_moments(p, np.ones(2), np.int64(1)).e_err_sq > 0
