@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -107,41 +107,55 @@ class FiniteSumProblem(ABC):
         return self.component_gradients(np.arange(self.N), x).mean(axis=0)
 
 
-@dataclass(frozen=True)
-class SampleBatch:
-    """A without-replacement sample of component indices, in increasing order."""
-
+class _Indices(NamedTuple):
     indices: np.ndarray
 
-    def __post_init__(self):
-        idx = np.asarray(self.indices)
+
+class SampleBatch(_Indices):
+    """A without-replacement sample of component indices, in increasing order."""
+
+    __slots__ = ()
+
+    def __new__(cls, indices):
+        idx = np.asarray(indices)  # a raw list has no .size
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("batch must hold at least one index")
         if idx.dtype.kind not in "iu":
             raise ValueError(f"batch indices must be integers, got dtype {idx.dtype}")
         if idx[0] < 0 or np.any(idx[1:] <= idx[:-1]):
             raise ValueError("batch indices must be non-negative and strictly increasing")
-        object.__setattr__(self, "indices", idx)  # a raw list has no .size
+        return tuple.__new__(cls, (idx,))
 
     @classmethod
     def _drawn(cls, indices: np.ndarray) -> SampleBatch:
-        """Wrap indices known to be valid, skipping `__post_init__`."""
-        batch = object.__new__(cls)
-        object.__setattr__(batch, "indices", indices)
-        return batch
+        """Wrap indices known to be valid, skipping the checks."""
+        return tuple.__new__(cls, (indices,))
 
     @property
     def size(self) -> int:
         return int(self.indices.size)
 
 
-@dataclass(frozen=True)
-class GradientEstimate:
+class GradientEstimate(NamedTuple):
     """Mini-batch gradient: `aggregate` is the row mean of `per_component`,
-    whose rows the adaptive-sampling variance tests need."""
+    whose rows the adaptive-sampling variance tests need, and `sq_norm` is
+    `aggregate.dot(aggregate)`."""
 
     aggregate: np.ndarray
     per_component: np.ndarray
+    sq_norm: float
+
+
+class _Size(int):
+    """A batch size whose `prod` is itself.  `Generator.choice` passes its
+    `size` through `np.prod`, which calls a non-array argument's own `prod`;
+    on a plain int it builds an array first, about 3 us of a draw.  The draw
+    and the generator state after it are the same."""
+
+    __slots__ = ()
+
+    def prod(self, *args, **kwargs) -> int:
+        return int(self)
 
 
 def draw_batch(N: int, size: int, rng: np.random.Generator) -> SampleBatch:
@@ -156,7 +170,7 @@ def draw_batch(N: int, size: int, rng: np.random.Generator) -> SampleBatch:
         raise ValueError(f"batch size {size} out of range [1, {N}]")
     if size == N:
         return SampleBatch._drawn(np.arange(N))
-    idx = rng.choice(N, size=size, replace=False)
+    idx = rng.choice(N, size=_Size(size), replace=False)
     idx.sort()  # in place: the draw is a fresh array
     return SampleBatch._drawn(idx)
 
@@ -177,9 +191,10 @@ def sampled_gradient(problem: FiniteSumProblem, x: np.ndarray,
     # Row mean in index order: the same reduction and division as np.mean.
     aggregate = np.add.reduce(per, axis=0)
     aggregate /= float(per.shape[0])  # exact: a float divisor skips int conversion
-    if not math.isfinite(aggregate.dot(aggregate)) and not np.isfinite(aggregate).all():
+    sq_norm = aggregate.dot(aggregate)
+    if not math.isfinite(sq_norm) and not np.isfinite(aggregate).all():
         finite_rows = np.isfinite(per).all(axis=1)
         if not finite_rows.all():
             bad = int(batch.indices[np.flatnonzero(~finite_rows)[0]])
             raise NumericError(f"non-finite gradient for component {bad}", component=bad)
-    return GradientEstimate(aggregate, per)
+    return GradientEstimate(aggregate, per, sq_norm)

@@ -200,6 +200,13 @@ def minmax_normalize(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_train_fraction(value) -> None:
+    """Reject a training share unless it is a number strictly between 0 and 1."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating))
+            or not 0 < value < 1):  # NaN fails
+        raise ValueError(f"train_fraction must be in (0, 1), got {value!r}")
+
+
 def chronological_split(features, labels, train_fraction: float):
     """Order-preserving split: the first ceil(fraction * N) rows train.
 
@@ -207,8 +214,7 @@ def chronological_split(features, labels, train_fraction: float):
     """
     labels = np.asarray(labels)
     N = labels.size
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError("train_fraction must be in (0, 1)")
+    check_train_fraction(train_fraction)
     n_train = math.ceil(train_fraction * N)
     if n_train == 0 or n_train == N:
         raise ValueError(f"split leaves an empty side ({n_train}/{N - n_train})")

@@ -20,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from .core import FiniteSumProblem, check_count, check_positive
-from .data import chronological_split, minmax_normalize, parse_libsvm
+from .data import (check_train_fraction, chronological_split, minmax_normalize,
+                   parse_libsvm)
 from .models import (LogisticModel, MlpModel, _dense, default_x0,
                      testing_accuracy, testing_loss)
 from .optimizer import (HyperParams, StepCase, run_sg, run_trish,
@@ -88,8 +89,8 @@ class ExperimentConfig:
         check_count("reps", self.reps)
         check_count("seed", self.seed, low=0)
         check_positive("budget_epochs", self.budget_epochs)
-        if self.train_fraction is not None and not 0 < self.train_fraction < 1:
-            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        if self.train_fraction is not None:
+            check_train_fraction(self.train_fraction)
         if self.g_value is not None:
             check_positive("g_value", self.g_value)
         # every cell at G = 1, before any data is read (run_grid rechecks at G)

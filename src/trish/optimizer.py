@@ -83,13 +83,8 @@ def classify_case(grad_norm: float, gamma1: float, gamma2: float) -> StepCase:
     check_gammas(gamma1, gamma2)
     if not grad_norm >= 0:
         raise ValueError(f"grad_norm must be >= 0, got {grad_norm}")
-    return _case(grad_norm, 1.0 / gamma1, 1.0 / gamma2)
-
-
-def _case(grad_norm: float, low: float, high: float) -> StepCase:
-    """The branch for a checked norm and interval [low, high] = [1/gamma1, 1/gamma2]."""
-    return (StepCase.CASE1 if grad_norm < low else
-            StepCase.CASE2 if grad_norm <= high else StepCase.CASE3)
+    return (StepCase.CASE1 if grad_norm < 1.0 / gamma1 else
+            StepCase.CASE2 if grad_norm <= 1.0 / gamma2 else StepCase.CASE3)
 
 
 def _step_vector(g: np.ndarray, gnorm: float, case: StepCase,
@@ -138,8 +133,10 @@ def _fill_telemetry(records, iterates, problem, metric_fn):
 def _trish_rule(params: HyperParams):
     """The TRish step as a step rule for `_run`, its interval formed once."""
     low, high = 1.0 / params.gamma1, 1.0 / params.gamma2  # HyperParams checked them
+    case1, case2, case3 = StepCase.CASE1, StepCase.CASE2, StepCase.CASE3
     def step(g, gnorm):
-        case = _case(gnorm, low, high)
+        # `classify_case`'s branch, inline: one call fewer per iteration.
+        case = case1 if gnorm < low else case2 if gnorm <= high else case3
         return case, _step_vector(g, gnorm, case, params)
     return step
 
@@ -167,12 +164,11 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
     iterates: list[np.ndarray] = []
 
     def sample():
-        """Gradient at x over a fresh batch of the current size, charged to
-        EGE, and the squared norm of its batch mean."""
+        """Gradient at x over a fresh batch of the current size, charged to EGE."""
         nonlocal ege
         est = sampled_gradient(problem, x, draw_batch(N, size, rng))
         ege += size / N
-        return est, est.aggregate.dot(est.aggregate)
+        return est
 
     def grow(proposed):
         """Adopt a proposed size, never shrinking and at most N, and redraw.
@@ -184,13 +180,13 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
         size = adopted
         return sample()
 
-    est, gsq = sample()
+    est = sample()
     if sampler is not None:
         # Aggregates drawn at the current size, oldest first, for the
         # noisy-regime control.
         recent = deque([est.aggregate], maxlen=sampler.r + 1)
     while True:
-        gnorm = math.sqrt(gsq)
+        gnorm = math.sqrt(est.sq_norm)
         case, p = step(est.aggregate, gnorm)
         x = x + p
         records.append(IterationRecord(case, gnorm, size, ege))
@@ -198,20 +194,20 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
             iterates.append(x)
         if ege >= budget_epochs:
             break
-        est, gsq = sample()
+        est = sample()
         if sampler is None or size == N:
             continue  # a batch of all N components is the exact gradient
-        if 0.0 < gsq < math.inf:
+        if 0.0 < est.sq_norm < math.inf:
             proposed = required_size(est, est.aggregate, sampler.theta, sampler.nu, N)
             if proposed is not None:
-                est, gsq = grow(proposed)
+                est = grow(proposed)
                 if size == N:
                     continue
         recent.append(est.aggregate)
         proposed = noisy_regime_step(recent, sampler.r, est, sampler.theta, sampler.nu, N)
         if proposed is not None:
             recent.pop()  # the redraw replaces this gradient
-            est, gsq = grow(proposed)
+            est = grow(proposed)
             recent.append(est.aggregate)
 
     _fill_telemetry(records, iterates, problem, metric_fn)  # none kept: a no-op
@@ -268,6 +264,7 @@ def run_trish_as(problem: FiniteSumProblem, x0, params: HyperParams,
     when the gradient is zero or any test quantity comes out non-finite in
     floating point.  Telemetry is filled in after the loop, as in `run_trish`.
     """
+    check_positive("s0", s0)  # before comparing: "3" < 2 raises TypeError
     if s0 < 2:
         raise ValueError(f"s0 must be >= 2, got {s0!r}; run_trish runs a batch of one")
     return _run(problem, x0, s0, budget_epochs, rng, metric_fn,

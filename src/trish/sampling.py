@@ -131,7 +131,7 @@ def noisy_regime_step(recent, r: int, current: GradientEstimate,
         return None
     # Adds the rows oldest to newest; that order fixes the rounding.
     g_avg = np.add.reduce(np.array(recent, dtype=np.float64)[-r:]) / r
-    current_norm = math.sqrt(current.aggregate.dot(current.aggregate))
+    current_norm = math.sqrt(current.sq_norm)
     if not math.sqrt(g_avg.dot(g_avg)) < current_norm:
         return None
     return required_size(current, g_avg, theta, nu, N)

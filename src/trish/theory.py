@@ -26,10 +26,10 @@ def second_moment_coefficient(theta: float, nu: float) -> float:
 
 def beta_const(alpha: float, gamma1: float, gamma2: float, L: float) -> float:
     """The positive constant governing the asymptotic optimality gap, for
-    gammas that pass `check_gammas` and positive alpha and L."""
+    gammas that pass `check_gammas` and positive finite alpha and L."""
     check_gammas(gamma1, gamma2)
-    if not (alpha > 0 and L > 0):  # NaN fails
-        raise ValueError(f"alpha and L must be positive, got {alpha}, {L}")
+    check_positive("alpha", alpha)
+    check_positive("L", L)
     return (gamma1**2 - gamma2**2) / (2.0 * gamma2) + 0.5 * alpha * gamma1**2 * L
 
 
@@ -74,9 +74,12 @@ def stepsize_bounds(gamma1: float, gamma2: float, L: float,
 def asymptotic_gaps(beta: float, M_g: float, mu: float,
                     gamma2: float) -> tuple[float, float]:
     """Limit values of the optimality gap (PL case) and of the averaged
-    squared gradient norm (nonconvex case)."""
-    if not (beta > 0 and mu > 0 and gamma2 > 0 and M_g >= 0):  # NaN fails
-        raise ValueError("constants must be positive (M_g nonnegative)")
+    squared gradient norm (nonconvex case), for beta, mu and gamma2 positive
+    and M_g zero or positive, all finite."""
+    for name, value in (("beta", beta), ("mu", mu), ("gamma2", gamma2)):
+        check_positive(name, value)
+    if M_g != 0 or isinstance(M_g, bool):
+        check_positive("M_g", M_g)
     return 2.0 * beta * M_g / (mu * gamma2), 4.0 * beta * M_g / gamma2
 
 

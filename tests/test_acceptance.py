@@ -157,7 +157,8 @@ def test_criterion_04_variance_test_oracles():
 
     def estimate(per):
         per = np.asarray(per, dtype=float)
-        return GradientEstimate(aggregate=per.mean(axis=0), per_component=per)
+        agg = per.mean(axis=0)
+        return GradientEstimate(aggregate=agg, per_component=per, sq_norm=agg.dot(agg))
 
     est = estimate([[1.0, 0.0], [0.0, 1.0]])
     rep = variance_report(est, est.aggregate, 0.9, 5.84)

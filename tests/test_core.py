@@ -79,6 +79,24 @@ class TestDrawBatch:
             batch.indices, np.sort(twin.choice(N, size=size, replace=False)))
         assert rng.bit_generator.state == twin.bit_generator.state
 
+    @pytest.mark.parametrize("N, size", [(8, 2), (8, 7), (1605, 17), (6294, 63),
+                                         (20000, 500), (20000, 19000), (6294, 6294)])
+    def test_draw_matches_choice_on_both_paths(self, N, size):
+        """`rng.choice` takes Floyd's algorithm for small sizes and a partial
+        shuffle for large ones; a draw equals its sorted result on both and
+        leaves the same generator state.  At size N the state is untouched."""
+        rng, twin = np.random.default_rng(N + size), np.random.default_rng(N + size)
+        state = rng.bit_generator.state
+        batch = draw_batch(N, size, rng)
+        if size == N:
+            np.testing.assert_array_equal(batch.indices, np.arange(N))
+            assert rng.bit_generator.state == state
+        else:
+            np.testing.assert_array_equal(
+                batch.indices, np.sort(twin.choice(N, size, replace=False)))
+            assert rng.bit_generator.state == twin.bit_generator.state
+            assert rng.bit_generator.state != state
+
     def test_single_index_problem(self):
         rng = np.random.default_rng(0)
         assert draw_batch(1, 1, rng).indices.tolist() == [0]
@@ -145,6 +163,15 @@ class TestSampleBatch:
     def test_rejects_float_indices(self):
         with pytest.raises(ValueError, match="integers"):
             SampleBatch(indices=np.array([0.0, 2.0]))
+
+    def test_batch_and_estimate_are_immutable(self):
+        problem = make_problem()
+        batch = draw_batch(problem.N, 3, np.random.default_rng(0))
+        est = sampled_gradient(problem, np.ones(3), batch)
+        for obj, field in ((batch, "indices"), (est, "aggregate"), (est, "sq_norm")):
+            with pytest.raises(AttributeError):
+                setattr(obj, field, None)
+        assert est.sq_norm == est.aggregate.dot(est.aggregate)
 
 
 class TestSampledGradient:

@@ -334,6 +334,19 @@ class TestChronologicalSplit:
             chronological_split(np.zeros((5, 1)), np.zeros(5), 0.999)
 
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, math.nan, True, "0.7"])
+    def test_bad_fraction_fails_as_in_the_config(self, fraction):
+        """The split owns the rule, so a config naming the same fraction fails
+        with the same message.  A string used to raise TypeError."""
+        from trish.harness import ExperimentConfig
+        pattern = r"^train_fraction must be in \(0, 1\), got"
+        with pytest.raises(ValueError, match=pattern):
+            chronological_split(np.zeros((5, 1)), np.zeros(5), fraction)
+        with pytest.raises(ValueError, match=pattern):
+            ExperimentConfig(model="logistic", algorithm="trish", data_path="d",
+                             train_fraction=fraction)
+
+
 def format_csv_to_libsvm(csv_stream, out_stream, label_col=0, missing_value=None):
     """Reference converter: re-prints every written number with ``.17g``.
 

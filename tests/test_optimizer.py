@@ -416,6 +416,14 @@ class TestRunTrishAs:
             run_trish_as(problem, np.ones(2), params, 1, 1.0,
                          np.random.default_rng(0))
 
+    @pytest.mark.parametrize("s0", ["3", None, True])
+    def test_non_number_s0_rejected(self, s0):
+        """A string or None used to raise TypeError from the comparison."""
+        params = HyperParams(alpha=0.1, gamma1=4.0, gamma2=1.0)
+        with pytest.raises(ValueError, match=r"^s0 must be"):
+            run_trish_as(quadratic(), np.ones(2), params, s0, 1.0,
+                         np.random.default_rng(0))
+
     @settings(max_examples=60, deadline=None)
     @given(theta=TEST_CONSTANT, nu=TEST_CONSTANT, r=st.integers(1, 12),
            s0=st.integers(2, 25))

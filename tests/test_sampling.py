@@ -21,7 +21,8 @@ from trish.theory import SyntheticQuadratic, gradient_moments
 
 def estimate(per_component) -> GradientEstimate:
     per = np.asarray(per_component, dtype=np.float64)
-    return GradientEstimate(aggregate=per.mean(axis=0), per_component=per)
+    agg = per.mean(axis=0)
+    return GradientEstimate(aggregate=agg, per_component=per, sq_norm=agg.dot(agg))
 
 
 class TestVarianceReport:
@@ -470,7 +471,8 @@ def sampler_cases(draw):
     elif shape == "repeated_rows":
         per[1:] = per[0]
     # Row mean in index order, as `sampled_gradient` forms it.
-    est = GradientEstimate(np.add.reduce(per, axis=0) / float(m), per)
+    agg = np.add.reduce(per, axis=0) / float(m)
+    est = GradientEstimate(agg, per, agg.dot(agg))
     history = None
     if draw(st.booleans()):
         r = draw(st.integers(1, 12))
@@ -487,7 +489,8 @@ def history_average(est, history):
     pushed at the batch's size, kept as the run loop keeps them.  A current
     gradient of infinite norm opens the control's norm gate."""
     r, pushed = history
-    gate_open = GradientEstimate(np.full(est.aggregate.shape, np.inf), est.per_component)
+    gate_open = GradientEstimate(np.full(est.aggregate.shape, np.inf), est.per_component,
+                                 math.inf)
     return handed_reference(deque(pushed, maxlen=r + 1), r, gate_open)
 
 

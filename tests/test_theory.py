@@ -38,7 +38,13 @@ class TestBetaConst:
         (np.nan, 1.0), (0.1, np.nan), (0.0, 1.0), (0.1, 0.0), (0.1, -1.0)])
     def test_rejects_nan_and_nonpositive(self, alpha, L):
         """A NaN alpha or L used to return beta = NaN."""
-        with pytest.raises(ValueError, match="alpha and L must be positive"):
+        with pytest.raises(ValueError, match=r"^(alpha|L) must be (positive|finite)"):
+            beta_const(alpha, 4.0, 1.0, L)
+
+    @pytest.mark.parametrize("alpha, L", [(np.inf, 1.0), (0.1, np.inf), (True, 1.0), (0.1, True)])
+    def test_rejects_inf_and_bools(self, alpha, L):
+        """beta_const(inf, 2, 1, 1) used to return inf, and bools ran as 1."""
+        with pytest.raises(ValueError, match=r"^(alpha|L) must be"):
             beta_const(alpha, 4.0, 1.0, L)
 
 
@@ -106,7 +112,16 @@ class TestAsymptoticGaps:
         (8.3, 0.01, np.nan, 1.0), (8.3, 0.01, 0.5, np.nan)])
     def test_rejects_nan(self, args):
         """Each of these used to return NaN gaps."""
-        with pytest.raises(ValueError, match="constants must be positive"):
+        with pytest.raises(ValueError, match=r"^(beta|M_g|mu|gamma2) must be (positive|finite)"):
+            asymptotic_gaps(*args)
+
+    @pytest.mark.parametrize("args", [
+        (np.inf, 0.01, 0.5, 1.0), (8.3, np.inf, 0.5, 1.0), (8.3, 0.01, np.inf, 1.0),
+        (8.3, 0.01, 0.5, np.inf), (True, 0.01, 0.5, 1.0), (8.3, False, 0.5, 1.0),
+        (8.3, -0.01, 0.5, 1.0)])
+    def test_rejects_inf_bools_and_negative_noise(self, args):
+        """gamma2 = inf used to return (0.0, 0.0), and bools ran as 0 or 1."""
+        with pytest.raises(ValueError, match=r"^(beta|M_g|mu|gamma2) must be"):
             asymptotic_gaps(*args)
 
     def test_linear_in_noise(self):
