@@ -10,10 +10,10 @@ hedging.
 
 import numpy as np
 
-from trish import HyperParams, run_trish
+from trish import HyperParams
 from trish.theory import (SyntheticQuadratic, asymptotic_gaps, beta_const,
                           gradient_moments, stepsize_bounds, verify_lemma1,
-                          verify_theorem_gap)
+                          verify_theorem_gap, verify_vanishing_gap)
 
 rng = np.random.default_rng(0)
 problem = SyntheticQuadratic(diag=[0.5, 1.0],
@@ -51,11 +51,7 @@ print(f"measured plateau over {report.reps} runs: {report.mean_gap:.5f} "
 # Multiplicative noise vanishes at the minimizer, so the gap goes to zero.
 scaled = SyntheticQuadratic(diag=[0.5, 1.0],
                             scales=1.0 + 0.1 * np.linspace(-1, 1, 8))
-mm = gradient_moments(scaled, np.ones(2), batch_size=2)
-M2 = mm.e_g_sq / float(mm.grad @ mm.grad)
-zb = stepsize_bounds(1.1, 1.0, scaled.lipschitz, mu=scaled.pl_constant, M2=M2)
-zero_params = HyperParams(alpha=0.9 * zb.zero_noise_pl, gamma1=1.1, gamma2=1.0)
-x, _ = run_trish(scaled, np.ones(2), zero_params, 2, 500.0,
-                 np.random.default_rng(2))
-print(f"\nvanishing-noise construction: M2={M2:.4f}, gamma ratio ok={zb.ratio_ok}, "
-      f"final gap {scaled.loss(x):.2e}")
+zero = verify_vanishing_gap(scaled, np.ones(2), gamma1=1.1, gamma2=1.0, batch_size=2,
+                            horizon_iters=2000, rng=np.random.default_rng(2))
+print(f"\nvanishing-noise construction: M2={zero.M2:.4f}, "
+      f"gamma ratio ok={zero.bounds.ratio_ok}, final gap {zero.gap:.2e}")

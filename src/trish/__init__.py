@@ -11,17 +11,16 @@ from .core import (FiniteSumProblem, GradientEstimate, NumericError,
                    SampleBatch, draw_batch, sampled_gradient)
 from .optimizer import (HyperParams, IterationRecord, StepCase, classify_case,
                         run_sg, run_trish, run_trish_as, trish_step)
-from .sampling import (DegenerateBatchError, VarianceReport, ZeroReferenceError,
-                       noisy_regime_step, proposed_sample_size,
-                       variance_report)
+from .sampling import (VarianceReport, ZeroReferenceError, noisy_regime_step,
+                       proposed_sample_size, variance_report)
 from .models import (LogisticModel, MlpModel, default_x0,
                      finite_difference_gradient, testing_accuracy,
                      testing_loss)
 from .data import (Dataset, LibsvmParseError, chronological_split,
-                   csv_to_libsvm, dump_libsvm, minmax_normalize, parse_libsvm)
+                   csv_to_libsvm, minmax_normalize, parse_libsvm)
 from .theory import (SyntheticQuadratic, asymptotic_gaps, beta_const,
-                     gradient_moments, second_moment_coefficient,
-                     stepsize_bounds, verify_lemma1, verify_theorem_gap)
+                     gradient_moments, stepsize_bounds, verify_lemma1,
+                     verify_theorem_gap, verify_vanishing_gap)
 from .harness import (ExperimentConfig, GridCellResult, build_grid, compute_G,
                       initial_sample_size, load_config, run_grid,
                       summarize_best)
@@ -31,15 +30,14 @@ __all__ = [
     "draw_batch", "sampled_gradient",
     "HyperParams", "IterationRecord", "StepCase", "classify_case",
     "run_sg", "run_trish", "run_trish_as", "trish_step",
-    "DegenerateBatchError", "VarianceReport", "ZeroReferenceError",
+    "VarianceReport", "ZeroReferenceError",
     "noisy_regime_step", "proposed_sample_size", "variance_report",
     "LogisticModel", "MlpModel", "default_x0", "finite_difference_gradient",
     "testing_accuracy", "testing_loss",
     "Dataset", "LibsvmParseError", "chronological_split", "csv_to_libsvm",
-    "dump_libsvm", "minmax_normalize", "parse_libsvm",
-    "SyntheticQuadratic", "asymptotic_gaps", "beta_const",
-    "gradient_moments", "second_moment_coefficient", "stepsize_bounds",
-    "verify_lemma1", "verify_theorem_gap",
+    "minmax_normalize", "parse_libsvm",
+    "SyntheticQuadratic", "asymptotic_gaps", "beta_const", "gradient_moments",
+    "stepsize_bounds", "verify_lemma1", "verify_theorem_gap", "verify_vanishing_gap",
     "ExperimentConfig", "GridCellResult", "build_grid", "compute_G",
     "initial_sample_size", "load_config", "run_grid", "summarize_best",
 ]

@@ -16,9 +16,9 @@ import numpy as np
 from .data import csv_to_libsvm
 from .harness import (calibration_rng, compute_G, load_config, load_problem,
                       run_grid)
-from .optimizer import HyperParams, run_trish
-from .theory import (SyntheticQuadratic, gradient_moments, stepsize_bounds,
-                     verify_lemma1, verify_theorem_gap)
+from .optimizer import HyperParams
+from .theory import (SyntheticQuadratic, stepsize_bounds, verify_lemma1,
+                     verify_theorem_gap, verify_vanishing_gap)
 
 
 def _cmd_run(args) -> int:
@@ -80,21 +80,14 @@ def _verify_thm2(seed: int) -> bool:
 
 
 def _verify_thm3(seed: int) -> bool:
-    rng = np.random.default_rng(seed)
     problem = SyntheticQuadratic(diag=[0.5, 1.0],
                                  scales=1.0 + 0.1 * np.linspace(-1, 1, 8))
-    moments = gradient_moments(problem, np.ones(2), batch_size=2)
-    M2 = moments.e_g_sq / float(moments.grad @ moments.grad)
-    bounds = stepsize_bounds(1.1, 1.0, problem.lipschitz,
-                             mu=problem.pl_constant, M2=M2)
-    params = HyperParams(alpha=0.9 * bounds.zero_noise_pl, gamma1=1.1, gamma2=1.0)
-    x_final, _ = run_trish(problem, np.ones(2), params, batch_size=2,
-                           budget_epochs=2000 * 2 / 8, rng=rng)
-    gap = problem.loss(x_final)
-    ok = bool(bounds.ratio_ok) and gap < 1e-8
-    print(f"vanishing-gap check: gamma ratio ok={bounds.ratio_ok}, "
-          f"final gap {gap:.3e} -> {'PASS' if ok else 'FAIL'}")
-    return ok
+    report = verify_vanishing_gap(problem, np.ones(2), gamma1=1.1, gamma2=1.0,
+                                  batch_size=2, horizon_iters=2000,
+                                  rng=np.random.default_rng(seed))
+    print(f"vanishing-gap check: gamma ratio ok={report.bounds.ratio_ok}, "
+          f"final gap {report.gap:.3e} -> {'PASS' if report.satisfied else 'FAIL'}")
+    return report.satisfied
 
 
 def _cmd_verify_theory(args) -> int:

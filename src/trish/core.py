@@ -62,7 +62,7 @@ class FiniteSumProblem(ABC):
     """Objective F(x) = (1/N) sum_i F_i(x) with per-component losses and gradients.
 
     Subclasses set `n` and `N` and implement the batched pair
-    `component_losses` / `component_gradients`; the single-index methods and
+    `component_losses` / `component_gradients`; `component_loss_stack` and
     the full objective derive from it.  Implementations are immutable after
     construction and safe to share across concurrent runs.
     """
@@ -78,17 +78,9 @@ class FiniteSumProblem(ABC):
     def component_gradients(self, indices, x: np.ndarray) -> np.ndarray:
         """Stacked per-component gradients, one row per index in order."""
 
-    def component_loss(self, i: int, x: np.ndarray) -> float:
-        """Loss of component i at x."""
-        return float(self.component_losses([i], x)[0])
-
-    def component_gradient(self, i: int, x: np.ndarray) -> np.ndarray:
-        """Gradient of component i at x."""
-        return self.component_gradients([i], x)[0]
-
     def component_loss_stack(self, i: int, xs: np.ndarray) -> np.ndarray:
         """Loss of component i at each row of a K x n stack of points."""
-        return np.array([self.component_loss(i, x) for x in xs])
+        return np.array([self.component_losses([i], x)[0] for x in xs])
 
     def loss(self, x: np.ndarray) -> float:
         """Full objective F(x)."""
@@ -125,6 +117,11 @@ class SampleBatch(_Indices):
         if idx[0] < 0 or np.any(idx[1:] <= idx[:-1]):
             raise ValueError("batch indices must be non-negative and strictly increasing")
         return tuple.__new__(cls, (idx,))
+
+    @classmethod
+    def _make(cls, iterable) -> SampleBatch:
+        """Build through the checks; `_replace` calls this too."""
+        return cls(*iterable)
 
     @classmethod
     def _drawn(cls, indices: np.ndarray) -> SampleBatch:

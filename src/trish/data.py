@@ -174,16 +174,6 @@ def _numbers(raw, buf, digits, start, end, convert, fill):
     return out, rejected
 
 
-def dump_libsvm(dataset: Dataset, stream) -> None:
-    """Serialize a Dataset to LIBSVM text: 1-based indices, numbers as exact shortest repr."""
-    X = dataset.features
-    indices, values = X.indices.tolist(), X.data.tolist()
-    for i, label in enumerate(dataset.labels.tolist()):
-        start, stop = X.indptr[i], X.indptr[i + 1]
-        pairs = [f"{j + 1}:{v!r}" for j, v in zip(indices[start:stop], values[start:stop])]
-        stream.write(" ".join([repr(label), *pairs]) + "\n")
-
-
 def minmax_normalize(matrix: np.ndarray) -> np.ndarray:
     """Per-column min-max rescaling into [0, 1] over all rows jointly.
 

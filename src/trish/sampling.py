@@ -18,12 +18,6 @@ import numpy as np
 from .core import GradientEstimate, NumericError, as_vector, check_count
 
 
-class DegenerateBatchError(ValueError):
-    """Batch too small for a sample variance (needs at least 2 components).
-    No driver meets it (`run_trish_as` rejects s0 < 2); only direct callers
-    of `variance_report`, `required_size` or `noisy_regime_step` can."""
-
-
 class ZeroReferenceError(ValueError):
     """Reference vector has zero norm; the tests are undefined."""
 
@@ -58,7 +52,7 @@ def variance_report(est: GradientEstimate, ref_vec: np.ndarray,
     per = est.per_component
     m = per.shape[0]
     if m < 2:
-        raise DegenerateBatchError(f"batch of size {m} has no sample variance")
+        raise ValueError(f"batch of size {m} has no sample variance")
     ref = as_vector(ref_vec)
     ref_sq = float(ref.dot(ref))
     if ref_sq == 0.0:

@@ -19,11 +19,6 @@ from .core import FiniteSumProblem, as_vector, check_count, check_gammas, check_
 from .optimizer import HyperParams, run_trish, trish_step
 
 
-def second_moment_coefficient(theta: float, nu: float) -> float:
-    """M2 implied by passing both variance tests with constants theta, nu."""
-    return 1.0 + theta**2 + nu**2
-
-
 def beta_const(alpha: float, gamma1: float, gamma2: float, L: float) -> float:
     """The positive constant governing the asymptotic optimality gap, for
     gammas that pass `check_gammas` and positive finite alpha and L."""
@@ -316,3 +311,36 @@ def verify_theorem_gap(problem: SyntheticQuadratic, params: HyperParams,
     se = float(gaps.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
     return PlateauReport(mean_gap=mean_gap, std_error=se, bound=bound,
                          beta=beta, noise_bound=m_g, reps=reps)
+
+
+@dataclass(frozen=True)
+class VanishingGapReport:
+    """Final gap of a vanishing-noise run; `satisfied` needs ratio_ok and gap < 1e-8."""
+
+    M2: float
+    bounds: StepsizeBounds
+    gap: float
+
+    @property
+    def satisfied(self) -> bool:
+        return bool(self.bounds.ratio_ok) and self.gap < 1e-8
+
+
+def verify_vanishing_gap(problem: SyntheticQuadratic, x0, gamma1: float, gamma2: float,
+                         batch_size: int, horizon_iters: int,
+                         rng: np.random.Generator) -> VanishingGapReport:
+    """Empirical vanishing gap when the gradient noise vanishes at the solution.
+
+    M2 = E||g||^2 / ||grad||^2 is exact at x0, alpha is 0.9 times the
+    `zero_noise_pl` bound, and one fixed-batch run takes `horizon_iters`
+    steps from x0.  `horizon_iters` must be an integer >= 1 and
+    `batch_size` one in [1, N]; anything else raises ValueError.
+    """
+    check_count("horizon_iters", horizon_iters)
+    moments = gradient_moments(problem, x0, batch_size)
+    M2 = moments.e_g_sq / float(moments.grad @ moments.grad)
+    bounds = stepsize_bounds(gamma1, gamma2, problem.lipschitz, mu=problem.pl_constant, M2=M2)
+    params = HyperParams(alpha=0.9 * bounds.zero_noise_pl, gamma1=gamma1, gamma2=gamma2)
+    x_final, _ = run_trish(problem, x0, params, batch_size,
+                           horizon_iters * batch_size / problem.N, rng)
+    return VanishingGapReport(M2=M2, bounds=bounds, gap=problem.loss(x_final) - problem.F_star)

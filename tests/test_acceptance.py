@@ -25,7 +25,8 @@ from trish.models import (LogisticModel, MlpModel, finite_difference_gradient,
 from trish.optimizer import HyperParams, classify_case, run_trish
 from trish.sampling import VarianceReport, proposed_sample_size, variance_report
 from trish.theory import (SyntheticQuadratic, gradient_moments,
-                          stepsize_bounds, verify_lemma1, verify_theorem_gap)
+                          stepsize_bounds, verify_lemma1, verify_theorem_gap,
+                          verify_vanishing_gap)
 
 DATA_DIR = Path(os.environ.get("TRISH_DATA_DIR", Path(__file__).parent.parent / "data"))
 
@@ -127,7 +128,7 @@ def test_criterion_03_gradient_correctness():
         i = int(rng.integers(logistic.N))
         x = 0.2 * rng.normal(size=logistic.n)
         fd = finite_difference_gradient(logistic, i, x, h=1e-5)
-        assert relative_error(fd, logistic.component_gradient(i, x)) < 1e-6
+        assert relative_error(fd, logistic.component_gradients([i], x)[0]) < 1e-6
 
     classifier = MlpModel.classifier(rng.random(size=(30, 784)),
                                      rng.integers(0, 2, 30).astype(float))
@@ -136,14 +137,14 @@ def test_criterion_03_gradient_correctness():
         i = int(rng.integers(classifier.N))
         x = rng.uniform(-0.5, 0.5, classifier.n)
         fd = finite_difference_gradient(classifier, i, x, h=1e-5)
-        assert relative_error(fd, classifier.component_gradient(i, x)) < 1e-5
+        assert relative_error(fd, classifier.component_gradients([i], x)[0]) < 1e-5
 
     regressor = MlpModel.regressor(rng.random(size=(30, 7)), rng.random(30))
     for _ in range(50):
         i = int(rng.integers(regressor.N))
         x = rng.uniform(-0.5, 0.5, regressor.n)
         fd = finite_difference_gradient(regressor, i, x, h=1e-5)
-        assert relative_error(fd, regressor.component_gradient(i, x)) < 1e-5
+        assert relative_error(fd, regressor.component_gradients([i], x)[0]) < 1e-5
 
     report(3, "analytic gradients match finite differences; 3931 parameters")
 
@@ -233,19 +234,15 @@ def test_criterion_06_plateau_and_vanishing_gap():
 
     scaled = SyntheticQuadratic(diag=[0.5, 1.0],
                                 scales=1.0 + 0.1 * np.linspace(-1, 1, 8))
-    moments = gradient_moments(scaled, np.ones(2), batch_size=2)
-    M2 = moments.e_g_sq / float(moments.grad @ moments.grad)
-    bounds = stepsize_bounds(1.1, 1.0, scaled.lipschitz,
-                             mu=scaled.pl_constant, M2=M2)
-    assert bounds.ratio_ok
-    zero_params = HyperParams(alpha=0.9 * bounds.zero_noise_pl,
-                              gamma1=1.1, gamma2=1.0)
-    x, _ = run_trish(scaled, np.ones(2), zero_params, 2, 2000 * 2 / 8,
-                     np.random.default_rng(607))
-    assert scaled.loss(x) < 1e-8
+    zero = verify_vanishing_gap(scaled, np.ones(2), gamma1=1.1, gamma2=1.0,
+                                batch_size=2, horizon_iters=2000,
+                                rng=np.random.default_rng(607))
+    assert zero.bounds.ratio_ok
+    assert zero.gap < 1e-8
+    assert zero.satisfied
 
     report(6, f"plateau {rep.mean_gap:.3e} <= bound {rep.bound:.3e}; "
-              f"vanishing-noise gap {scaled.loss(x):.1e} < 1e-8")
+              f"vanishing-noise gap {zero.gap:.1e} < 1e-8")
 
 
 # ---------------------------------------------------------------------------

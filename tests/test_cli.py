@@ -10,16 +10,9 @@ import numpy as np
 import pytest
 
 import trish.harness as harness
+from conftest import write_libsvm
 from trish.cli import build_parser, main
-from trish.data import Dataset, dump_libsvm
 from trish.harness import load_config, run_grid
-import scipy.sparse as sp
-
-
-def write_libsvm(path, X, y):
-    ds = Dataset(features=sp.csr_matrix(X), labels=np.asarray(y, dtype=float))
-    with open(path, "w") as fh:
-        dump_libsvm(ds, fh)
 
 
 @pytest.fixture
@@ -102,6 +95,13 @@ def test_verify_theory_fast_module(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "0 violations" in out and "PASS" in out
+
+
+@pytest.mark.parametrize("seed, gap", [(0, "2.057e-230"), (5, "9.345e-231")])
+def test_verify_theory_thm3_prints_the_pinned_line(capsys, seed, gap):
+    assert main(["verify-theory", "--module", "thm3", "--seed", str(seed)]) == 0
+    assert capsys.readouterr().out == (
+        f"vanishing-gap check: gamma ratio ok=True, final gap {gap} -> PASS\n")
 
 
 def test_run_with_config(logistic_files, tmp_path, capsys):

@@ -1,7 +1,9 @@
 """Tests for sampling primitives and the finite-sum problem contract."""
 
+import ast
 import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -164,6 +166,14 @@ class TestSampleBatch:
         with pytest.raises(ValueError, match="integers"):
             SampleBatch(indices=np.array([0.0, 2.0]))
 
+    def test_make_and_replace_check_like_the_constructor(self):
+        """Both used to skip the checks in `__new__` and return an invalid batch."""
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SampleBatch._make([np.array([5, 1])])
+        with pytest.raises(ValueError, match="strictly increasing"):
+            SampleBatch(indices=[0, 2])._replace(indices=np.array([3, 3]))
+        assert SampleBatch(indices=[0, 2])._replace(indices=[1, 3]).indices.tolist() == [1, 3]
+
     def test_batch_and_estimate_are_immutable(self):
         problem = make_problem()
         batch = draw_batch(problem.N, 3, np.random.default_rng(0))
@@ -187,8 +197,8 @@ class TestSampledGradient:
         x = np.array([0.3, -1.2, 0.7])
         for i in range(problem.N):
             est = sampled_gradient(problem, x, SampleBatch(indices=np.array([i])))
-            np.testing.assert_allclose(est.aggregate,
-                                       problem.component_gradient(i, x), rtol=1e-14)
+            np.testing.assert_allclose(est.aggregate, problem.component_gradients([i], x)[0],
+                                       rtol=1e-14)
 
     def test_enumerated_mean_is_unbiased(self):
         """Average over all C(4,2) batches equals the full gradient."""
@@ -343,3 +353,24 @@ def test_every_export_resolves():
     """Each name in `trish.__all__` is listed once and bound on the package."""
     assert len(set(trish.__all__)) == len(trish.__all__)
     assert [name for name in trish.__all__ if not hasattr(trish, name)] == []
+
+
+# The gradient oracle for criterion 3: public so that a user can check a
+# new model's gradients, though only tests call it here.
+TEST_ONLY_EXPORTS = {"finite_difference_gradient"}
+
+
+def test_every_export_is_read_outside_tests():
+    """Each name in `trish.__all__` is read by code in src/ (apart from
+    `__init__.py`), demos/ or benchmarks/; a def or class statement is not a read."""
+    root = Path(__file__).resolve().parent.parent
+    read = set()
+    for path in itertools.chain(*(root.joinpath(d).rglob("*.py")
+                                  for d in ("src", "demos", "benchmarks"))):
+        if path.name != "__init__.py":
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+    assert sorted(set(trish.__all__) - read - TEST_ONLY_EXPORTS) == []

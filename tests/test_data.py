@@ -13,8 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from trish import data
 from trish.data import (Dataset, LibsvmParseError, chronological_split,
-                        csv_to_libsvm, dump_libsvm, minmax_normalize,
-                        parse_libsvm)
+                        csv_to_libsvm, minmax_normalize, parse_libsvm)
 
 
 def loop_parse(stream, n_features=None):
@@ -203,33 +202,17 @@ class TestParseLibsvm:
     def test_round_trip_random_rows(self):
         rng = np.random.default_rng(0)
         lines = []
-        for _ in range(1000):
-            label = rng.choice([-1.0, 1.0])
+        labels, X = np.empty(1000), np.zeros((1000, 50))
+        for r in range(1000):
+            labels[r] = rng.choice([-1.0, 1.0])
             cols = np.sort(rng.choice(50, size=rng.integers(0, 8), replace=False))
-            pairs = " ".join(f"{c + 1}:{rng.normal():.17g}" for c in cols)
-            lines.append(f"{label:g} {pairs}".strip())
+            X[r, cols] = [rng.normal() for _ in cols]
+            pairs = " ".join(f"{c + 1}:{X[r, c]:.17g}" for c in cols)
+            lines.append(f"{labels[r]:g} {pairs}".strip())
         text = "\n".join(lines) + "\n"
         ds = parse_libsvm(io.StringIO(text), n_features=50)
-        out = io.StringIO()
-        dump_libsvm(ds, out)
-        ds2 = parse_libsvm(io.StringIO(out.getvalue()), n_features=50)
-        np.testing.assert_array_equal(ds.labels, ds2.labels)
-        assert (ds.features != ds2.features).nnz == 0
-
-    def test_dump_writes_shortest_text_that_reads_back_bit_for_bit(self):
-        # `.17g` spells each of these longer than repr does.
-        values = [0.1, 2.45678, 1 / 3, -1e-300, 5e-324, 1.7976931348623157e308, 1e16, 123.456]
-        labels = [0.1, -2.45678, 1e23, 0.3]
-        X = sp.csr_matrix(np.array(values + [0.0] * 4).reshape(4, 3))
-        ds = Dataset(features=X, labels=np.array(labels))
-        out = io.StringIO()
-        dump_libsvm(ds, out)
-        assert out.getvalue().split("\n")[0] == "0.1 1:0.1 2:2.45678 3:0.3333333333333333"
-        assert out.getvalue().endswith("\n0.3\n")
-        back = parse_libsvm(io.StringIO(out.getvalue()), n_features=3)
-        assert np.array_equal(back.labels.view(np.int64), ds.labels.view(np.int64))
-        assert np.array_equal(back.features.data.view(np.int64), X.data.view(np.int64))
-        assert np.array_equal(back.features.indices, X.indices)
+        np.testing.assert_array_equal(ds.labels, labels)
+        np.testing.assert_array_equal(ds.features.toarray(), X)
 
     def test_feature_dimension_override_widens(self):
         ds = parse_libsvm(io.StringIO("1 2:1\n"), n_features=10)

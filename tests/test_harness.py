@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import write_libsvm
 from trish.core import FiniteSumProblem
-from trish.data import dump_libsvm, parse_libsvm, Dataset
 from trish.harness import (DEFAULT_ALPHAS, ExperimentConfig, GridCellResult,
                            build_grid, compute_G, initial_sample_size,
                            load_config, load_problem, run_grid,
@@ -250,18 +250,12 @@ class TestSummarizeBest:
 
 
 class TestLoadProblem:
-    def write_libsvm(self, path, X, y):
-        import scipy.sparse as sp
-        with open(path, "w") as fh:
-            dump_libsvm(Dataset(features=sp.csr_matrix(X),
-                                labels=np.asarray(y, float)), fh)
-
     def test_classifier_path_maps_positive_label(self, tmp_path):
         rng = np.random.default_rng(0)
         X = rng.random(size=(30, 6))
         y = rng.integers(0, 10, size=30).astype(float)
-        self.write_libsvm(tmp_path / "train.libsvm", X, y)
-        self.write_libsvm(tmp_path / "test.libsvm", X[:10], y[:10])
+        write_libsvm(tmp_path / "train.libsvm", X, y)
+        write_libsvm(tmp_path / "test.libsvm", X[:10], y[:10])
         config = ExperimentConfig(model="mlp_classifier", algorithm="trish",
                                   train_path=str(tmp_path / "train.libsvm"),
                                   test_path=str(tmp_path / "test.libsvm"),
@@ -276,7 +270,7 @@ class TestLoadProblem:
         """Both used to turn every train and test target into 0, and run_grid
         then reported a mean metric without a word."""
         X, y = synthetic_logistic(N=30)
-        self.write_libsvm(tmp_path / "train.libsvm", X, y)
+        write_libsvm(tmp_path / "train.libsvm", X, y)
         config = ExperimentConfig(model="mlp_classifier", algorithm="trish",
                                   train_path=str(tmp_path / "train.libsvm"),
                                   test_path=str(tmp_path / "train.libsvm"),
@@ -288,7 +282,7 @@ class TestLoadProblem:
         """On data_path, normalize used to rescale the +-1 labels to 0/1,
         which LogisticModel rejects."""
         X, y = synthetic_logistic(N=50)
-        self.write_libsvm(tmp_path / "d.libsvm", 3.0 * X, y)
+        write_libsvm(tmp_path / "d.libsvm", 3.0 * X, y)
         config = ExperimentConfig(model="logistic", algorithm="trish", normalize=True,
                                   data_path=str(tmp_path / "d.libsvm"))
         problem, X_test, y_test = load_problem(config)
@@ -302,7 +296,7 @@ class TestLoadProblem:
         rng = np.random.default_rng(1)
         X = rng.random(size=(40, 4))
         y = np.arange(40) % 10.0
-        self.write_libsvm(tmp_path / "d.libsvm", X, y)
+        write_libsvm(tmp_path / "d.libsvm", X, y)
         config = ExperimentConfig(model="mlp_classifier", algorithm="trish", normalize=True,
                                   data_path=str(tmp_path / "d.libsvm"), positive_label=2.0)
         problem, _, y_test = load_problem(config)

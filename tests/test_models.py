@@ -34,16 +34,17 @@ class TestLogisticModel:
         model = logistic_fixture()
         x = np.zeros(model.n)
         for i in range(5):
-            assert np.isclose(model.component_loss(i, x), np.log(2.0), rtol=1e-15)
+            assert np.isclose(float(model.component_losses([i], x)[0]), np.log(2.0),
+                              rtol=1e-15)
             z = np.asarray(model.features[i]).ravel()
-            np.testing.assert_allclose(model.component_gradient(i, x),
+            np.testing.assert_allclose(model.component_gradients([i], x)[0],
                                        -model.labels[i] * z / 2.0, rtol=1e-14)
 
     def test_large_margin_no_overflow(self):
         model = LogisticModel(np.array([[50.0]]), np.array([1.0]))
-        loss = model.component_loss(0, np.array([1.0]))  # margin +50
+        loss = float(model.component_losses([0], np.array([1.0]))[0])  # margin +50
         assert np.isclose(loss, np.exp(-50.0), rtol=1e-10)
-        loss_neg = model.component_loss(0, np.array([-20.0]))  # margin -1000
+        loss_neg = float(model.component_losses([0], np.array([-20.0]))[0])  # margin -1000
         assert np.isfinite(loss_neg) and np.isclose(loss_neg, 1000.0, rtol=1e-12)
 
     def test_gradient_matches_finite_differences(self):
@@ -53,20 +54,21 @@ class TestLogisticModel:
             i = int(rng.integers(model.N))
             x = 0.3 * rng.normal(size=model.n)
             fd = finite_difference_gradient(model, i, x, h=1e-5)
-            assert relative_error(fd, model.component_gradient(i, x)) < 1e-6
+            assert relative_error(fd, model.component_gradients([i], x)[0]) < 1e-6
 
     def test_full_loss_is_mean_of_components(self):
         model = logistic_fixture()
         rng = np.random.default_rng(2)
         x = rng.normal(size=model.n)
-        mean = np.mean([model.component_loss(i, x) for i in range(model.N)])
+        mean = np.mean([float(model.component_losses([i], x)[0])
+                        for i in range(model.N)])
         assert np.isclose(model.loss(x), mean, rtol=1e-12)
 
     def test_full_gradient_is_mean_of_components(self):
         model = logistic_fixture(sparse=True)
         rng = np.random.default_rng(3)
         x = rng.normal(size=model.n)
-        mean = np.mean([model.component_gradient(i, x) for i in range(model.N)],
+        mean = np.mean([model.component_gradients([i], x)[0] for i in range(model.N)],
                        axis=0)
         np.testing.assert_allclose(model.gradient(x), mean, rtol=1e-10)
 
@@ -303,7 +305,7 @@ class TestMlpModel:
             i = int(rng.integers(model.N))
             x = rng.uniform(-0.5, 0.5, model.n)
             fd = finite_difference_gradient(model, i, x, h=1e-5)
-            assert relative_error(fd, model.component_gradient(i, x)) < 1e-5
+            assert relative_error(fd, model.component_gradients([i], x)[0]) < 1e-5
 
     def test_regressor_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -314,7 +316,7 @@ class TestMlpModel:
             i = int(rng.integers(model.N))
             x = rng.uniform(-0.5, 0.5, model.n)
             fd = finite_difference_gradient(model, i, x, h=1e-5)
-            assert relative_error(fd, model.component_gradient(i, x)) < 1e-5
+            assert relative_error(fd, model.component_gradients([i], x)[0]) < 1e-5
 
     def test_per_component_rows_match_single_evaluations(self):
         model = self.classifier_fixture()
@@ -323,7 +325,7 @@ class TestMlpModel:
         idx = np.array([0, 3, 7])
         rows = model.component_gradients(idx, x)
         for row, i in zip(rows, idx):
-            np.testing.assert_allclose(row, model.component_gradient(int(i), x),
+            np.testing.assert_allclose(row, model.component_gradients([int(i)], x)[0],
                                        rtol=1e-12)
 
     def test_linear_hidden_stack_collapses_to_affine(self):
@@ -343,7 +345,7 @@ class TestMlpModel:
         model = self.classifier_fixture()
         for x in (np.zeros(model.n - 1), np.zeros(model.n + 1)):
             with pytest.raises(ValueError):
-                model.component_loss(0, x)
+                float(model.component_losses([0], x)[0])
             with pytest.raises(ValueError, match="parameter vectors have length"):
                 finite_difference_gradient(model, 0, x)
 
@@ -394,7 +396,7 @@ class TestFiniteDifferenceOracle:
     @pytest.mark.parametrize("K", [1, 5, 40])
     def test_mlp_loss_stack_equals_single_losses(self, K):
         """The batched forward pass through K parameter vectors at one row
-        gives `component_loss` at each, up to rounding."""
+        gives `component_losses` at each, up to rounding."""
         rng = np.random.default_rng(K)
         for model in (TestMlpModel().classifier_fixture(),
                       TestMlpModel().regressor_fixture()):
@@ -402,7 +404,8 @@ class TestFiniteDifferenceOracle:
             for i in (0, model.N - 1):
                 np.testing.assert_allclose(
                     model.component_loss_stack(i, xs),
-                    [model.component_loss(i, x) for x in xs], rtol=1e-13, atol=0)
+                    [float(model.component_losses([i], x)[0]) for x in xs],
+                    rtol=1e-13, atol=0)
 
     def test_chunks_equal_one_coordinate_loop(self, monkeypatch):
         """Chunks of 7 coordinates, the last one short, against the loop that
@@ -413,9 +416,9 @@ class TestFiniteDifferenceOracle:
             for j in range(x.size):
                 old = x[j]
                 x[j] = old + h
-                up = problem.component_loss(i, x)
+                up = float(problem.component_losses([i], x)[0])
                 x[j] = old - h
-                down = problem.component_loss(i, x)
+                down = float(problem.component_losses([i], x)[0])
                 x[j] = old
                 grad[j] = (up - down) / (2.0 * h)
             return grad

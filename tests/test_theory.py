@@ -10,8 +10,8 @@ from trish import theory
 from trish.harness import build_grid
 from trish.optimizer import HyperParams, run_trish, trish_step
 from trish.theory import (SyntheticQuadratic, asymptotic_gaps, beta_const,
-                          gradient_moments, second_moment_coefficient,
-                          stepsize_bounds, verify_lemma1, verify_theorem_gap)
+                          gradient_moments, stepsize_bounds, verify_lemma1,
+                          verify_theorem_gap, verify_vanishing_gap)
 
 
 class TestBetaConst:
@@ -53,7 +53,7 @@ class TestStepsizeBounds:
         assert np.isclose(stepsize_bounds(4.0, 1.0, 1.0).base, 1 / 32, rtol=1e-14)
 
     def test_second_moment_coefficient_and_ratio_condition(self):
-        M2 = second_moment_coefficient(0.9, 5.84)
+        M2 = 1 + 0.9**2 + 5.84**2
         assert np.isclose(M2, 35.9156, rtol=1e-12)
         b = stepsize_bounds(4.0, 1.0, 1.0, M2=M2)
         threshold = 1.0 - 1.0 / (4.0 * M2)
@@ -63,7 +63,7 @@ class TestStepsizeBounds:
     def test_default_grid_fails_the_ratio_condition_everywhere(self):
         """The largest (gamma2/gamma1)^2 of the default grid is (2/4)^2 =
         0.25 at any G, far below 1 - 1/(4 M2) = 0.993."""
-        M2 = second_moment_coefficient(0.9, 5.84)
+        M2 = 1 + 0.9**2 + 5.84**2
         for G in (1e-2, 1.0, 1e2):
             cells = build_grid(G)
             assert len(cells) == 60
@@ -71,7 +71,7 @@ class TestStepsizeBounds:
                            for _, g1, g2 in cells)
 
     def test_ratio_condition_near_equal_gammas(self):
-        M2 = second_moment_coefficient(0.9, 5.84)
+        M2 = 1 + 0.9**2 + 5.84**2
         b = stepsize_bounds(1.0 + 1e-9, 1.0, 1.0, M2=M2)
         assert b.ratio_ok  # (gamma2/gamma1)^2 -> 1 > 1 - eps
 
@@ -142,9 +142,9 @@ class TestSyntheticQuadratic:
         p = SyntheticQuadratic(diag=[0.5, 2.0], offsets=rng.normal(size=(5, 2)),
                                scales=rng.uniform(0.5, 1.5, 5))
         x = rng.normal(size=2)
-        mean_loss = np.mean([p.component_loss(i, x) for i in range(5)])
+        mean_loss = np.mean([float(p.component_losses([i], x)[0]) for i in range(5)])
         assert np.isclose(p.loss(x), mean_loss, rtol=1e-12)
-        mean_grad = np.mean([p.component_gradient(i, x) for i in range(5)], axis=0)
+        mean_grad = np.mean([p.component_gradients([i], x)[0] for i in range(5)], axis=0)
         np.testing.assert_allclose(p.gradient(x), mean_grad, rtol=1e-10,
                                    atol=1e-12)
 
@@ -267,6 +267,23 @@ class TestVerifyTheoremGap:
         x, _ = run_trish(p, np.ones(2), params, 2, 800 * 2 / 8,
                          np.random.default_rng(6))
         assert p.loss(x) < 1e-8
+        rep = verify_vanishing_gap(p, np.ones(2), 1.1, 1.0, batch_size=2,
+                                   horizon_iters=800, rng=np.random.default_rng(6))
+        assert (rep.M2, rep.bounds, rep.gap) == (M2, bounds, p.loss(x))
+        assert rep.satisfied
+
+    @pytest.mark.parametrize("gamma1, horizon_iters", [(4.0, 800), (1.1, 1)])
+    def test_vanishing_gap_fails_on_ratio_or_gap(self, gamma1, horizon_iters):
+        """gamma1 = 4 breaks the gamma-ratio condition; one step leaves a
+        gap far above 1e-8."""
+        p = SyntheticQuadratic(diag=[0.5, 1.0],
+                               scales=1.0 + 0.1 * np.linspace(-1, 1, 8))
+        rep = verify_vanishing_gap(p, np.ones(2), gamma1, 1.0, batch_size=2,
+                                   horizon_iters=horizon_iters,
+                                   rng=np.random.default_rng(6))
+        assert rep.bounds.ratio_ok is (gamma1 == 1.1)
+        assert (rep.gap < 1e-8) is (horizon_iters == 800)
+        assert not rep.satisfied
 
 
 class TestGradientMoments:
@@ -367,6 +384,12 @@ class TestEnumerationInputChecks:
         with pytest.raises(ValueError, match="horizon_iters"):
             verify_theorem_gap(self.problem(), params, 2, horizon_iters=horizon_iters,
                                reps=2, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("horizon_iters", [10.5, 0, True])
+    def test_verify_vanishing_gap_rejects_horizon(self, horizon_iters):
+        with pytest.raises(ValueError, match="horizon_iters"):
+            verify_vanishing_gap(self.problem(), np.ones(2), 2.0, 1.0, 2,
+                                 horizon_iters=horizon_iters, rng=np.random.default_rng(0))
 
     def test_bounds_are_accepted(self):
         p = self.problem()
