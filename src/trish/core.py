@@ -29,10 +29,12 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
-def check_count(name: str, value, low: int = 1) -> None:
-    """Reject anything but an integer >= `low`; a bool is not a count."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+def check_count(name: str, value, low: int = 1, high: int | None = None) -> None:
+    """Reject all but an exact int (not a bool) or a numpy integer in [low, high or infinity]."""
+    if (type(value) is not int and not isinstance(value, np.integer)  # cheap: runs once per draw
+            or value < low or high is not None and value > high):
+        span = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name} must be an integer {span}, got {value!r}")
 
 
 def _check_real(name: str, value, finite: bool) -> None:
@@ -162,9 +164,8 @@ def draw_batch(N: int, size: int, rng: np.random.Generator) -> SampleBatch:
     reduction order.  A sorted draw is already integer, non-empty, strictly
     increasing and in range, so the batch is built without re-validation.
     At size N the only subset is every index: nothing is drawn and `rng` is
-    left untouched."""
-    if not 1 <= size <= N:
-        raise ValueError(f"batch size {size} out of range [1, {N}]")
+    left untouched.  `size` must be an integer in [1, N] (`check_count`)."""
+    check_count("size", size, high=N)
     if size == N:
         return SampleBatch._drawn(np.arange(N))
     idx = rng.choice(N, size=_Size(size), replace=False)

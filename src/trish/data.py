@@ -16,6 +16,8 @@ from operator import attrgetter
 import numpy as np
 import scipy.sparse as sp
 
+from .core import check_count
+
 
 class LibsvmParseError(ValueError):
     """Malformed LIBSVM input; carries the 1-based line number."""
@@ -59,9 +61,11 @@ def parse_libsvm(stream, n_features: int | None = None) -> Dataset:
     label or value, an index above the int32 range and indices that are not
     strictly increasing from 1 raise LibsvmParseError with the offending
     line number.  Every label and value equals Python's ``float()`` of its
-    text bit for bit.  `n_features` widens the matrix beyond the largest
-    index seen (useful to align train and test dimensions).
+    text bit for bit.  `n_features`, an integer >= 0, widens the matrix
+    beyond the largest index seen (to align train and test dimensions).
     """
+    if n_features is not None:
+        check_count("n_features", n_features, low=0)
     lines = iter(stream)
     blocks = [_parse_block([], 1)]  # typed empty arrays for empty input
     while block := list(islice(lines, PARSE_BLOCK)):
@@ -181,11 +185,8 @@ def minmax_normalize(matrix: np.ndarray) -> np.ndarray:
     both sides share the same column ranges.
     """
     D = np.asarray(matrix, dtype=np.float64)
-    lo = D.min(axis=0)
-    hi = D.max(axis=0)
-    span = hi - lo
-    safe = np.where(span == 0.0, 1.0, span)
-    out = (D - lo) / safe
+    lo, span = D.min(axis=0), np.ptp(D, axis=0)
+    out = (D - lo) / np.where(span == 0.0, 1.0, span)
     out[:, span == 0.0] = 0.0
     return out
 

@@ -52,7 +52,7 @@ class ExperimentConfig:
     test_path: Optional[str] = None
     data_path: Optional[str] = None          # single file, split chronologically
     train_fraction: Optional[float] = None   # data_path's training share; None is 0.7
-    normalize: bool = False                  # joint min-max over train+test features
+    normalize: bool = False                  # joint min-max over all rows, regression targets too
     positive_label: Optional[float] = None   # mlp_classifier targets: 1 iff label equals this
     alphas: tuple = DEFAULT_ALPHAS
     gamma1_multipliers: tuple = DEFAULT_GAMMA1_MULTIPLIERS
@@ -187,19 +187,14 @@ def _metric_setup(config: ExperimentConfig, problem, test_features, test_labels)
 
 
 def load_problem(config: ExperimentConfig):
-    """Build the training problem and held-out arrays from the config paths."""
+    """Build the training problem and held-out arrays from the config paths.
+    `normalize` is one joint min-max over all rows of either source."""
     if config.data_path is not None:
         with open(config.data_path) as fh:
             full = parse_libsvm(fh)
-        X = _dense(full.features)
-        y = full.labels
-        if config.normalize and config.model == "mlp_regressor":  # targets too
-            both = minmax_normalize(np.column_stack([X, y]))
-            X, y = both[:, :-1], both[:, -1]
-        elif config.normalize:  # class labels stay as they are
-            X = minmax_normalize(X)
         fraction = 0.7 if config.train_fraction is None else config.train_fraction
-        (X_train, y_train), (X_test, y_test) = chronological_split(X, y, fraction)
+        (X_train, y_train), (X_test, y_test) = chronological_split(
+            _dense(full.features), full.labels, fraction)
     elif config.train_path is not None:  # ExperimentConfig pairs it with test_path
         with open(config.train_path) as fh:
             train = parse_libsvm(fh)
@@ -210,11 +205,17 @@ def load_problem(config: ExperimentConfig):
         X_train, y_train = train.features, train.labels
         X_test, y_test = test.features, test.labels
         X_train.resize(train.N, test.n)  # the test file may use more columns
-        if config.normalize:
-            dense = minmax_normalize(np.vstack([_dense(X_train), _dense(X_test)]))
-            X_train, X_test = dense[:train.N], dense[train.N:]
     else:
         raise ValueError("config needs data_path or train_path+test_path")
+    if config.normalize:  # regression targets are one more column; class labels stay
+        k = y_train.size
+        X = np.vstack([_dense(X_train), _dense(X_test)])
+        if config.model == "mlp_regressor":
+            X = minmax_normalize(np.column_stack([X, np.concatenate([y_train, y_test])]))
+            X, y_train, y_test = X[:, :-1], X[:k, -1], X[k:, -1]
+        else:
+            X = minmax_normalize(X)
+        X_train, X_test = X[:k], X[k:]
 
     if config.model == "logistic":
         return LogisticModel(X_train, y_train), X_test, y_test

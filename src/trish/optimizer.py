@@ -154,8 +154,7 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
     `size` must be an integer in [1, N], `budget_epochs` positive and finite.
     """
     N = problem.N
-    if isinstance(size, bool) or not 1 <= size <= N or size != int(size):
-        raise ValueError(f"batch size {size!r} is not an integer in [1, {N}]")
+    check_count("batch_size", size, high=N)
     check_positive("budget_epochs", budget_epochs)
     x = as_vector(x0).copy()
     size = int(size)
@@ -259,13 +258,11 @@ def run_trish_as(problem: FiniteSumProblem, x0, params: HyperParams,
     and nothing is redrawn, so each later iteration is a full-batch step
     charged exactly one epoch.
 
-    The tests need a sample variance, so `s0` must be at least 2; a batch
-    of one is `run_trish`'s.  Guard rails: the tests are skipped (size kept)
-    when the gradient is zero or any test quantity comes out non-finite in
-    floating point.  Telemetry is filled in after the loop, as in `run_trish`.
+    The tests need a sample variance, so `s0` is an integer in [2, N]; a
+    batch of one is `run_trish`'s.  Guard rails: the tests are skipped (size
+    kept) when the gradient is zero or any test quantity comes out non-finite
+    in floating point.  Telemetry is filled in after the loop, as in `run_trish`.
     """
-    check_positive("s0", s0)  # before comparing: "3" < 2 raises TypeError
-    if s0 < 2:
-        raise ValueError(f"s0 must be >= 2, got {s0!r}; run_trish runs a batch of one")
+    check_count("s0", s0, low=2, high=problem.N)
     return _run(problem, x0, s0, budget_epochs, rng, metric_fn,
                 _trish_rule(params), sampler=params)

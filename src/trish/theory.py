@@ -179,14 +179,12 @@ def gradient_moments(problem: FiniteSumProblem, x, batch_size: int) -> GradientM
     population factor gives inner_moment = c * mean_i (g_i.grad - ||grad||^2)^2
     and orth_moment = c * mean_i ||P g_i||^2, where P removes the component
     along grad; e_g_sq is ||grad||^2 + e_err_sq.  One component_gradients call
-    and O(N n) work.  `batch_size` must be an integer in [1, N] (a bool is
-    not); anything else raises ValueError.  The projection moments require a
-    nonzero full gradient and are NaN otherwise.
+    and O(N n) work.  `batch_size` must be an integer in [1, N]
+    (`check_count`).  The projection moments require a nonzero full
+    gradient and are NaN otherwise.
     """
-    check_count("batch_size", batch_size)
     N = problem.N
-    if batch_size > N:
-        raise ValueError(f"batch_size must be at most N = {N}, got {batch_size!r}")
+    check_count("batch_size", batch_size, high=N)
     x = as_vector(x)
     grad = problem.gradient(x)
     per = problem.component_gradients(np.arange(N), x)
@@ -333,12 +331,14 @@ def verify_vanishing_gap(problem: SyntheticQuadratic, x0, gamma1: float, gamma2:
 
     M2 = E||g||^2 / ||grad||^2 is exact at x0, alpha is 0.9 times the
     `zero_noise_pl` bound, and one fixed-batch run takes `horizon_iters`
-    steps from x0.  `horizon_iters` must be an integer >= 1 and
-    `batch_size` one in [1, N]; anything else raises ValueError.
+    steps from x0.  `horizon_iters` must be an integer >= 1, `batch_size`
+    one in [1, N] and x0 not stationary; anything else raises ValueError.
     """
     check_count("horizon_iters", horizon_iters)
     moments = gradient_moments(problem, x0, batch_size)
-    M2 = moments.e_g_sq / float(moments.grad @ moments.grad)
+    grad_sq = float(moments.grad @ moments.grad)
+    check_positive("||grad F(x0)||^2", grad_sq)  # zero at a stationary x0
+    M2 = moments.e_g_sq / grad_sq
     bounds = stepsize_bounds(gamma1, gamma2, problem.lipschitz, mu=problem.pl_constant, M2=M2)
     params = HyperParams(alpha=0.9 * bounds.zero_noise_pl, gamma1=gamma1, gamma2=gamma2)
     x_final, _ = run_trish(problem, x0, params, batch_size,

@@ -65,6 +65,8 @@ def test_traced_pass_reports_every_declared_layer_metric():
     finally:
         tracer.uninstall()
     assert optimizer.run_trish is trish.run_trish  # every original is back
+    # The one target absent today; any other name here is a renamed entry point.
+    assert sorted(tracer.missing) == ["trish.optimizer.variance_report"]
 
     agg = tracer.aggregate()
     metrics = spans.layer_metrics([(agg, dict(tracer.counters), wall, 0)], [], [wall],

@@ -110,6 +110,16 @@ class TestDrawBatch:
         with pytest.raises(ValueError):
             draw_batch(5, 6, rng)
 
+    @pytest.mark.parametrize("size", [2.5, True, 2.0, np.float64(2.0), "2"],
+                             ids=["2.5", "True", "2.0", "np.float64", "str"])
+    def test_non_integer_size_rejected(self, size):
+        """2.5 and 2.0 used to draw 2 indices, True 1, and "2" raised TypeError."""
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=r"^size must be an integer in \[1, 8\]"):
+            draw_batch(8, size, rng)
+        assert rng.bit_generator.state == state
+
     def test_indices_distinct_and_sorted(self):
         rng = np.random.default_rng(3)
         for _ in range(100):

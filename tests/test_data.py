@@ -152,6 +152,17 @@ def assert_same_dataset(got, want):
 
 
 class TestParseLibsvm:
+    @pytest.mark.parametrize("n_features", [True, -3, 2.5, "4"])
+    def test_bad_n_features_rejected(self, n_features):
+        """True and -3 used to be ignored, 2.5 and "4" raised TypeError."""
+        with pytest.raises(ValueError, match=r"^n_features must be an integer >= 0"):
+            parse_libsvm(["1 1:1"], n_features=n_features)
+
+    @pytest.mark.parametrize("n_features", [0, 1, np.int64(4)])
+    def test_n_features_widens_only(self, n_features):
+        ds = parse_libsvm(["1 1:1"], n_features=n_features)
+        assert ds.n == max(1, n_features)
+
     def test_basic_line(self):
         ds = parse_libsvm(io.StringIO("+1 3:0.5 7:1.0\n"))
         assert ds.N == 1 and ds.n == 7

@@ -302,6 +302,29 @@ class TestLoadProblem:
         problem, _, y_test = load_problem(config)
         np.testing.assert_array_equal(np.concatenate([problem.targets, y_test]), y == 2.0)
 
+    def test_normalize_is_one_rule_on_both_sources(self, tmp_path):
+        """A train/test pair used to leave regression targets unscaled, so
+        targets outside [0, 1] failed the cross-entropy check there while the
+        same rows loaded on data_path.  Both sources now give equal arrays."""
+        rng = np.random.default_rng(2)
+        X = 5.0 * rng.normal(size=(40, 3))
+        y = 10.0 + X @ rng.normal(size=3)
+        write_libsvm(tmp_path / "all.libsvm", X, y)
+        write_libsvm(tmp_path / "train.libsvm", X[:28], y[:28])  # ceil(0.7 * 40) rows
+        write_libsvm(tmp_path / "test.libsvm", X[28:], y[28:])
+        common = dict(model="mlp_regressor", algorithm="trish", normalize=True)
+        split = load_problem(ExperimentConfig(**common, data_path=str(tmp_path / "all.libsvm"),
+                                              train_fraction=0.7))
+        pair = load_problem(ExperimentConfig(**common, train_path=str(tmp_path / "train.libsvm"),
+                                             test_path=str(tmp_path / "test.libsvm")))
+        for (problem, X_test, y_test) in (split, pair):
+            targets = np.concatenate([problem.targets, y_test])
+            assert targets.min() == 0.0 and targets.max() == 1.0
+        np.testing.assert_array_equal(pair[0].features, split[0].features)
+        np.testing.assert_array_equal(pair[0].targets, split[0].targets)
+        np.testing.assert_array_equal(pair[1], split[1])
+        np.testing.assert_array_equal(pair[2], split[2])
+
     def test_logistic_path_aligns_feature_dimensions(self, tmp_path):
         (tmp_path / "train.libsvm").write_text("1 2:1\n-1 1:1\n")
         (tmp_path / "test.libsvm").write_text("1 5:1\n")

@@ -318,12 +318,13 @@ def test_driver_arguments_validated(driver, size, budget):
 
 
 @pytest.mark.parametrize("driver", ("trish", "sg", "trish_as"))
-def test_integral_float_batch_size_accepted(driver):
-    """A size read from JSON as 2.0 runs exactly as the integer 2."""
+def test_numpy_integer_batch_size_accepted(driver):
+    """A numpy integer size runs exactly as the Python int, and the records
+    hold Python ints."""
     problem = quadratic()
     params = HyperParams(alpha=0.1, gamma1=4.0, gamma2=1.0)
     runs = []
-    for size in (2, 2.0):
+    for size in (2, np.int64(2)):
         rng = np.random.default_rng(0)
         if driver == "trish":
             runs.append(run_trish(problem, np.ones(2), params, size, 2.0, rng))
@@ -331,10 +332,27 @@ def test_integral_float_batch_size_accepted(driver):
             runs.append(run_sg(problem, np.ones(2), 0.1, size, 2.0, rng))
         else:
             runs.append(run_trish_as(problem, np.ones(2), params, size, 2.0, rng))
-    (x_int, rec_int), (x_float, rec_float) = runs
-    np.testing.assert_array_equal(x_int, x_float)
-    assert [r.batch_size for r in rec_int] == [r.batch_size for r in rec_float]
-    assert all(type(r.batch_size) is int for r in rec_float)
+    (x_int, rec_int), (x_np, rec_np) = runs
+    np.testing.assert_array_equal(x_int, x_np)
+    assert [r.batch_size for r in rec_int] == [r.batch_size for r in rec_np]
+    assert all(type(r.batch_size) is int for r in rec_np)
+
+
+@pytest.mark.parametrize("driver", ("trish", "sg", "trish_as"))
+@pytest.mark.parametrize("size", (2.0, np.float64(2.0)), ids=("float", "np.float64"))
+def test_float_batch_size_rejected(driver, size):
+    """An integral float used to run as the integer: a size is a count, and
+    `check_count` owns the rule for every driver (`s0` for the adaptive one)."""
+    problem = quadratic()
+    params = HyperParams(alpha=0.1, gamma1=4.0, gamma2=1.0)
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=r"^(batch_size|s0) must be an integer in \[\d, 8\]"):
+        if driver == "trish":
+            run_trish(problem, np.ones(2), params, size, 1.0, rng)
+        elif driver == "sg":
+            run_sg(problem, np.ones(2), 0.1, size, 1.0, rng)
+        else:
+            run_trish_as(problem, np.ones(2), params, size, 1.0, rng)
 
 
 class CountingProblem(FiniteSumProblem):
@@ -412,7 +430,7 @@ class TestRunTrishAs:
         `run_trish` with batch 1, on any problem size."""
         problem = quadratic(N=N, noise=5.0)
         params = HyperParams(alpha=0.1, gamma1=4.0, gamma2=1.0)
-        with pytest.raises(ValueError, match="run_trish runs a batch of one"):
+        with pytest.raises(ValueError, match=r"^s0 must be an integer in \[2, "):
             run_trish_as(problem, np.ones(2), params, 1, 1.0,
                          np.random.default_rng(0))
 

@@ -272,6 +272,15 @@ class TestVerifyTheoremGap:
         assert (rep.M2, rep.bounds, rep.gap) == (M2, bounds, p.loss(x))
         assert rep.satisfied
 
+    def test_vanishing_gap_rejects_a_stationary_start(self):
+        """M2 divides by ||grad F(x0)||^2, zero at the minimizer: the CLI's
+        quadratic from x0 = 0 used to raise a bare ZeroDivisionError."""
+        p = SyntheticQuadratic(diag=[0.5, 1.0],
+                               scales=1.0 + 0.1 * np.linspace(-1, 1, 8))
+        with pytest.raises(ValueError, match="x0"):
+            verify_vanishing_gap(p, np.zeros(2), 1.1, 1.0, batch_size=2,
+                                 horizon_iters=10, rng=np.random.default_rng(0))
+
     @pytest.mark.parametrize("gamma1, horizon_iters", [(4.0, 800), (1.1, 1)])
     def test_vanishing_gap_fails_on_ratio_or_gap(self, gamma1, horizon_iters):
         """gamma1 = 4 breaks the gamma-ratio condition; one step leaves a
