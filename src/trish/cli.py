@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from .data import csv_to_libsvm
-from .harness import (calibration_rng, compute_G, load_config, load_problem,
-                      run_grid)
+from .harness import (_MODELS, calibration_rng, compute_G, load_config,
+                      load_problem, run_grid)
 from .optimizer import HyperParams
 from .theory import (SyntheticQuadratic, stepsize_bounds, verify_lemma1,
                      verify_theorem_gap, verify_vanishing_gap)
@@ -24,8 +24,7 @@ from .theory import (SyntheticQuadratic, stepsize_bounds, verify_lemma1,
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     results = run_grid(config)
-    best = max(results, key=lambda r: r.mean_metric) if config.model != "mlp_regressor" \
-        else min(results, key=lambda r: r.mean_metric)
+    best = (max if _MODELS[config.model][1] else min)(results, key=lambda r: r.mean_metric)
     print(f"ran {len(results)} cells x {config.reps} reps ({config.algorithm})")
     print(f"best cell: alpha={best.alpha:.4g} gamma1={best.gamma1:.4g} "
           f"gamma2={best.gamma2:.4g} mean_metric={best.mean_metric:.6g} "

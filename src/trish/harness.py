@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import FiniteSumProblem, check_count, check_positive
+from .core import FiniteSumProblem, _check_real, check_count, check_positive
 from .data import (check_train_fraction, chronological_split, minmax_normalize,
                    parse_libsvm)
 from .models import (LogisticModel, MlpModel, _dense, default_x0,
@@ -28,7 +28,11 @@ from .optimizer import (HyperParams, StepCase, run_sg, run_trish,
                         run_trish_as)
 
 _ALGORITHMS = ("trish", "trish_as", "sg")
-_MODELS = ("logistic", "mlp_classifier", "mlp_regressor")
+# Model name -> (training-problem constructor, classifies).  Classifiers score held-out
+# accuracy (best cell: max); regressors held-out MSE (min), and `normalize` scales their targets.
+_MODELS = {"logistic": (LogisticModel, True),
+           "mlp_classifier": (MlpModel.classifier, True),
+           "mlp_regressor": (MlpModel.regressor, False)}
 
 DEFAULT_ALPHAS = (0.1, 10.0**-0.5, 1.0, 10.0**0.5, 10.0)
 DEFAULT_GAMMA1_MULTIPLIERS = (4.0, 8.0, 16.0, 32.0)
@@ -65,15 +69,15 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.model not in _MODELS:
-            raise ValueError(f"model must be one of {_MODELS}, got {self.model!r}")
+            raise ValueError(f"model must be one of {tuple(_MODELS)}, got {self.model!r}")
         if self.algorithm not in _ALGORITHMS:
             raise ValueError(f"algorithm must be one of {_ALGORITHMS}, got {self.algorithm!r}")
         for axis in ("alphas", "gamma1_multipliers", "gamma2_multipliers"):
             values = getattr(self, axis)
             if not values:
                 raise ValueError(f"{axis} must be non-empty")
-            if any(isinstance(v, bool) for v in values):
-                raise ValueError(f"{axis} must hold numbers, not bools, got {values!r}")
+            for v in values:  # range and finiteness: HyperParams at G = 1 below
+                _check_real(axis, v, finite=False)
         if not isinstance(self.normalize, bool):
             raise ValueError(f"normalize must be true or false, got {self.normalize!r}")
         has_train, has_test = self.train_path is not None, self.test_path is not None
@@ -179,13 +183,6 @@ def _case_fractions(records) -> tuple[float, float, float]:
     return tuple(cased.count(case) / len(cased) if cased else 0.0 for case in StepCase)
 
 
-def _metric_setup(config: ExperimentConfig, problem, test_features, test_labels):
-    """Held-out metric of a K x n stack of iterates, one value per row."""
-    if config.model == "mlp_regressor":
-        return lambda xs: testing_loss(problem, xs, test_features, test_labels)
-    return lambda xs: testing_accuracy(problem, xs, test_features, test_labels)
-
-
 def load_problem(config: ExperimentConfig):
     """Build the training problem and held-out arrays from the config paths.
     `normalize` is one joint min-max over all rows of either source."""
@@ -207,29 +204,24 @@ def load_problem(config: ExperimentConfig):
         X_train.resize(train.N, test.n)  # the test file may use more columns
     else:
         raise ValueError("config needs data_path or train_path+test_path")
+    make, classifies = _MODELS[config.model]
     if config.normalize:  # regression targets are one more column; class labels stay
         k = y_train.size
         X = np.vstack([_dense(X_train), _dense(X_test)])
-        if config.model == "mlp_regressor":
+        if classifies:
+            X = minmax_normalize(X)
+        else:
             X = minmax_normalize(np.column_stack([X, np.concatenate([y_train, y_test])]))
             X, y_train, y_test = X[:, :-1], X[:k, -1], X[k:, -1]
-        else:
-            X = minmax_normalize(X)
         X_train, X_test = X[:k], X[k:]
-
-    if config.model == "logistic":
-        return LogisticModel(X_train, y_train), X_test, y_test
-    if config.model == "mlp_classifier":
-        if config.positive_label is not None:
-            y_train = (y_train == config.positive_label).astype(np.float64)
-            y_test = (y_test == config.positive_label).astype(np.float64)
-            if not y_train.any():  # NaN equals nothing
-                raise ValueError(f"positive_label {config.positive_label!r} matches "
-                                 f"no training label")
-        problem = MlpModel.classifier(X_train, y_train)
-    else:
-        problem = MlpModel.regressor(X_train, y_train)
-    return problem, _dense(X_test), y_test
+    if config.positive_label is not None:  # set only for mlp_classifier
+        y_train = (y_train == config.positive_label).astype(np.float64)
+        y_test = (y_test == config.positive_label).astype(np.float64)
+        if not y_train.any():  # NaN equals nothing
+            raise ValueError(f"positive_label {config.positive_label!r} matches "
+                             f"no training label")
+    problem = make(X_train, y_train)
+    return problem, (_dense(X_test) if isinstance(problem, MlpModel) else X_test), y_test
 
 
 def _run_once(config, problem, params, algorithm, seed_seq, metric_fn):
@@ -273,7 +265,9 @@ def run_grid(config: ExperimentConfig, problem: FiniteSumProblem | None = None,
     """
     if problem is None:
         problem, test_features, test_labels = load_problem(config)
-    metric_fn = _metric_setup(config, problem, test_features, test_labels)
+    # Looked up per call: benchmarks/spans.py wraps the module attributes.
+    metric = testing_accuracy if _MODELS[config.model][1] else testing_loss
+    metric_fn = lambda xs: metric(problem, xs, test_features, test_labels)
 
     if G is None:
         G = config.g_value

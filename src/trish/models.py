@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .core import FiniteSumProblem, as_vector, check_positive
+from .core import FiniteSumProblem, as_vector, check_count, check_positive
 
 
 def _dense(features) -> np.ndarray:
@@ -119,6 +119,8 @@ class MlpModel(FiniteSumProblem):
         targets = np.asarray(targets, dtype=np.float64)
         if features.shape[0] != targets.size:
             raise ValueError("feature rows and targets disagree in count")
+        for s in layer_sizes:
+            check_count("layer size", s)
         layer_sizes = [int(s) for s in layer_sizes]
         if len(layer_sizes) < 2 or layer_sizes[-1] != 1:
             raise ValueError("layer_sizes must end with an output layer of size 1")

@@ -196,7 +196,7 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
         est = sample()
         if sampler is None or size == N:
             continue  # a batch of all N components is the exact gradient
-        if 0.0 < est.sq_norm < math.inf:
+        if 0.0 < est.sq_norm < math.inf:  # exact zeros, common on a saturated MLP, skip the tests
             proposed = required_size(est, est.aggregate, sampler.theta, sampler.nu, N)
             if proposed is not None:
                 est = grow(proposed)

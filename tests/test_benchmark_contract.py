@@ -16,9 +16,11 @@ from pathlib import Path
 from time import perf_counter
 
 import numpy as np
+import pytest
 
 import trish
 from trish import data, harness, optimizer, sampling, theory
+from trish.models import LogisticModel, MlpModel
 from trish.optimizer import HyperParams
 from trish.theory import SyntheticQuadratic
 
@@ -82,3 +84,34 @@ def test_traced_pass_reports_every_declared_layer_metric():
     assert agg["optimizer.step"]["calls"] == len(trish_records) + len(as_records)
     assert metrics["optimizer.iters"][0] == (len(trish_records) + len(as_records)
                                              + len(sg_records))
+
+
+@pytest.mark.parametrize("model", ["logistic", "mlp_regressor"])
+def test_traced_grid_counts_every_telemetry_block(model):
+    """`run_grid` must reach the held-out metric through the harness's module
+    attributes, which the tracer replaces: a metric bound at import time
+    runs unwrapped and `models.test_metric.calls` reads 0."""
+    spans = load_spans()
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(60, 3))
+    if model == "logistic":
+        y = np.where(X[:, 0] >= 0.0, 1.0, -1.0)
+        problem = LogisticModel(X[:40], y[:40])
+    else:
+        y = rng.random(60)
+        problem = MlpModel.regressor(X[:40], y[:40])
+    config = harness.ExperimentConfig(model=model, algorithm="trish", alphas=(0.1,),
+                                      gamma1_multipliers=(4.0,), gamma2_multipliers=(1.0,),
+                                      reps=1, budget_epochs=40.0)
+    lib = types.SimpleNamespace(np=np, data=data, harness=harness, optimizer=optimizer,
+                                sampling=sampling, theory=theory)
+    tracer = spans.Tracer()
+    spans.instrument(tracer, lib, [problem])
+    try:
+        [cell] = harness.run_grid(config, problem=problem, test_features=X[40:],
+                                  test_labels=y[40:], G=1.0)
+    finally:
+        tracer.uninstall()
+    blocks = -(-cell.curve_ege.size // optimizer.TELEMETRY_BLOCK)  # one run: its records
+    calls = tracer.aggregate().get("models.test_metric", {"calls": 0})["calls"]
+    assert calls == blocks > 1

@@ -122,6 +122,24 @@ def test_run_with_config(logistic_files, tmp_path, capsys):
     assert "best cell" in out
 
 
+def test_run_picks_the_lowest_mse_cell_of_a_regressor(tmp_path, capsys):
+    """The regressor is scored by held-out MSE, so its best cell is the minimum."""
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(80, 3))
+    write_libsvm(tmp_path / "air.libsvm", X, 5.0 + X @ rng.normal(size=3))
+    path = write_config(tmp_path / "config.json", model="mlp_regressor", algorithm="trish",
+                        data_path=str(tmp_path / "air.libsvm"), normalize=True,
+                        alphas=[0.01, 1.0, 10.0], gamma1_multipliers=[4.0],
+                        gamma2_multipliers=[1.0], reps=2, seed=3, budget_epochs=3.0)
+    results = run_grid(load_config(path))
+    best = min(results, key=lambda r: r.mean_metric)
+    assert best is not max(results, key=lambda r: r.mean_metric)
+    assert main(["run", "--config", path]) == 0
+    out = capsys.readouterr().out
+    assert (f"best cell: alpha={best.alpha:.4g} gamma1={best.gamma1:.4g} "
+            f"gamma2={best.gamma2:.4g} mean_metric={best.mean_metric:.6g} ") in out
+
+
 def test_unknown_config_key_fails(tmp_path):
     path = tmp_path / "config.json"
     path.write_text(json.dumps({"model": "logistic", "algorithm": "trish",

@@ -413,6 +413,13 @@ class TestConfig:
         with pytest.raises(ValueError, match=re.escape(message)):
             ExperimentConfig(model="logistic", algorithm="trish_as", **grid)
 
+    @pytest.mark.parametrize("axis", ("alphas", "gamma1_multipliers", "gamma2_multipliers"))
+    def test_rejects_string_grid_entry(self, axis):
+        """A string alpha used to be accepted (build_grid turned "0.1" into
+        0.1) and a string multiplier raised TypeError in build_grid."""
+        with pytest.raises(ValueError, match=f"^{axis} must be a number, got '0.5'"):
+            ExperimentConfig(model="logistic", algorithm="trish", **{axis: (0.5, "0.5")})
+
     @pytest.mark.parametrize("fields, message", [
         ({"data_path": "d", "train_path": "a", "test_path": "b"},
          "data_path excludes train_path and test_path"),

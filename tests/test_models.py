@@ -278,6 +278,17 @@ class TestMlpModel:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             MlpModel.regressor(np.zeros((2, 7)), [0.5, bad])
 
+    @pytest.mark.parametrize("hidden", (2.5, True, 0, "5"))
+    def test_classifier_rejects_bad_layer_size(self, hidden):
+        """These used to build layers [3, 2, 1], [3, 1, 1], [3, 0, 1] and [3, 5, 1]."""
+        X, y = np.zeros((5, 3)), np.zeros(5)
+        with pytest.raises(ValueError, match="^layer size must be an integer"):
+            MlpModel.classifier(X, y, hidden=hidden)
+
+    def test_regressor_rejects_bad_layer_size(self):
+        with pytest.raises(ValueError, match=r"^layer size must be an integer .*2\.5"):
+            MlpModel.regressor(np.zeros((5, 3)), np.zeros(5), hidden=(7, 2.5))
+
     def test_zero_parameters_give_half_output(self):
         model = self.classifier_fixture()
         x = np.zeros(model.n)
