@@ -49,7 +49,7 @@ for algorithm in ("trish", "trish_as"):
           f"gamma2={best.gamma2:.4g})")
 
 print("\nbest-cell comparison (each algorithm's favorite triplet):")
-for selected_by, fixed, adaptive in summarize_best(results, "max"):
+for selected_by, fixed, adaptive in summarize_best(results):
     print(f"  chosen by {selected_by:9s} "
           f"({fixed.alpha:.4g}, {fixed.gamma1:.4g}, {fixed.gamma2:.4g}): "
           f"fixed={fixed.mean_metric:.4f}  adaptive={adaptive.mean_metric:.4f}  "

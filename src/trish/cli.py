@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .data import csv_to_libsvm
-from .harness import (_MODELS, calibration_rng, compute_G, load_config,
+from .harness import (_best, calibration_rng, compute_G, load_config,
                       load_problem, run_grid)
 from .optimizer import HyperParams
 from .theory import (SyntheticQuadratic, stepsize_bounds, verify_lemma1,
@@ -24,7 +24,7 @@ from .theory import (SyntheticQuadratic, stepsize_bounds, verify_lemma1,
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     results = run_grid(config)
-    best = (max if _MODELS[config.model][1] else min)(results, key=lambda r: r.mean_metric)
+    best = _best(results)
     print(f"ran {len(results)} cells x {config.reps} reps ({config.algorithm})")
     print(f"best cell: alpha={best.alpha:.4g} gamma1={best.gamma1:.4g} "
           f"gamma2={best.gamma2:.4g} mean_metric={best.mean_metric:.6g} "

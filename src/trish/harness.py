@@ -165,6 +165,7 @@ class GridCellResult:
     gamma1: float
     gamma2: float
     algorithm: str
+    model: str                   # picks the metric's direction, see `_best`
     mean_metric: float
     std_metric: float
     mean_final_batch: float
@@ -191,7 +192,7 @@ def load_problem(config: ExperimentConfig):
             full = parse_libsvm(fh)
         fraction = 0.7 if config.train_fraction is None else config.train_fraction
         (X_train, y_train), (X_test, y_test) = chronological_split(
-            _dense(full.features), full.labels, fraction)
+            full.features, full.labels, fraction)
     elif config.train_path is not None:  # ExperimentConfig pairs it with test_path
         with open(config.train_path) as fh:
             train = parse_libsvm(fh)
@@ -224,14 +225,14 @@ def load_problem(config: ExperimentConfig):
     return problem, (_dense(X_test) if isinstance(problem, MlpModel) else X_test), y_test
 
 
-def _run_once(config, problem, params, algorithm, seed_seq, metric_fn):
+def _run_once(config, problem, params, seed_seq, metric_fn):
     init_rng, batch_rng = (np.random.default_rng(s) for s in seed_seq.spawn(2))
     x0 = default_x0(problem, init_rng)
-    if algorithm == "trish_as":
+    if config.algorithm == "trish_as":
         return run_trish_as(problem, x0, params, initial_sample_size(problem.N),
                             config.budget_epochs, batch_rng, metric_fn=metric_fn)
     batch = min(FIXED_BATCH, problem.N)
-    if algorithm == "trish":
+    if config.algorithm == "trish":
         return run_trish(problem, x0, params, batch, config.budget_epochs,
                          batch_rng, metric_fn=metric_fn)
     return run_sg(problem, x0, params.alpha, batch, config.budget_epochs,
@@ -280,26 +281,19 @@ def run_grid(config: ExperimentConfig, problem: FiniteSumProblem | None = None,
     results = []
     for ci, (alpha, gamma1, gamma2) in enumerate(grid):
         params = HyperParams(alpha, gamma1, gamma2)
-        finals, final_batches, fracs, rep_records = [], [], [], []
-        for rep in range(config.reps):
-            seq = np.random.SeedSequence(entropy=config.seed,
-                                         spawn_key=(alg_code, ci, rep))
-            _, records = _run_once(config, problem, params, config.algorithm,
-                                   seq, metric_fn)
-            finals.append(records[-1].test_metric)
-            final_batches.append(records[-1].batch_size)
-            fracs.append(_case_fractions(records))
-            rep_records.append(records)
+        seqs = [np.random.SeedSequence(entropy=config.seed, spawn_key=(alg_code, ci, rep))
+                for rep in range(config.reps)]
+        rep_records = [_run_once(config, problem, params, seq, metric_fn)[1] for seq in seqs]
         curve_ege, curve_loss, curve_metric = _regrid_curves(rep_records)
-        finals = np.array(finals)
+        finals = np.array([recs[-1].test_metric for recs in rep_records])
+        case_columns = zip(*(_case_fractions(recs) for recs in rep_records))
         results.append(GridCellResult(
             alpha=alpha, gamma1=gamma1, gamma2=gamma2,
-            algorithm=config.algorithm,
+            algorithm=config.algorithm, model=config.model,
             mean_metric=float(finals.mean()),
             std_metric=float(finals.std(ddof=1)) if config.reps > 1 else 0.0,
-            mean_final_batch=float(np.mean(final_batches)),
-            case_fracs=tuple(float(np.mean([f[i] for f in fracs]))
-                             for i in range(3)),
+            mean_final_batch=float(np.mean([recs[-1].batch_size for recs in rep_records])),
+            case_fracs=tuple(float(np.mean(column)) for column in case_columns),
             curve_ege=curve_ege, curve_train_loss=curve_loss,
             curve_test_metric=curve_metric))
 
@@ -337,27 +331,33 @@ def write_curves(results: list[GridCellResult], directory) -> None:
         (directory / f"{r.algorithm}_{ci:03d}.csv").write_text("\n".join(lines) + "\n")
 
 
-def summarize_best(results: list[GridCellResult], metric_direction: str = "max"
+def _best(cells: list[GridCellResult]) -> GridCellResult:
+    """The cell with the highest held-out accuracy (classifiers) or lowest MSE (regressors),
+    the earliest on ties.  Cells of more than one model (or none) raise ValueError."""
+    models = {r.model for r in cells}
+    if len(models) != 1:
+        raise ValueError(f"cells must share one model, got {sorted(models)}")
+    return (max if _MODELS[models.pop()][1] else min)(cells, key=lambda r: r.mean_metric)
+
+
+def summarize_best(results: list[GridCellResult]
                    ) -> list[tuple[str, GridCellResult, GridCellResult]]:
-    """Two-row comparison at each algorithm's best triplet.
+    """Two-row comparison at each algorithm's best triplet (`_best`).
 
     Each row is (selected_by, trish_cell, trish_as_cell): row one holds the
     two algorithms' cells at the triplet where the fixed-batch algorithm
-    scored best, row two at the triplet where the adaptive one did.  Ties
-    break to the earliest grid cell.
+    scored best, row two at the triplet where the adaptive one did.  Results
+    that mix models raise ValueError.
     """
-    if metric_direction not in ("max", "min"):
-        raise ValueError("metric_direction must be 'max' or 'min'")
     by_alg = {alg: [r for r in results if r.algorithm == alg] for alg in ("trish", "trish_as")}
     if not all(by_alg.values()):
         raise ValueError("need results for both trish and trish_as")
-    pick = max if metric_direction == "max" else min
-    lookup = {alg: {r.triplet: r for r in cells} for alg, cells in by_alg.items()}
+    lookup = {alg: {(r.model, r.triplet): r for r in cells} for alg, cells in by_alg.items()}
     rows = []
     for alg in by_alg:
-        best = pick(by_alg[alg], key=lambda r: r.mean_metric)
-        cells = [best if a == alg else lookup[a].get(best.triplet) for a in by_alg]
+        best = _best(by_alg[alg])
+        cells = [best if a == alg else lookup[a].get((best.model, best.triplet)) for a in by_alg]
         if any(cell is None for cell in cells):
-            raise ValueError("the two algorithms ran different grids")
+            raise ValueError("the two algorithms ran different grids or models")
         rows.append((alg, *cells))
     return rows

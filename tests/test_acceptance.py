@@ -283,7 +283,7 @@ def test_criterion_07_a1a_reproduction(a1a_grids):
     best_trish = max(grids["trish"], key=lambda r: r.mean_metric)
     assert abs(best_trish.mean_metric - 0.8297) <= 0.010
 
-    rows = summarize_best(grids["trish"] + grids["trish_as"], "max")
+    rows = summarize_best(grids["trish"] + grids["trish_as"])
     report(7, f"a1a: G={G:.4f}, best adaptive accuracy "
               f"{best_as.mean_metric:.4f}, final batch "
               f"{best_as.mean_final_batch:.0f}, best fixed accuracy "

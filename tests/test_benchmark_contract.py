@@ -115,3 +115,28 @@ def test_traced_grid_counts_every_telemetry_block(model):
     blocks = -(-cell.curve_ege.size // optimizer.TELEMETRY_BLOCK)  # one run: its records
     calls = tracer.aggregate().get("models.test_metric", {"calls": 0})["calls"]
     assert calls == blocks > 1
+
+
+def test_traced_grid_counts_calibration_and_runs():
+    """`run_grid` calibrates G once and calls `_run_once` once per (cell, rep);
+    the tracer finds both by name, so a renamed or inlined one drops a layer."""
+    spans = load_spans()
+    rng = np.random.default_rng(0)
+    X = rng.normal(size=(60, 3))
+    y = np.where(X[:, 0] >= 0.0, 1.0, -1.0)
+    config = harness.ExperimentConfig(model="logistic", algorithm="trish", alphas=(0.1, 1.0),
+                                      gamma1_multipliers=(4.0,), gamma2_multipliers=(1.0,),
+                                      reps=2)
+    lib = types.SimpleNamespace(np=np, data=data, harness=harness, optimizer=optimizer,
+                                sampling=sampling, theory=theory)
+    tracer = spans.Tracer()
+    spans.instrument(tracer, lib)
+    try:
+        cells = harness.run_grid(config, problem=LogisticModel(X[:40], y[:40]),
+                                 test_features=X[40:], test_labels=y[40:], G=None)
+    finally:
+        tracer.uninstall()
+    agg = tracer.aggregate()
+    assert len(cells) == 2
+    assert agg["harness.compute_G"]["calls"] == 1
+    assert agg["harness.run"]["calls"] == 4

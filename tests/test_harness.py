@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, strategies as st
 
 from conftest import write_libsvm
@@ -17,7 +18,7 @@ from trish.harness import (DEFAULT_ALPHAS, ExperimentConfig, GridCellResult,
                            build_grid, compute_G, initial_sample_size,
                            load_config, load_problem, run_grid,
                            summarize_best, write_grid_csv, GRID_CSV_HEADER)
-from trish.models import LogisticModel
+from trish.models import LogisticModel, MlpModel
 
 
 def synthetic_logistic(N=200, n=6, seed=0, margin=1.0):
@@ -209,9 +210,9 @@ class TestRunGrid:
 
 
 class TestSummarizeBest:
-    def fake_cell(self, alg, triplet, metric, batch=50.0):
+    def fake_cell(self, alg, triplet, metric, batch=50.0, model="logistic"):
         return GridCellResult(alpha=triplet[0], gamma1=triplet[1],
-                              gamma2=triplet[2], algorithm=alg,
+                              gamma2=triplet[2], algorithm=alg, model=model,
                               mean_metric=metric, std_metric=0.0,
                               mean_final_batch=batch, case_fracs=(0, 1, 0),
                               curve_ege=np.zeros(1), curve_train_loss=np.zeros(1),
@@ -238,11 +239,42 @@ class TestSummarizeBest:
 
     def test_min_direction_for_losses(self):
         t1, t2 = (0.1, 4.0, 1.0), (1.0, 8.0, 2.0)
-        rows = summarize_best([
-            self.fake_cell("trish", t1, 0.5), self.fake_cell("trish", t2, 0.2),
-            self.fake_cell("trish_as", t1, 0.1), self.fake_cell("trish_as", t2, 0.3)],
-            metric_direction="min")
+        mse_cell = lambda alg, t, mse: self.fake_cell(alg, t, mse, model="mlp_regressor")
+        rows = summarize_best([mse_cell("trish", t1, 0.5), mse_cell("trish", t2, 0.2),
+                               mse_cell("trish_as", t1, 0.1), mse_cell("trish_as", t2, 0.3)])
         assert [cell.triplet for row in rows for cell in row[1:]] == [t2, t2, t1, t1]
+
+    def test_regressor_grid_picks_lowest_mse(self):
+        """summarize_best used to default to "max" and label a regressor's
+        highest-MSE triplets best; the cells' model now picks the direction."""
+        rng = np.random.default_rng(0)
+        X, y = rng.normal(size=(60, 3)), rng.random(60)
+        results = []
+        for algorithm in ("trish", "trish_as"):
+            config = ExperimentConfig(model="mlp_regressor", algorithm=algorithm,
+                                      alphas=(0.01, 1.0, 10.0), gamma1_multipliers=(4.0,),
+                                      gamma2_multipliers=(1.0,), reps=2, budget_epochs=3.0)
+            results += run_grid(config, problem=MlpModel.regressor(X[:40], y[:40]),
+                                test_features=X[40:], test_labels=y[40:], G=1.0)
+        for selected_by, trish_cell, as_cell in summarize_best(results):
+            grid = [r for r in results if r.algorithm == selected_by]
+            lowest = min(grid, key=lambda r: r.mean_metric)
+            assert lowest is not max(grid, key=lambda r: r.mean_metric)
+            assert (trish_cell if selected_by == "trish" else as_cell) is lowest
+
+    def test_mixed_models_rejected(self):
+        """Cells of two models, within one algorithm's grid or across the two
+        algorithms, are refused rather than ranked in one direction."""
+        t1, t2 = (0.1, 4.0, 1.0), (1.0, 8.0, 2.0)
+        within = [self.fake_cell("trish", t1, 0.5),
+                  self.fake_cell("trish", t2, 0.2, model="mlp_classifier"),
+                  self.fake_cell("trish_as", t1, 0.1), self.fake_cell("trish_as", t2, 0.3)]
+        across = [self.fake_cell("trish", t1, 0.5), self.fake_cell("trish", t2, 0.2),
+                  self.fake_cell("trish_as", t1, 0.1, model="mlp_regressor"),
+                  self.fake_cell("trish_as", t2, 0.3, model="mlp_regressor")]
+        for cells in (within, across):
+            with pytest.raises(ValueError, match="model"):
+                summarize_best(cells)
 
     def test_missing_algorithm_rejected(self):
         with pytest.raises(ValueError):
@@ -324,6 +356,26 @@ class TestLoadProblem:
         np.testing.assert_array_equal(pair[0].targets, split[0].targets)
         np.testing.assert_array_equal(pair[1], split[1])
         np.testing.assert_array_equal(pair[2], split[2])
+
+    def test_data_path_keeps_logistic_features_sparse(self, tmp_path):
+        """data_path used to hand the logistic model dense rows where the same
+        rows as a train/test pair stayed CSR; both now keep the parser's CSR."""
+        rng = np.random.default_rng(3)
+        X = np.where(rng.random((20, 4)) < 0.5, rng.normal(size=(20, 4)), 0.0)
+        X[:, -1] = 1.0  # both halves reach the last column
+        y = np.where(rng.random(20) < 0.5, 1.0, -1.0)
+        write_libsvm(tmp_path / "all.libsvm", X, y)
+        write_libsvm(tmp_path / "train.libsvm", X[:14], y[:14])  # ceil(0.7 * 20) rows
+        write_libsvm(tmp_path / "test.libsvm", X[14:], y[14:])
+        split = load_problem(ExperimentConfig(model="logistic", algorithm="trish",
+                                              data_path=str(tmp_path / "all.libsvm")))
+        pair = load_problem(ExperimentConfig(model="logistic", algorithm="trish",
+                                             train_path=str(tmp_path / "train.libsvm"),
+                                             test_path=str(tmp_path / "test.libsvm")))
+        for a, b in ((split[0].features, pair[0].features), (split[1], pair[1])):
+            assert sp.issparse(a) and a.format == b.format == "csr"
+            assert a.shape == b.shape and (a != b).nnz == 0
+        np.testing.assert_array_equal(split[2], pair[2])
 
     def test_logistic_path_aligns_feature_dimensions(self, tmp_path):
         (tmp_path / "train.libsvm").write_text("1 2:1\n-1 1:1\n")

@@ -294,6 +294,28 @@ class TestVerifyTheoremGap:
         assert (rep.gap < 1e-8) is (horizon_iters == 800)
         assert not rep.satisfied
 
+    @pytest.mark.parametrize("N, batch_size, horizon_iters", [(3, 1, 5), (7, 3, 10), (8, 2, 40)])
+    def test_checks_take_exactly_horizon_steps(self, monkeypatch, N, batch_size, horizon_iters):
+        """A budget of horizon_iters * batch_size / N epochs took one step more
+        whenever the float EGE sum fell short of it: 6 steps at N = 3, batch 1
+        and horizon 5."""
+        steps = []
+
+        def spy(*args, **kwargs):
+            x, records = run_trish(*args, **kwargs)
+            steps.append(len(records))
+            return x, records
+
+        monkeypatch.setattr(theory, "run_trish", spy)
+        offsets = np.random.default_rng(7).normal(size=(N, 2))
+        params = HyperParams(alpha=0.1, gamma1=2.0, gamma2=1.0)
+        verify_theorem_gap(SyntheticQuadratic(diag=[0.5, 1.0], offsets=offsets), params,
+                           batch_size, horizon_iters, reps=2, rng=np.random.default_rng(0))
+        scales = 1.0 + 0.1 * np.linspace(-1, 1, N)
+        verify_vanishing_gap(SyntheticQuadratic(diag=[0.5, 1.0], scales=scales), np.ones(2),
+                             1.1, 1.0, batch_size, horizon_iters, rng=np.random.default_rng(0))
+        assert steps == [horizon_iters] * 3
+
 
 class TestGradientMoments:
     def test_full_batch_moments_are_degenerate(self):
