@@ -40,16 +40,18 @@ config = ExperimentConfig(model="logistic", algorithm="trish", reps=5, seed=42,
 results = []
 for algorithm in ("trish", "trish_as"):
     cfg = dataclasses.replace(config, algorithm=algorithm)
-    cells = run_grid(cfg, problem=problem, test_features=X_test,
-                     test_labels=y_test, G=G)
-    results.extend(cells)
-    best = max(cells, key=lambda r: r.mean_metric)
+    results.extend(run_grid(cfg, problem=problem, test_features=X_test,
+                            test_labels=y_test, G=G))
+
+rows = summarize_best(results)  # row k holds algorithm k's best cell at position k
+for k, (algorithm, *cells) in enumerate(rows):
+    best = cells[k]
     print(f"{algorithm:9s} best accuracy {best.mean_metric:.4f} at "
           f"(alpha={best.alpha:.4g}, gamma1={best.gamma1:.4g}, "
           f"gamma2={best.gamma2:.4g})")
 
 print("\nbest-cell comparison (each algorithm's favorite triplet):")
-for selected_by, fixed, adaptive in summarize_best(results):
+for selected_by, fixed, adaptive in rows:
     print(f"  chosen by {selected_by:9s} "
           f"({fixed.alpha:.4g}, {fixed.gamma1:.4g}, {fixed.gamma2:.4g}): "
           f"fixed={fixed.mean_metric:.4f}  adaptive={adaptive.mean_metric:.4f}  "

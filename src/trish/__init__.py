@@ -13,8 +13,7 @@ from .optimizer import (HyperParams, IterationRecord, StepCase, classify_case,
                         run_sg, run_trish, run_trish_as, trish_step)
 from .sampling import (VarianceReport, ZeroReferenceError, noisy_regime_step,
                        proposed_sample_size, variance_report)
-from .models import (LogisticModel, MlpModel, default_x0,
-                     finite_difference_gradient, testing_accuracy,
+from .models import (LogisticModel, MlpModel, default_x0, testing_accuracy,
                      testing_loss)
 from .data import (Dataset, LibsvmParseError, chronological_split,
                    csv_to_libsvm, minmax_normalize, parse_libsvm)
@@ -32,8 +31,8 @@ __all__ = [
     "run_sg", "run_trish", "run_trish_as", "trish_step",
     "VarianceReport", "ZeroReferenceError",
     "noisy_regime_step", "proposed_sample_size", "variance_report",
-    "LogisticModel", "MlpModel", "default_x0", "finite_difference_gradient",
-    "testing_accuracy", "testing_loss",
+    "LogisticModel", "MlpModel", "default_x0", "testing_accuracy",
+    "testing_loss",
     "Dataset", "LibsvmParseError", "chronological_split", "csv_to_libsvm",
     "minmax_normalize", "parse_libsvm",
     "SyntheticQuadratic", "asymptotic_gaps", "beta_const", "gradient_moments",

@@ -64,9 +64,9 @@ class FiniteSumProblem(ABC):
     """Objective F(x) = (1/N) sum_i F_i(x) with per-component losses and gradients.
 
     Subclasses set `n` and `N` and implement the batched pair
-    `component_losses` / `component_gradients`; `component_loss_stack` and
-    the full objective derive from it.  Implementations are immutable after
-    construction and safe to share across concurrent runs.
+    `component_losses` / `component_gradients`; the full objective derives
+    from it.  Implementations are immutable after construction and safe to
+    share across concurrent runs.
     """
 
     n: int  # parameter dimension
@@ -79,10 +79,6 @@ class FiniteSumProblem(ABC):
     @abstractmethod
     def component_gradients(self, indices, x: np.ndarray) -> np.ndarray:
         """Stacked per-component gradients, one row per index in order."""
-
-    def component_loss_stack(self, i: int, xs: np.ndarray) -> np.ndarray:
-        """Loss of component i at each row of a K x n stack of points."""
-        return np.array([self.component_losses([i], x)[0] for x in xs])
 
     def loss(self, x: np.ndarray) -> float:
         """Full objective F(x)."""

@@ -2,8 +2,7 @@
 
 Both implement the batched FiniteSumProblem contract, per-component losses
 and gradients over an index batch, plus a faster full-objective loss; the
-full gradient is the base mean of the component gradients.  A central
-finite-difference oracle is included for gradient verification.
+full gradient is the base mean of the component gradients.
 
 The MLP's full-data pass (`MlpModel.predict`) runs on a contiguous units x
 rows copy, except width-1 layers: numpy gives those a matrix-vector kernel that
@@ -16,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .core import FiniteSumProblem, as_vector, check_count, check_positive
+from .core import FiniteSumProblem, as_vector, check_count
 
 
 def _dense(features) -> np.ndarray:
@@ -215,16 +214,6 @@ class MlpModel(FiniteSumProblem):
         h = self._forward(Z, self.unpack(x))[-1].ravel()
         return self._losses_from_h(h, self.targets[idx])
 
-    def component_loss_stack(self, i: int, xs: np.ndarray) -> np.ndarray:
-        # One batched forward pass of row i through K parameter vectors.
-        if xs.shape[1] != self.n:
-            raise ValueError(f"parameter vectors have length {xs.shape[1]}, expected {self.n}")
-        a = self.features[i][None, :, None]
-        for (w, b, fan_out, fan_in), kind in zip(self._slices, self.activations):
-            pre = xs[:, w].reshape(-1, fan_out, fan_in) @ a + xs[:, b, None]
-            a = expit(pre) if kind == "sigmoid" else pre
-        return self._losses_from_h(a.ravel(), self.targets[i])
-
     def _backward_deltas(self, acts, layers, y):
         """Output-layer delta seeded from dL/dh, chained through activations."""
         hc = np.clip(acts[-1].ravel(), _CLAMP_EPS, 1.0 - _CLAMP_EPS)
@@ -257,26 +246,6 @@ class MlpModel(FiniteSumProblem):
     def loss(self, x: np.ndarray) -> float:
         h = self._predict_unit_major(self._units, x)
         return float(np.mean(self._losses_from_h(h, self.targets)))
-
-
-FD_CHUNK = 256  # most perturbed points per `component_loss_stack` call
-
-
-def finite_difference_gradient(problem: FiniteSumProblem, i: int, x,
-                               h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of component i, each coordinate moved by
-    +-h alone (h finite, > 0), the losses taken FD_CHUNK points at a time."""
-    check_positive("h", h)
-    x = as_vector(x)
-    grad = np.empty(x.size)
-    for lo in range(0, x.size, FD_CHUNK):
-        js = np.arange(lo, min(lo + FD_CHUNK, x.size))
-        up, down = np.tile(x, (2, js.size, 1))
-        up[np.arange(js.size), js] += h
-        down[np.arange(js.size), js] -= h
-        grad[js] = (problem.component_loss_stack(i, up)
-                    - problem.component_loss_stack(i, down)) / (2.0 * h)
-    return grad
 
 
 def default_x0(problem: FiniteSumProblem, rng: np.random.Generator) -> np.ndarray:

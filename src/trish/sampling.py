@@ -100,11 +100,12 @@ def proposed_sample_size(report: VarianceReport, ref_vec: np.ndarray,
 def required_size(est: GradientEstimate, ref_vec: np.ndarray, theta: float,
                   nu: float, N: int) -> int | None:
     """The size proposed by the tests against `ref_vec` (capped at N), or None
-    when both pass, the reference is zero or a test quantity is not finite."""
+    when both pass, the reference is zero or a test quantity is not finite
+    (a float threshold that overflows raises OverflowError, caught here)."""
     try:
         report = variance_report(est, ref_vec, theta, nu)
         return None if report.ok else proposed_sample_size(report, ref_vec, theta, nu, N)
-    except (ZeroReferenceError, NumericError):
+    except (ZeroReferenceError, NumericError, OverflowError):
         return None
 
 

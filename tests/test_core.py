@@ -365,11 +365,6 @@ def test_every_export_resolves():
     assert [name for name in trish.__all__ if not hasattr(trish, name)] == []
 
 
-# The gradient oracle for criterion 3: public so that a user can check a
-# new model's gradients, though only tests call it here.
-TEST_ONLY_EXPORTS = {"finite_difference_gradient"}
-
-
 def test_every_export_is_read_outside_tests():
     """Each name in `trish.__all__` is read by code in src/ (apart from
     `__init__.py`), demos/ or benchmarks/; a def or class statement is not a read."""
@@ -383,4 +378,4 @@ def test_every_export_is_read_outside_tests():
                     read.add(node.id)
                 elif isinstance(node, ast.Attribute):
                     read.add(node.attr)
-    assert sorted(set(trish.__all__) - read - TEST_ONLY_EXPORTS) == []
+    assert sorted(set(trish.__all__) - read) == []

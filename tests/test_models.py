@@ -8,10 +8,10 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
-from trish import models
+import conftest
+from conftest import finite_difference_gradient, loss_stack
 from trish.models import (_CLAMP_EPS, LogisticModel, MlpModel, _dense,
-                          default_x0, finite_difference_gradient,
-                          testing_accuracy, testing_loss)
+                          default_x0, testing_accuracy, testing_loss)
 from trish.core import FiniteSumProblem
 
 
@@ -414,7 +414,7 @@ class TestFiniteDifferenceOracle:
             xs = rng.uniform(-1, 1, (K, model.n))
             for i in (0, model.N - 1):
                 np.testing.assert_allclose(
-                    model.component_loss_stack(i, xs),
+                    loss_stack(model, i, xs),
                     [float(model.component_losses([i], x)[0]) for x in xs],
                     rtol=1e-13, atol=0)
 
@@ -434,7 +434,7 @@ class TestFiniteDifferenceOracle:
                 grad[j] = (up - down) / (2.0 * h)
             return grad
 
-        monkeypatch.setattr(models, "FD_CHUNK", 7)
+        monkeypatch.setattr(conftest, "FD_CHUNK", 7)
         rng = np.random.default_rng(6)
         for model in (TestMlpModel().classifier_fixture(), logistic_fixture(n=9)):
             assert model.n % 7

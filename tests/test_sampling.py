@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import trish.optimizer as optimizer
 import trish.sampling as sampling
 from trish.core import GradientEstimate, NumericError, as_vector
-from trish.optimizer import HyperParams, run_trish_as
+from trish.optimizer import HyperParams, run_trish, run_trish_as
 from trish.sampling import (VarianceReport, ZeroReferenceError, noisy_regime_step,
                             proposed_sample_size, required_size, variance_report)
 from trish.theory import SyntheticQuadratic, gradient_moments
@@ -175,6 +175,27 @@ class TestRequiredSize:
         assert required_size(est, np.array([0.0, 0.01]), 0.9, 5.84, 2000) == 1173
         assert required_size(est, np.zeros(2), 0.9, 5.84, 100) is None
         assert required_size(est, np.array([1e-100, 0.0]), 0.9, 5.84, 100) is None
+
+    def test_overflowing_threshold_skips_the_tests(self):
+        """theta^2 ||ref||^4 overflows a Python float here (ref_sq > 1e154),
+        which raises OverflowError; the tests are skipped like any other
+        non-finite test quantity."""
+        est = estimate([[1e78, 0.0], [1.1e78, 0.0], [0.9e78, 1.0]])
+        with np.errstate(over="ignore"):
+            assert required_size(est, est.aggregate, 0.9, 5.84, 100) is None
+
+    def test_diverging_adaptive_run_fails_like_the_fixed_batch_run(self):
+        """Both runs diverge and raise NumericError naming the first
+        non-finite component; no OverflowError escapes the variance tests."""
+        problem = SyntheticQuadratic(
+            diag=[0.5, 1.0], offsets=np.random.default_rng(0).normal(size=(50, 2)))
+        params = HyperParams(alpha=10.0, gamma1=100.0, gamma2=50.0)
+        named = []
+        for run in (run_trish, run_trish_as):
+            with pytest.raises(NumericError) as err, np.errstate(over="ignore"):
+                run(problem, np.ones(2), params, 2, 5.0, np.random.default_rng(1))
+            named.append(err.value.component)
+        assert named == [31, 31]
 
 
 class TestExactMoments:
