@@ -4,9 +4,9 @@ Both implement the batched FiniteSumProblem contract, per-component losses
 and gradients over an index batch, plus a faster full-objective loss; the
 full gradient is the base mean of the component gradients.
 
-The MLP's full-data pass (`MlpModel.predict`) runs on a contiguous units x
-rows copy, except width-1 layers: numpy gives those a matrix-vector kernel that
-rounds by memory layout, so they run on C-contiguous rows to stay bit-identical.
+The MLP's full-data pass (`MlpModel._predict_unit_major`) runs on a contiguous
+units x rows copy, except width-1 layers: numpy gives those a matrix-vector kernel
+that rounds by memory layout, so they run on C-contiguous rows to stay bit-identical.
 """
 
 from __future__ import annotations
@@ -179,17 +179,14 @@ class MlpModel(FiniteSumProblem):
             acts.append(a)
         return acts
 
-    def predict(self, features, x: np.ndarray) -> np.ndarray:
-        """Network outputs h in (0,1] or R for every feature row.
+    def _predict_unit_major(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Network outputs h in (0,1] or R for every column of `a`, the
+        `_unit_major` copy of the features.
 
         Activations are unit-major (units x rows); a width-1 layer multiplies
         C-contiguous rows, as its matrix-vector product rounds by layout.  So
         the outputs equal `_forward(features, unpack(x))[-1]` bit for bit.
-        `_predict_unit_major` takes the `_unit_major` copy of the features.
         """
-        return self._predict_unit_major(_unit_major(features), x)
-
-    def _predict_unit_major(self, a: np.ndarray, x: np.ndarray) -> np.ndarray:
         for (W, b), kind in zip(self.unpack(x), self.activations):
             if W.shape[0] == 1:
                 pre = (np.ascontiguousarray(a.T) @ W.T + b).T

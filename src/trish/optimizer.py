@@ -4,8 +4,9 @@ The step is SG-like with a twist: when the stochastic gradient norm falls in
 [1/gamma1, 1/gamma2] the step is normalized to length alpha (the minimizer of
 g.p over ||p|| <= alpha), otherwise it is a scaled SG step.  Every step is
 accepted; no ratio test.  Runs are budgeted in effective gradient evaluations
-(EGE): cumulative per-component gradient evaluations divided by N, so one
-epoch equals EGE 1.
+(EGE): a run counts its per-component gradient evaluations as an integer,
+redraws included, and each record holds that count divided by N, so one
+epoch equals EGE 1 and a sum of whole epochs is exact.
 
 Telemetry is optional and leaves the trajectory untouched.  With
 `metric_fn` set, a driver keeps a reference to every iterate and, after its
@@ -150,7 +151,10 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
     batch size stays `size` unless `sampler` holds the adaptive-sampling
     constants, in which case it follows `run_trish_as`, whose controls stop
     at size N.  Each iteration steps with the current gradient, records,
-    stops once the budget is spent, and otherwise forms the next gradient.
+    stops at the first record with EGE >= `budget_epochs`, and otherwise
+    forms the next gradient.  Each drawn batch adds its size to the integer
+    `evals`, and a record's EGE is `evals / N`: so budget `h * size / N`
+    takes exactly h fixed-batch steps.
     `size` must be an integer in [1, N], `budget_epochs` positive and finite.
     """
     N = problem.N
@@ -158,15 +162,15 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
     check_positive("budget_epochs", budget_epochs)
     x = as_vector(x0).copy()
     size = int(size)
-    ege = 0.0
+    evals = 0  # component gradients drawn so far, redraws included
     records: list[IterationRecord] = []
     iterates: list[np.ndarray] = []
 
     def sample():
-        """Gradient at x over a fresh batch of the current size, charged to EGE."""
-        nonlocal ege
+        """Gradient at x over a fresh batch of the current size, charged to `evals`."""
+        nonlocal evals
         est = sampled_gradient(problem, x, draw_batch(N, size, rng))
-        ege += size / N
+        evals += size
         return est
 
     def grow(proposed):
@@ -188,6 +192,7 @@ def _run(problem: FiniteSumProblem, x0, size: int, budget_epochs: float,
         gnorm = math.sqrt(est.sq_norm)
         case, p = step(est.aggregate, gnorm)
         x = x + p
+        ege = evals / N
         records.append(IterationRecord(case, gnorm, size, ege))
         if metric_fn is not None:
             iterates.append(x)

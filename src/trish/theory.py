@@ -279,12 +279,6 @@ class PlateauReport:
         return self.mean_gap <= self.bound + 3.0 * self.std_error
 
 
-def _horizon_budget(problem: FiniteSumProblem, batch_size: int, horizon_iters: int) -> float:
-    """EGE budget of exactly `horizon_iters` fixed-batch steps: half a step short, since the
-    float sum of the steps' `batch_size / N` can fall just below the exact product."""
-    return (horizon_iters - 0.5) * batch_size / problem.N
-
-
 def verify_theorem_gap(problem: SyntheticQuadratic, params: HyperParams,
                        batch_size: int, horizon_iters: int, reps: int,
                        rng: np.random.Generator) -> PlateauReport:
@@ -306,7 +300,7 @@ def verify_theorem_gap(problem: SyntheticQuadratic, params: HyperParams,
     m_g = gradient_moments(problem, x0, batch_size).e_err_sq
     bound = asymptotic_gaps(beta, m_g, mu, params.gamma2)[0]
 
-    budget = _horizon_budget(problem, batch_size, horizon_iters)
+    budget = horizon_iters * batch_size / problem.N  # exactly horizon_iters steps
     gaps = np.empty(reps)
     for rep, child in enumerate(rng.spawn(reps)):
         x_final, _ = run_trish(problem, x0, params, batch_size, budget, child)
@@ -348,5 +342,5 @@ def verify_vanishing_gap(problem: SyntheticQuadratic, x0, gamma1: float, gamma2:
     bounds = stepsize_bounds(gamma1, gamma2, problem.lipschitz, mu=problem.pl_constant, M2=M2)
     params = HyperParams(alpha=0.9 * bounds.zero_noise_pl, gamma1=gamma1, gamma2=gamma2)
     x_final, _ = run_trish(problem, x0, params, batch_size,
-                           _horizon_budget(problem, batch_size, horizon_iters), rng)
+                           horizon_iters * batch_size / problem.N, rng)
     return VanishingGapReport(M2=M2, bounds=bounds, gap=problem.loss(x_final) - problem.F_star)

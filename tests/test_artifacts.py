@@ -70,20 +70,20 @@ def sha256(data: bytes) -> str:
 DIGESTS = {
     ("logistic-pair", "trish"): (
         "bf9679f365c1ff06b269a484cf26bb39a25482948a4580eefa195b9224e8d083",
-        "ead800a4d2454914aab8742836fefccbe98d193450a66389d739a1ec49d6fb1e",
-        "9c0955d4473ca9cd3c220e64abd098940b0277a81210c02a3521d6d2873d4630",
+        "c4b22dc39e5bceec38c330db8dde8bdf78072909a7ca989ee268ce2763671b47",
+        "9e676e164a10a391550b555092114e988d4eec8a72a0b7c58220fb4f97ba7448",
         "a5985affd91e10ff7d2ccb157ef9f8cea8def6c71db7006800cc4f6bb7fe654d",
     ),
     ("logistic-pair", "trish_as"): (
         "8e10bfc8273a4e40f91e7b5b00b64643720e3a01ef156655dbec5280b9f03aa6",
-        "d8fb8b331441d7178738eb295a01933db51f9431457c2544535835824c03f64f",
-        "d98a77590a993917ee4710fb5629af0ef4666f679fc5ca96199398aab71560ee",
+        "e2e1f6b4336973fe01e881618b6460f77e2732f0f9f23af54304b00bc4f1211f",
+        "2005d472a6db342cbff43d6b63a1fe195b827e68cf48a463b2e6275ff74158e6",
         "2b8b6d936c4e5a5e82918ea092c8c461977685d3d70e378ac242eb25775c69e2",
     ),
     ("logistic-pair", "sg"): (
         "9f37ce62faab8bb0b53a7d9a3a5e9a4e41a8b2ab13d20d247e8bc1bb26f73377",
-        "ba28743c663f3447595ae0e85a603860ddb97466518c09175481e343cfadfc4c",
-        "650195e31e26f56fd18b3e2965ee6db3ee11aeeb715275120e95a24e00a62a55",
+        "98ed28e610901bbe56984a162a9c4c7e58e7d05783dc83e3b2f67f5383561b86",
+        "b10b049436539e543ef1f177c15fedc31fec918e157daa062492a060cc5e2347",
         "35eb9f945107953bb28016b037f09b04553291ccf58a9663fc15c8d0cc479253",
     ),
     ("logistic-data_path", "trish"): (
@@ -94,8 +94,8 @@ DIGESTS = {
     ),
     ("logistic-data_path", "trish_as"): (
         "65e16a8c8f786a9d785828db09218895945bca016bc0ea37dd3db5d2cdfe2bdc",
-        "3b498b577fbc9300cb067c0f39734a252d720e95f31d0d5d1f7ecc4cd24bdeea",
-        "faa815827e9fc90e02c6ec324c753c02248a2e76635e9d543eedd1bdec7113a4",
+        "ee61b31770a10104e8614d890c197ece6f16e01afb02e70c62a4626c90e2096c",
+        "4fe8c3f548edb4162b255b963aa4697b8212a7ccf027d7b31af8f0fb763a7002",
         "c8fa3a91ea5f4520850d4f6ec4aeb1c0e45a791775f54058e02b7e1daef05ca3",
     ),
     ("logistic-data_path", "sg"): (
@@ -106,38 +106,38 @@ DIGESTS = {
     ),
     ("mlp_classifier", "trish"): (
         "6252c650af717801c54dbf77e7f7eb9e60d8acd9fb528044de1ce6b4231c6d25",
-        "7ccace8acf3265828362300d949c5e7fe272289ab9316e7d89f17b20adc92885",
-        "46ddc07aaa5e265b1208178da61b63b10e60a8f310f47db995eee45ac1dd1cab",
+        "79058d3fbc2dc83abef66c093d19e6946a330a343909c1d7688763ff077ee267",
+        "9284656d46a776d60c01f7640e593b2de9f4e336c10e88b4a79d2f942731adcb",
         "cfb292253393af0065605fdfdf33c2010a1fdf99bd4a96ee1c9dba268fd1b3da",
     ),
     ("mlp_classifier", "trish_as"): (
         "60d0b4e4c79a23114d1ddd49daf757a63c5795ffa426ebb6456a61f025b44d84",
         "85d7ba93588243a10f67294c2b4a51aa33e430bcd89cfb58ce41753352785fae",
-        "c2be91116f0e8735fcea79081ad87c60136b3303349741f4c877a442a120d7c1",
+        "9f36c964be81ef03700ea1279c3946aaf576959f2c29c04e5aeb72a6f9a4781d",
         "c1161b95d358344d7226dfe1e55eaed93218a3047136b25e0ce2026f4642bafc",
     ),
     ("mlp_classifier", "sg"): (
         "fcac5ec38f2915eede4af6be66255dc90da11649fa98a894ea314ea7e44d52a3",
-        "ef9b68e259a6899165803086ad14d91973a6ca30342937e891795ef16a531f4f",
-        "142842424ae6f2d1dec3fc957368e34334097dad4561473a21cea700b7f9cced",
+        "51606275b481204fd3eab8452badaa0013981119fe6da3eea9730df0f93773a3",
+        "aa5e8966b6f3c6c9c0bac2a6f77c12a89b18bace2e6b46632e4f81cb5f3878e1",
         "1c01abdaf057fbadebb65e92585ccbec2d59644f821a22e538c220f460917b27",
     ),
     ("mlp_regressor", "trish"): (
         "6e818955cfcf5032ce6380e6ac4ab679bd9447596ffaad432837e7092ddaa932",
-        "d77ad1cdcd32efbb6b63fda85b47dcd6d89f51d99d90c62f1a57ad8fe9b7bd0e",
-        "307aa5ba2ddb3942b862b9468aaf90f34b6e44a36e0215be3263e906972fca37",
+        "147d97058a9e5c2b91151942dec0ee022b2d6d6b518e651728353edbf23a8bda",
+        "b6e034be4af8448bbce8a0fa5d7d5e1ef6c1d66372476dc35a3cf56e646c3e01",
         "6cd2fac1e60cc143057dbd9170f4c0c8698610005acad6c8c91987c07c5b66cf",
     ),
     ("mlp_regressor", "trish_as"): (
         "d915027c7a96ea83043b03c80a988b4e7dbd41458264637d068cf97120e541fa",
-        "a9895e20728f732d9758ea3e509c6ad3d37e1b527309cd5dca656dccaffee731",
-        "0a884969b52711ebab9ab0fc3ec173470666dfab5f1740d19ec70d352dcdcc8c",
+        "565256161046304e42c4f582b86825457fbee1e12c2eab7569c261c52607167a",
+        "b8b3ec973b843a367aa097d1b12b51cc56f9837437fbf27b4ce5a1116b194c56",
         "03227fd185f6a9444dfefd97d564eaa671165fe5a1bd218cc486ea572ad5a2c9",
     ),
     ("mlp_regressor", "sg"): (
         "284af79cd518d4e05fbaa29656d5de31a0904169a6765be9bced5675ac214b85",
-        "8023b3c4be718c1bde2aec77305bf1e507a683c63b0ed40e448228f1be59b424",
-        "330ecb70d5be18a5b70bb019127bae8977ff73ae9beea627dbbe534df3b54229",
+        "26f8fb0bdcfbbf88cfe9ef090444db5481b8d6d618e4b6071acd96020a6050f3",
+        "0518956087e2ddbf4d557ad890d016ad7ba14858f90ffabc0d5d0132a97e4b1b",
         "9717797c8d2700a24246fbce5af1e57a3f243d0af303fe05daeeecb7325f6167",
     ),
 }

@@ -107,45 +107,45 @@ def run_case(problem_name, driver, params, size, budget, seed):
 # (problem, driver, params, batch size or s0, budget in epochs, seed): digest
 GOLDEN = {
     ("logistic", "trish", "FIXED", 16, 3.0, 0):
-        "e49f30e41d8a46cbee8ef49cf3a2d3d6596805cffb36475c54007d70b2e9281a",
+        "d6bfbbc301e7244d01f51c7c945482ec01cd78c8fe264cad4b946259aa24bf7e",
     ("logistic", "sg", "FIXED", 16, 3.0, 0):
-        "0fd01a052ffe11f1004391a51976faa975dc2312905b32b950d59f1db8c0d84e",
+        "3841f1207eb5d4ea58490363c6c135be96ac5f0dbc6a9dea115fcedde3edaa30",
     ("logistic", "trish_as", "TIGHT", 4, 6.0, 0):
-        "92254f36da7570a6c77d533c183bd8124da7dbe7cf8e8776672819a3206cf836",
+        "423c7133ee00abc4b5a8e253c7052b32b552828b5d328ed7f9e115924b2f6cbd",
     ("logistic", "trish_as", "LOOSE", 2, 4.0, 1):
-        "e1621e20c5ac029b79ac54e1ebcc28461820ea211dc9f8bca86443cdb68a038c",
+        "db24dee1da91c2db5125be4709484541e01ee8ab7c8376bf6999c23184fefdc2",
     ("dense_logistic", "trish", "FIXED", 16, 3.0, 0):
-        "af14d62c7d6b34088e6671668ad41fbb536e7e91f4bb034f3c1bede1b196a412",
+        "6081cd000300bb720b258286bcf3f75c39259f9af9519c435caf333afa89ecc8",
     ("dense_logistic", "sg", "FIXED", 16, 3.0, 0):
-        "1aa2d37d2ebd47e1243512d27082bc053feef7b349881723a2383f5875eb770b",
+        "ab4d6dab36d3be04624ff1dabdd621cf8d43d0590b55bc5f46250780d12903f2",
     ("dense_logistic", "trish_as", "TIGHT", 4, 6.0, 0):
-        "92e07ca394b07bad23835ad331ce9db3f42a292d20b3cde96b1c3ea36f32919a",
+        "4c7c6be58cdd60a1fc22a7dd91abaad090917c730fcce638a78401cc0aa69f92",
     ("dense_logistic", "trish_as", "LOOSE", 2, 4.0, 1):
-        "c6ec471f8d4ab8e91b7cb775e3ebd9edfd1d1c9c361f3bf073d43ffb6e9132e5",
+        "ad800eda73381f590ff29b3db5d1e50e71d20641b1bc4f861eb97ff954c3f1c3",
     ("mlp", "trish", "FIXED", 8, 2.0, 0):
-        "ed85a600110cf4c6fb739f7d7258b384ca966ac21c1bd13d31c8da9a39e9ba03",
+        "5ef2fecce8f72651b1b7a25c10f0f0c04360cf8225a9e2031e451ede179bd5fc",
     ("mlp", "sg", "FIXED", 8, 2.0, 0):
-        "b702d93740380cabef9f549643236c6365d6a51b1442471c7be9b1252b4e7ac5",
+        "2b737cea8c6ab4f72d2ebb7c99dcadd07a4b2fd4e8be4e09e20b563b04605e42",
     ("mlp", "trish_as", "TIGHT", 2, 4.0, 0):
-        "1ed2b50907e3b70fd577f6766256b7319c141da29ec8501025a0b4664c676e48",
+        "062f1b54013db300e463767083ee849e46f93140fa7dced60afc6a10e68340e9",
     ("mlp", "trish_as", "LOOSE", 3, 4.0, 2):
-        "7489e497a4e1b980b53c9b7b80e14c6c16781329f65ae830e0acbeceed663c0a",
+        "ea609ef44f34b38a5c919692539c4ce98d5fa5f71da90f93e79bf8a86c0e97f7",
     ("mlp_classifier", "trish", "FIXED", 8, 2.0, 0):
-        "0588be135a1e567fd63e5691ad98dfa37452ac59baea29f243475a2b08abbc6f",
+        "52ed1f9b474e7e642cffeadd4769257a705ea3bc46a3240cd57e4ffb1b6a1766",
     ("mlp_classifier", "sg", "FIXED", 8, 2.0, 0):
-        "82ebc0bf8efb4fb8fe75b7548c92e1ea97e84e9b91a278323481eabd1d335c4b",
+        "86d563a6edcd4231548d203d40bb05f79ca11c1753fa5d6ffaf6fa25228d0c48",
     ("mlp_classifier", "trish_as", "TIGHT", 2, 4.0, 0):
         "8d16e4baa6a8e7cfd4ebf6edf3d8f19ad2bf1625bdf846a96700cced7428a65e",
     ("mlp_classifier", "trish_as", "LOOSE", 3, 4.0, 2):
-        "01ff1250d7a0368de413c0c5ef35a90975f5286fc89f973868a4404b0dfa4ce8",
+        "2ed1a3372a296f8dcc1b0cb131535c939ca25d20b2f894411c06c778b1b0d6f6",
     ("quadratic", "trish", "FIXED", 6, 4.0, 0):
-        "fcf61df61f40df31c8c5035efcb4ced83ce70accbcfdeed662e6def7144d7f4e",
+        "b2c3fde0e172a037d89f2a1721a599da8819e6a8131bfc1a36662d3d0fc9f1c1",
     ("quadratic", "sg", "FIXED", 6, 4.0, 0):
-        "87ca7f9e5795d1605a986c7ecde0cba08f0c77be57593d5d779797975dc9f232",
+        "5a5aabe4b51bbf3e43606afef48c1514ef8e6caa823b1c5f384235355532c110",
     ("quadratic", "trish_as", "TIGHT", 2, 8.0, 0):
-        "da944477a72d1feb0b20057898e3dafa14dfb237ae700b37d4ea74d621823999",
+        "a9617c84bb3db366475d7cb1a8bd5d3f35a00f8c30b05241e2d61660cd183d4c",
     ("quadratic", "trish_as", "LOOSE", 2, 10.0, 3):
-        "46d7cb0701eb7c85096aa7d3123acd8efe6984c76e6034c3129ddaae36c9b97a",
+        "c6d3d31fd6d37a9c823e93de49e61cac101eed5faea71fb94727d59585197781",
 }
 
 

@@ -11,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 import conftest
 from conftest import finite_difference_gradient, loss_stack
 from trish.models import (_CLAMP_EPS, LogisticModel, MlpModel, _dense,
-                          default_x0, testing_accuracy, testing_loss)
+                          _unit_major, default_x0, testing_accuracy,
+                          testing_loss)
 from trish.core import FiniteSumProblem
 
 
@@ -237,8 +238,9 @@ class TestMlpModel:
                                       dense.component_gradients(idx, x))
         assert sparse.loss(x) == dense.loss(x)
         np.testing.assert_array_equal(sparse.gradient(x), dense.gradient(x))
-        np.testing.assert_array_equal(sparse.predict(sp.csr_matrix(X), x),
-                                      dense.predict(X, x))
+        np.testing.assert_array_equal(
+            sparse._predict_unit_major(_unit_major(sp.csr_matrix(X)), x),
+            dense._predict_unit_major(_unit_major(X), x))
 
     @settings(max_examples=300, deadline=None)
     @given(case=mlp_predict_cases())
@@ -246,7 +248,7 @@ class TestMlpModel:
         """The unit-major full-data pass gives the batch pass's bits."""
         model, X, x = case
         expected = model._forward(_dense(X), model.unpack(x))[-1].ravel()
-        np.testing.assert_array_equal(model.predict(X, x), expected)
+        np.testing.assert_array_equal(model._predict_unit_major(_unit_major(X), x), expected)
 
     @settings(max_examples=200, deadline=None)
     @given(h=st.lists(st.one_of(
@@ -292,7 +294,7 @@ class TestMlpModel:
     def test_zero_parameters_give_half_output(self):
         model = self.classifier_fixture()
         x = np.zeros(model.n)
-        h = model.predict(model.features, x)
+        h = model._predict_unit_major(_unit_major(model.features), x)
         np.testing.assert_allclose(h, 0.5)
         losses = model.component_losses(np.arange(model.N), x)
         np.testing.assert_allclose(losses, np.log(2.0), rtol=1e-12)
@@ -300,7 +302,8 @@ class TestMlpModel:
     def test_sigmoid_output_in_unit_interval(self):
         model = self.classifier_fixture()
         rng = np.random.default_rng(1)
-        h = model.predict(model.features, rng.uniform(-2, 2, model.n))
+        h = model._predict_unit_major(_unit_major(model.features),
+                                      rng.uniform(-2, 2, model.n))
         assert np.all((h > 0) & (h < 1))
 
     def test_losses_nonnegative(self):
@@ -350,7 +353,8 @@ class TestMlpModel:
         b_eff = W3 @ (W2 @ b1 + b2) + b3
         Z = model.features
         expected = 1.0 / (1.0 + np.exp(-(Z @ W_eff.T + b_eff).ravel()))
-        np.testing.assert_allclose(model.predict(Z, x), expected, rtol=1e-12)
+        np.testing.assert_allclose(model._predict_unit_major(_unit_major(Z), x),
+                                   expected, rtol=1e-12)
 
     def test_parameter_length_mismatch_rejected(self):
         model = self.classifier_fixture()
@@ -596,8 +600,9 @@ class TestStackedEvaluation:
         labels = (y > 0.5).astype(np.float64)
         accuracy = testing_accuracy(model, xs, X, labels)
         for k, x in enumerate(xs):
-            assert mse[k] == float(np.mean((y - model.predict(X, x)) ** 2))
-            pred = (model.predict(X, x) >= 0.5).astype(np.float64)
+            h = model._predict_unit_major(_unit_major(X), x)
+            assert mse[k] == float(np.mean((y - h) ** 2))
+            pred = (h >= 0.5).astype(np.float64)
             assert accuracy[k] == float(np.mean(pred == labels))
         np.testing.assert_array_equal(model.losses(xs), [model.loss(x) for x in xs])
 

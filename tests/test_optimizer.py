@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import trish.optimizer as optimizer
 import trish.sampling as sampling
@@ -164,10 +164,7 @@ def test_run_calls_each_layer_once(driver, params, monkeypatch):
     grads = [args[2] for args, _ in calls["sampled_gradient"]]
     steps = [args[2] for args, _ in calls["_step_vector"]]
     assert len(grads) == len(draws) and all(g is d for g, d in zip(grads, draws))
-    ege = 0.0
-    for batch in draws:
-        ege += batch.size / problem.N
-    assert ege == records[-1].ege
+    assert records[-1].ege == sum(batch.size for batch in draws) / problem.N
     assert steps == ([] if driver == "sg" else [r.case for r in records])
     if driver == "trish_as":
         assert len(draws) > len(records)  # redraws happened and were counted
@@ -262,7 +259,20 @@ class TestRunTrish:
         eges = [r.ege for r in records]
         assert all(b - a > 0 for a, b in zip(eges, eges[1:]))
         assert 1.0 <= eges[-1] <= 1.0 + 3 / 10
-        np.testing.assert_allclose(eges[-1], len(records) * 3 / 10, rtol=1e-12)
+        assert eges[-1] == len(records) * 3 / 10
+
+    @settings(max_examples=150, deadline=None)
+    @given(N=st.integers(1, 60), b=st.integers(1, 60), h=st.integers(1, 200))
+    @example(N=3, b=1, h=5)
+    def test_budget_of_h_steps_takes_exactly_h(self, N, b, h):
+        """EGE is an integer count over N, so the run's last EGE equals the
+        budget h * b / N exactly.  The float sum of b / N used to fall short:
+        6 steps at N = 3, b = 1, h = 5."""
+        assume(b <= N)
+        params = HyperParams(alpha=0.1, gamma1=4.0, gamma2=1.0)
+        _, records = run_trish(quadratic(N=N), np.ones(2), params, b, h * b / N,
+                               np.random.default_rng(0))
+        assert len(records) == h
 
 
 class TestRunSg:
@@ -453,8 +463,7 @@ class TestRunTrishAs:
                              theta=theta, nu=nu, r=r)
         _, records = run_trish_as(problem, np.ones(2), params, s0, 2.0,
                                   np.random.default_rng(4))
-        np.testing.assert_allclose(records[-1].ege, problem.evaluations / 25,
-                                   rtol=1e-12)
+        assert records[-1].ege == problem.evaluations / 25
 
     def test_budget_reached_with_bounded_overshoot(self):
         problem = quadratic(N=10)
@@ -586,7 +595,8 @@ class TestFullBatch:
         first = next(k for k, rec in enumerate(records) if rec.batch_size == N)
         later = records[first + 1:]
         assert len(later) >= 3
-        assert all(rec.ege == prev.ege + 1.0 for prev, rec in zip(records[first:], later))
+        assert all(round(rec.ege * N) - round(prev.ege * N) == N
+                   for prev, rec in zip(records[first:], later))
 
         tail = []
         x_full, full = run_trish(problem, kept[first], TIGHT, N, float(len(later)),
@@ -595,6 +605,42 @@ class TestFullBatch:
             [(r.case, r.grad_norm, r.batch_size) for r in later]
         np.testing.assert_array_equal(np.array(tail), np.array(kept[first + 1:]))
         np.testing.assert_array_equal(x_full, x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(driver=st.sampled_from(["trish", "sg", "trish_as"]), N=st.integers(2, 40),
+       noise=st.floats(0.5, 5.0), theta=TEST_CONSTANT, nu=TEST_CONSTANT,
+       r=st.integers(1, 6), size=st.integers(2, 40), budget=st.floats(0.1, 6.0),
+       seed=st.integers(0, 2**16))
+@example(driver="trish_as", N=40, noise=1.0, theta=2.0, nu=3.0, r=2, size=2,
+         budget=4.0, seed=1)
+def test_ege_is_drawn_sizes_over_N(driver, N, noise, theta, nu, r, size, budget, seed):
+    """Every record's EGE is the sum of the batch sizes drawn before it,
+    redraws included, over N, exactly; nothing is drawn after the last record."""
+    sizes, drawn_at_record = [], []
+    draw, record = optimizer.draw_batch, optimizer.IterationRecord
+
+    def spy_draw(*args):  # (N, size, rng)
+        sizes.append(args[1])
+        return draw(*args)
+
+    def spy_record(*fields):
+        drawn_at_record.append(len(sizes))
+        return record(*fields)
+
+    params = HyperParams(alpha=0.3, gamma1=4.0, gamma2=1.0, theta=theta, nu=nu, r=r)
+    problem, rng = quadratic(N=N, noise=noise, seed=seed), np.random.default_rng(seed)
+    size = min(size, N)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optimizer, "draw_batch", spy_draw)
+        mp.setattr(optimizer, "IterationRecord", spy_record)
+        if driver == "sg":
+            _, records = run_sg(problem, np.ones(2), params.alpha, size, budget, rng)
+        else:
+            run = run_trish if driver == "trish" else run_trish_as
+            _, records = run(problem, np.ones(2), params, size, budget, rng)
+    assert [rec.ege for rec in records] == [sum(sizes[:k]) / N for k in drawn_at_record]
+    assert drawn_at_record[-1] == len(sizes)
 
 
 TELEMETRY_KINDS = ("logistic_sparse", "logistic_dense", "mlp_classifier",
