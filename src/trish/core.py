@@ -142,15 +142,17 @@ class GradientEstimate(NamedTuple):
 
 
 class _Size(int):
-    """A batch size whose `prod` is itself.  `Generator.choice` passes its
-    `size` through `np.prod`, which calls a non-array argument's own `prod`;
-    on a plain int it builds an array first, about 3 us of a draw.  The draw
-    and the generator state after it are the same."""
+    """A batch size that answers `np.prod` itself, through numpy's
+    `__array_function__` override protocol (NEP 18).  `Generator.choice`
+    passes its `size` through `np.prod`; on a plain int that call runs
+    numpy's Python reduction wrapper, about 1.8 us of a 5.2 us draw.  Every
+    other numpy function is refused (`NotImplemented`, so numpy raises
+    TypeError).  The draw and the generator state after it are the same."""
 
     __slots__ = ()
 
-    def prod(self, *args, **kwargs) -> int:
-        return int(self)
+    def __array_function__(self, func, types, args, kwargs):
+        return int(self) if func is np.prod else NotImplemented
 
 
 def draw_batch(N: int, size: int, rng: np.random.Generator) -> SampleBatch:

@@ -236,7 +236,8 @@ class MlpModel(FiniteSumProblem):
         m = Z.shape[0]
         out = np.empty((m, self.n))
         for (w, b, fan_out, fan_in), delta, a_prev in zip(self._slices, deltas, acts):
-            out[:, w] = np.einsum("mo,mi->moi", delta, a_prev).reshape(m, -1)
+            # A column slice reshapes to a view, so einsum fills `out` directly.
+            np.einsum("mo,mi->moi", delta, a_prev, out=out[:, w].reshape(m, fan_out, fan_in))
             out[:, b] = delta
         return out
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import trish
-from trish.core import (FiniteSumProblem, NumericError, SampleBatch,
+from trish.core import (FiniteSumProblem, NumericError, SampleBatch, _Size,
                         check_gammas, check_positive, draw_batch,
                         sampled_gradient)
 from trish.optimizer import HyperParams, run_trish
@@ -98,6 +98,15 @@ class TestDrawBatch:
                 batch.indices, np.sort(twin.choice(N, size, replace=False)))
             assert rng.bit_generator.state == twin.bit_generator.state
             assert rng.bit_generator.state != state
+
+    @pytest.mark.parametrize("k", [1, 2, 17, 19000])
+    def test_size_answers_prod_and_refuses_the_rest(self, k):
+        """`_Size` answers `np.prod` (as `Generator.choice` calls it) with the
+        plain int itself; any other numpy function raises TypeError."""
+        total = np.prod(_Size(k), dtype=np.intp)
+        assert type(total) is int and total == k
+        with pytest.raises(TypeError):
+            np.sum(_Size(k))
 
     def test_single_index_problem(self):
         rng = np.random.default_rng(0)

@@ -17,6 +17,8 @@ from trish.optimizer import (TELEMETRY_BLOCK, HyperParams, StepCase,
                              trish_step)
 from trish.theory import SyntheticQuadratic
 
+from reference_trish_as import reference_trish_as
+
 
 def quadratic(N=8, n=2, noise=1.0, seed=0):
     rng = np.random.default_rng(seed)
@@ -495,6 +497,43 @@ class TestRunTrishAs:
         redraws, same_size, changes = noisy_history_run(
             quadratic(N=40, noise=1.0, seed=1), params, 2, 1)
         assert redraws > same_size > 0 and changes > 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(N=st.integers(4, 40), n=st.integers(1, 4),
+           noise=st.sampled_from(["additive", "multiplicative", "both"]),
+           spread=st.floats(0.1, 5.0), problem_seed=st.integers(0, 2**16),
+           alpha=st.floats(0.01, 0.4), gamma2=st.floats(0.1, 1.0),
+           widen=st.floats(1.5, 10.0), theta=st.floats(0.2, 3.0), nu=st.floats(0.5, 6.0),
+           r=st.integers(1, 6), s0=st.integers(2, 8), budget=st.floats(1.0, 10.0),
+           seed=st.integers(0, 2**16))
+    # Same-size redraws and resets of the noisy-regime history, then a run
+    # whose tests still fail once the size reaches N.
+    @example(N=18, n=3, noise="additive", spread=4.9, problem_seed=53811, alpha=0.34,
+             gamma2=0.48, widen=9.8, theta=2.9, nu=3.3, r=4, s0=7, budget=9.2, seed=12579)
+    @example(N=4, n=1, noise="additive", spread=3.3, problem_seed=43950, alpha=0.25,
+             gamma2=0.45, widen=10.0, theta=2.9, nu=4.3, r=6, s0=6, budget=7.2, seed=46137)
+    def test_matches_the_reference(self, N, n, noise, spread, problem_seed, alpha,
+                                   gamma2, widen, theta, nu, r, s0, budget, seed):
+        """`run_trish_as` equals the executable spec in
+        `tests/reference_trish_as.py`, toggles at today's values, bit for bit:
+        every record, the final iterate and the generator state after it."""
+        gen = np.random.default_rng(problem_seed)
+        diag = gen.uniform(0.5, 2.0, n)
+        offsets = spread * gen.normal(size=(N, n)) if noise != "multiplicative" else None
+        scales = gen.uniform(0.5, 1.5, N) if noise != "additive" else None
+        problem = SyntheticQuadratic(diag, offsets=offsets, scales=scales)
+        x0 = gen.uniform(-3.0, 3.0, n)
+        params = HyperParams(alpha=alpha, gamma1=gamma2 * widen, gamma2=gamma2,
+                             theta=theta, nu=nu, r=r)
+        s0 = min(s0, N)
+        rng, twin = np.random.default_rng(seed), np.random.default_rng(seed)
+        x, records = run_trish_as(problem, x0, params, s0, budget, rng)
+        x_ref, ref_records = reference_trish_as(
+            problem, x0, alpha, params.gamma1, gamma2, theta, nu, r, s0, budget, twin)
+        assert [(rec.case.value, rec.grad_norm, rec.batch_size, rec.ege)
+                for rec in records] == ref_records
+        assert x.tobytes() == x_ref.tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 def noisy_history_run(problem, params, s0, seed):
