@@ -32,7 +32,7 @@ print(f"beta = {beta:.4f}")
 print("\nexpected-decrease inequalities at random points:")
 for _ in range(3):
     x = rng.normal(scale=2.0, size=2)
-    rep = verify_lemma1(problem, x, params, batch_size=2, L=L)
+    rep = verify_lemma1(problem, x, params, batch_size=2)
     print(f"  x={np.round(x, 2)}  E[F(x+p)]={rep.expected_next:.4f}  "
           f"bounds ({rep.rhs_second_moment:.4f}, {rep.rhs_variance:.4f})  "
           f"holds={rep.holds}")
@@ -51,7 +51,7 @@ print(f"measured plateau over {report.reps} runs: {report.mean_gap:.5f} "
 # Multiplicative noise vanishes at the minimizer, so the gap goes to zero.
 scaled = SyntheticQuadratic(diag=[0.5, 1.0],
                             scales=1.0 + 0.1 * np.linspace(-1, 1, 8))
-zero = verify_vanishing_gap(scaled, np.ones(2), gamma1=1.1, gamma2=1.0, batch_size=2,
+zero = verify_vanishing_gap(scaled, gamma1=1.1, gamma2=1.0, batch_size=2,
                             horizon_iters=2000, rng=np.random.default_rng(2))
 print(f"\nvanishing-noise construction: M2={zero.M2:.4f}, "
       f"gamma ratio ok={zero.bounds.ratio_ok}, final gap {zero.gap:.2e}")

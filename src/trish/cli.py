@@ -54,8 +54,7 @@ def _verify_lemma1(seed: int) -> bool:
         g2 = g1 * rng.uniform(0.2, 0.9)
         alpha = 0.9 * stepsize_bounds(g1, g2, problem.lipschitz).base
         params = HyperParams(alpha=alpha, gamma1=g1, gamma2=g2)
-        report = verify_lemma1(problem, x, params, batch_size=2,
-                               L=problem.lipschitz)
+        report = verify_lemma1(problem, x, params, batch_size=2)
         if not report.holds:
             violations += 1
     ok = violations == 0
@@ -81,7 +80,7 @@ def _verify_thm2(seed: int) -> bool:
 def _verify_thm3(seed: int) -> bool:
     problem = SyntheticQuadratic(diag=[0.5, 1.0],
                                  scales=1.0 + 0.1 * np.linspace(-1, 1, 8))
-    report = verify_vanishing_gap(problem, np.ones(2), gamma1=1.1, gamma2=1.0,
+    report = verify_vanishing_gap(problem, gamma1=1.1, gamma2=1.0,
                                   batch_size=2, horizon_iters=2000,
                                   rng=np.random.default_rng(seed))
     print(f"vanishing-gap check: gamma ratio ok={report.bounds.ratio_ok}, "

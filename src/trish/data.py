@@ -16,7 +16,7 @@ from operator import attrgetter
 import numpy as np
 import scipy.sparse as sp
 
-from .core import check_count
+from .core import _check_real, check_count
 
 
 class LibsvmParseError(ValueError):
@@ -223,12 +223,18 @@ def csv_to_libsvm(csv_stream, out_stream, label_col: int = 0,
     own stripped text, which `parse_libsvm` reads as ``float()`` of the cell.
     A negative `label_col` counts from the end of the first data row (-1 is
     its last cell).  Rows whose target is empty or equals `missing_value` are
-    dropped unchecked.  A `label_col` outside the first data row, a row whose
+    dropped unchecked.  A non-integer `label_col` or a `missing_value` other
+    than None or a finite number (bools fail both) raises ValueError before
+    any row is read.  A `label_col` outside the first data row, a row whose
     cell count differs from the first data row's, a non-numeric cell, and in
     a written row a non-finite cell or non-ASCII text, raise ValueError with
     the 1-based line number.  Rows are converted `PARSE_BLOCK` at a time; on
     a fault, the out stream holds the blocks before the faulty one.
     """
+    if type(label_col) is not int and not isinstance(label_col, np.integer):
+        raise ValueError(f"label_col must be an integer, got {label_col!r}")
+    if missing_value is not None:  # NaN would equal no label
+        _check_real("missing_value", missing_value, finite=True)
     reader = csv.reader(csv_stream)
     numbered = zip(reader, map(attrgetter("line_num"), repeat(reader)))
     written, width = 0, None

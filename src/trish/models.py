@@ -30,13 +30,12 @@ def _unit_major(features) -> np.ndarray:
     return np.ascontiguousarray(_dense(features).T)
 
 
-def _as_stack(x) -> tuple[np.ndarray, bool]:
-    """A K x n stack of points from one vector or a stack, and whether it
-    was one vector."""
-    xs = np.asarray(x, dtype=np.float64)
-    if xs.ndim not in (1, 2):
-        raise ValueError(f"expected a vector or a K x n stack, got shape {xs.shape}")
-    return np.atleast_2d(xs), xs.ndim == 1
+def _as_stack(xs) -> np.ndarray:
+    """A K x n stack of points as a float64 array; anything but 2-D raises."""
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 2:
+        raise ValueError(f"expected a K x n stack of points, got shape {xs.shape}")
+    return xs
 
 
 def _margins(features, xs: np.ndarray) -> np.ndarray:
@@ -271,13 +270,13 @@ def _held_out(features, labels) -> np.ndarray:
     return labels
 
 
-def testing_accuracy(model: FiniteSumProblem, x, features, labels):
-    """Fraction of the held-out set classified correctly.
+def testing_accuracy(model: FiniteSumProblem, xs, features, labels) -> np.ndarray:
+    """Fraction of the held-out set classified correctly at each row of a
+    K x n stack `xs`, as K values.
 
     Logistic predicts sign(features . x) with ties counted as +1 and needs
     -1/+1 labels; an MLP classifier predicts 1 iff its output is >= 0.5 and
-    needs 0/1 labels.  x is one vector (returns a float) or a K x n stack
-    (returns K accuracies, each equal to the single-vector value).
+    needs 0/1 labels.
 
     Logistic hits are counted by one product: with p_i = 1.0 where the margin
     is >= 0 and 0.0 elsewhere (NaN included), the hits are the -1 labels plus
@@ -285,7 +284,7 @@ def testing_accuracy(model: FiniteSumProblem, x, features, labels):
     integer below 2**53, so the count is exact in any summation order.
     """
     labels = _held_out(features, labels)
-    xs, single = _as_stack(x)
+    xs = _as_stack(xs)
     if isinstance(model, LogisticModel):
         _check_labels(labels, (-1.0, 1.0), "logistic")
         m = _margins(features, xs)  # fresh, so p overwrites it in place
@@ -299,20 +298,15 @@ def testing_accuracy(model: FiniteSumProblem, x, features, labels):
                       == (labels == 1.0) for x in xs]), axis=1)
     else:
         raise TypeError(f"no accuracy rule for {type(model).__name__}")
-    accuracy = correct / labels.size
-    return float(accuracy[0]) if single else accuracy
+    return correct / labels.size
 
 
-def testing_loss(model: MlpModel, x, features, targets):
-    """Mean squared prediction error over the held-out set.
-
-    x is one vector (returns a float) or a K x n stack (returns K errors).
-    """
+def testing_loss(model: MlpModel, xs, features, targets) -> np.ndarray:
+    """Mean squared prediction error over the held-out set at each row of a
+    K x n stack `xs`, as K values."""
     targets = _held_out(features, targets)
     if not isinstance(model, MlpModel):
         raise TypeError(f"no testing loss rule for {type(model).__name__}")
-    xs, single = _as_stack(x)
     units = _unit_major(features)  # once per stacked call, not per point
-    mse = np.array([np.mean((targets - model._predict_unit_major(units, x)) ** 2)
-                    for x in xs])
-    return float(mse[0]) if single else mse
+    return np.array([np.mean((targets - model._predict_unit_major(units, x)) ** 2)
+                     for x in _as_stack(xs)])

@@ -226,9 +226,9 @@ class ExpectedDecreaseReport:
         return self.holds_second_moment and self.holds_variance
 
 
-def verify_lemma1(problem: FiniteSumProblem, x, params: HyperParams,
-                  batch_size: int, L: float) -> ExpectedDecreaseReport:
-    """Check both expected-decrease inequalities at x.
+def verify_lemma1(problem: SyntheticQuadratic, x, params: HyperParams,
+                  batch_size: int) -> ExpectedDecreaseReport:
+    """Check both expected-decrease inequalities at x, with L = problem.lipschitz.
 
     E||g||^2 and E||g - grad||^2 are the closed forms of `gradient_moments`
     (with its input checks).  Only E[F(x + p)] enumerates, since the step is
@@ -241,7 +241,6 @@ def verify_lemma1(problem: FiniteSumProblem, x, params: HyperParams,
     f_x = problem.loss(x)
     moments = gradient_moments(problem, x, batch_size)
     grad_sq = float(moments.grad @ moments.grad)
-    e_g_sq, e_err_sq = moments.e_g_sq, moments.e_err_sq
     per = problem.component_gradients(np.arange(problem.N), x)
     e_next = 0.0
     for batch in itertools.combinations(range(problem.N), batch_size):
@@ -249,15 +248,15 @@ def verify_lemma1(problem: FiniteSumProblem, x, params: HyperParams,
         e_next += problem.loss(x + trish_step(g, params))
     e_next /= math.comb(problem.N, batch_size)
 
-    alpha, g1, g2 = params.alpha, params.gamma1, params.gamma2
+    alpha, g1, g2, L = params.alpha, params.gamma1, params.gamma2, problem.lipschitz
     beta = beta_const(alpha, g1, g2, L)
-    rhs_sm = f_x - alpha * g1**2 / (2.0 * g2) * grad_sq + alpha * beta * e_g_sq
+    rhs_sm = f_x - alpha * g1**2 / (2.0 * g2) * grad_sq + alpha * beta * moments.e_g_sq
     rhs_var = (f_x - 0.5 * alpha * (g2 - alpha * g1**2 * L) * grad_sq
-               + alpha * beta * e_err_sq)
+               + alpha * beta * moments.e_err_sq)
     slack = 1e-12 * max(1.0, abs(f_x))
     return ExpectedDecreaseReport(
         f_x=f_x, expected_next=e_next, grad_sq=grad_sq,
-        e_g_sq=e_g_sq, e_err_sq=e_err_sq,
+        e_g_sq=moments.e_g_sq, e_err_sq=moments.e_err_sq,
         rhs_second_moment=rhs_sm, rhs_variance=rhs_var,
         holds_second_moment=bool(e_next <= rhs_sm + slack),
         holds_variance=bool(e_next <= rhs_var + slack))
@@ -324,20 +323,21 @@ class VanishingGapReport:
         return bool(self.bounds.ratio_ok) and self.gap < 1e-8
 
 
-def verify_vanishing_gap(problem: SyntheticQuadratic, x0, gamma1: float, gamma2: float,
+def verify_vanishing_gap(problem: SyntheticQuadratic, gamma1: float, gamma2: float,
                          batch_size: int, horizon_iters: int,
                          rng: np.random.Generator) -> VanishingGapReport:
     """Empirical vanishing gap when the gradient noise vanishes at the solution.
 
-    M2 = E||g||^2 / ||grad||^2 is exact at x0, alpha is 0.9 times the
-    `zero_noise_pl` bound, and one fixed-batch run takes `horizon_iters`
-    steps from x0.  `horizon_iters` must be an integer >= 1, `batch_size`
-    one in [1, N] and x0 not stationary; anything else raises ValueError.
+    M2 = E||g||^2 / ||grad||^2 is exact at x0 = minimizer + 1, alpha is 0.9 times
+    the `zero_noise_pl` bound, and one fixed-batch run takes `horizon_iters`
+    steps from x0.  `horizon_iters` must be an integer >= 1, `batch_size` one in
+    [1, N] and ||grad F(x0)||^2 nonzero (not underflowed); else ValueError.
     """
     check_count("horizon_iters", horizon_iters)
+    x0 = problem.minimizer + 1.0
     moments = gradient_moments(problem, x0, batch_size)
     grad_sq = float(moments.grad @ moments.grad)
-    check_positive("||grad F(x0)||^2", grad_sq)  # zero at a stationary x0
+    check_positive("||grad F(x0)||^2", grad_sq)  # M2 divides by it
     M2 = moments.e_g_sq / grad_sq
     bounds = stepsize_bounds(gamma1, gamma2, problem.lipschitz, mu=problem.pl_constant, M2=M2)
     params = HyperParams(alpha=0.9 * bounds.zero_noise_pl, gamma1=gamma1, gamma2=gamma2)

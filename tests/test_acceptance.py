@@ -210,8 +210,7 @@ def test_criterion_05_expected_decrease_no_violations():
         alpha = rng.uniform(0.05, 0.99) * stepsize_bounds(
             gamma1, gamma2, problem.lipschitz).base
         params = HyperParams(alpha=alpha, gamma1=gamma1, gamma2=gamma2)
-        rep = verify_lemma1(problem, x, params, batch_size=2,
-                            L=problem.lipschitz)
+        rep = verify_lemma1(problem, x, params, batch_size=2)
         if not rep.holds:
             violations += 1
     assert violations == 0
@@ -234,7 +233,7 @@ def test_criterion_06_plateau_and_vanishing_gap():
 
     scaled = SyntheticQuadratic(diag=[0.5, 1.0],
                                 scales=1.0 + 0.1 * np.linspace(-1, 1, 8))
-    zero = verify_vanishing_gap(scaled, np.ones(2), gamma1=1.1, gamma2=1.0,
+    zero = verify_vanishing_gap(scaled, gamma1=1.1, gamma2=1.0,
                                 batch_size=2, horizon_iters=2000,
                                 rng=np.random.default_rng(607))
     assert zero.bounds.ratio_ok

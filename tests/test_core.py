@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 import trish
 from trish.core import (FiniteSumProblem, NumericError, SampleBatch, _Size,
-                        check_gammas, check_positive, draw_batch,
+                        as_vector, check_gammas, check_positive, draw_batch,
                         sampled_gradient)
 from trish.optimizer import HyperParams, run_trish
 from trish.theory import SyntheticQuadratic
@@ -362,6 +362,11 @@ class TestInputRules:
     def test_check_gammas_rejects(self, gamma1, gamma2, message):
         with pytest.raises(ValueError, match=f"^{message}"):
             check_gammas(gamma1, gamma2)
+
+    @pytest.mark.parametrize("x", (1.0, [[1.0, 2.0]], np.zeros((2, 2))))
+    def test_as_vector_rejects_non_1d(self, x):
+        with pytest.raises(ValueError, match=r"^expected a 1-D vector, got shape \("):
+            as_vector(x)
 
     def test_check_gammas_accepts(self):
         check_gammas(2.0, 1.0)

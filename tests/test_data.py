@@ -515,6 +515,34 @@ class TestCsvToLibsvm:
         with pytest.raises(ValueError, match=f"^line 1: label_col {label_col} is out of range"):
             csv_to_libsvm(io.StringIO("1,2,3\n"), io.StringIO(), label_col=label_col)
 
+    @pytest.mark.parametrize("label_col", [True, False, 1.5, 1.0, "1", None])
+    def test_non_integer_label_col_rejected_before_reading(self, label_col):
+        """True used to read column 1 and 1.5 to raise IndexError."""
+        src, out = io.StringIO("1,2,3\n0,4,5\n1,6,7\n"), io.StringIO()
+        with pytest.raises(ValueError, match=f"^label_col must be an integer, got {label_col!r}$"):
+            csv_to_libsvm(src, out, label_col=label_col)
+        assert src.tell() == 0 and out.getvalue() == ""
+
+    @pytest.mark.parametrize("missing_value, message", [
+        (True, "must be a number"), (False, "must be a number"),
+        ("1", "must be a number"), (np.nan, "must be finite"),
+        (-np.inf, "must be finite")])
+    def test_bad_missing_value_rejected_before_reading(self, missing_value, message):
+        """True and False used to drop every row labelled 1 or 0, "1" to drop
+        none, and NaN to match no cell, so NaN labels failed as non-finite."""
+        src, out = io.StringIO("1,2,3\n0,4,5\nnan,6,7\n"), io.StringIO()
+        with pytest.raises(ValueError, match=f"^missing_value {message}"):
+            csv_to_libsvm(src, out, missing_value=missing_value)
+        assert src.tell() == 0 and out.getvalue() == ""
+
+    @pytest.mark.parametrize("label_col, missing_value", [
+        (np.int64(1), np.float64(2.0)), (-1, 2), (1, np.int32(2))])
+    def test_numpy_and_integer_arguments_accepted(self, label_col, missing_value):
+        out = io.StringIO()
+        rows = csv_to_libsvm(io.StringIO("5,1\n7,2\n"), out,
+                             label_col=label_col, missing_value=missing_value)
+        assert rows == 1 and out.getvalue() == "1 1:5\n"
+
     def test_round_trip_through_parser(self):
         rng = np.random.default_rng(3)
         table = rng.normal(size=(50, 5))

@@ -282,6 +282,10 @@ class TestSummarizeBest:
 
 
 class TestLoadProblem:
+    def test_config_without_a_data_source_rejected(self):
+        with pytest.raises(ValueError, match="^config needs data_path or train_path"):
+            load_problem(ExperimentConfig(model="logistic", algorithm="trish"))
+
     def test_classifier_path_maps_positive_label(self, tmp_path):
         rng = np.random.default_rng(0)
         X = rng.random(size=(30, 6))

@@ -14,6 +14,7 @@ from trish.models import (_CLAMP_EPS, LogisticModel, MlpModel, _dense,
                           _unit_major, default_x0, testing_accuracy,
                           testing_loss)
 from trish.core import FiniteSumProblem
+from trish.theory import SyntheticQuadratic
 
 
 def logistic_fixture(N=40, n=7, seed=0, sparse=False):
@@ -85,6 +86,12 @@ class TestLogisticModel:
     def test_rejects_bad_labels(self):
         with pytest.raises(ValueError):
             LogisticModel(np.ones((2, 2)), np.array([0.0, 1.0]))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_rejects_mismatched_row_count(self, sparse):
+        X = sp.csr_matrix(np.ones((3, 2))) if sparse else np.ones((3, 2))
+        with pytest.raises(ValueError, match="feature rows and labels disagree"):
+            LogisticModel(X, np.ones(4))
 
     def test_sparse_features_made_canonical(self):
         """Unsorted column indices with a duplicate entry: the model stores
@@ -287,6 +294,21 @@ class TestMlpModel:
         with pytest.raises(ValueError, match="^layer size must be an integer"):
             MlpModel.classifier(X, y, hidden=hidden)
 
+    def test_rejects_mismatched_row_count(self):
+        with pytest.raises(ValueError, match="feature rows and targets disagree"):
+            MlpModel(np.zeros((3, 2)), np.zeros(4), [2, 1], ("sigmoid",))
+
+    @pytest.mark.parametrize("layer_sizes, activations, message", [
+        ([2, 3, 2], ("sigmoid", "sigmoid"), "end with an output layer of size 1"),
+        ([2], (), "end with an output layer of size 1"),
+        ([3, 1], ("sigmoid",), "input layer size must match the feature dimension"),
+        ([2, 3, 1], ("sigmoid",), "one activation per non-input layer"),
+        ([2, 3, 1], ("linear", "sigmoid", "sigmoid"), "one activation per non-input layer"),
+        ([2, 1], ("relu",), "unknown activation 'relu'")])
+    def test_rejects_bad_architecture(self, layer_sizes, activations, message):
+        with pytest.raises(ValueError, match=message):
+            MlpModel(np.zeros((4, 2)), np.zeros(4), layer_sizes, activations)
+
     def test_regressor_rejects_bad_layer_size(self):
         with pytest.raises(ValueError, match=r"^layer size must be an integer .*2\.5"):
             MlpModel.regressor(np.zeros((5, 3)), np.zeros(5), hidden=(7, 2.5))
@@ -454,39 +476,59 @@ class TestMetrics:
         model = logistic_fixture(N=4, n=2)
         X = np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 0.0]])
         y = np.array([1.0, -1.0, 1.0])
-        x = np.array([1.0, 0.0])
+        xs = np.array([[1.0, 0.0]])
         # margins 1, -1, 0: the zero margin counts as +1
-        assert testing_accuracy(model, x, X, y) == 1.0
+        np.testing.assert_array_equal(testing_accuracy(model, xs, X, y), [1.0])
 
     def test_accuracy_constant_half_output_on_balanced_labels(self):
         X = np.zeros((10, 3))
         labels = np.array([1.0, 0.0] * 5)
         model = MlpModel.classifier(np.zeros((4, 3)), np.zeros(4), hidden=2)
-        x = np.zeros(model.n)  # h = 0.5 everywhere -> predicts 1
-        assert testing_accuracy(model, x, X, labels) == 0.5
+        xs = np.zeros((1, model.n))  # h = 0.5 everywhere -> predicts 1
+        np.testing.assert_array_equal(testing_accuracy(model, xs, X, labels), [0.5])
 
     def test_testing_loss_trivial_values(self):
         model = MlpModel.regressor(np.zeros((4, 7)), np.zeros(4))
-        x = np.zeros(model.n)  # h = 0.5
+        xs = np.zeros((1, model.n))  # h = 0.5
         X = np.zeros((6, 7))
-        assert np.isclose(testing_loss(model, x, X, np.full(6, 0.5)), 0.0)
-        assert np.isclose(testing_loss(model, x, X, np.ones(6)), 0.25)
+        np.testing.assert_allclose(testing_loss(model, xs, X, np.full(6, 0.5)), [0.0])
+        np.testing.assert_allclose(testing_loss(model, xs, X, np.ones(6)), [0.25])
 
     def test_logistic_rejects_zero_one_labels(self):
         model = logistic_fixture(N=4, n=2)
         with pytest.raises(ValueError, match="got 0.0"):
-            testing_accuracy(model, np.zeros(2), np.eye(2), np.array([1.0, 0.0]))
+            testing_accuracy(model, np.zeros((1, 2)), np.eye(2), np.array([1.0, 0.0]))
 
     def test_mlp_classifier_rejects_signed_labels(self):
         model = MlpModel.classifier(np.zeros((4, 3)), np.zeros(4), hidden=2)
         with pytest.raises(ValueError, match="got -1.0"):
-            testing_accuracy(model, np.zeros(model.n), np.zeros((2, 3)),
+            testing_accuracy(model, np.zeros((1, model.n)), np.zeros((2, 3)),
                              np.array([1.0, -1.0]))
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1, 1)])
+    def test_metrics_take_only_a_stack(self, shape):
+        """One vector, a scalar or a 3-D array is not a K x n stack."""
+        X, labels = np.zeros((4, 3)), np.array([1.0, 0.0, 1.0, 0.0])
+        cases = [(testing_accuracy, LogisticModel(X, 2.0 * labels - 1.0), 2.0 * labels - 1.0),
+                 (testing_accuracy, MlpModel.classifier(X, labels, hidden=1), labels),
+                 (testing_loss, MlpModel(X, labels, [3, 1], ("sigmoid",)), labels)]
+        for metric, model, y in cases:
+            xs = np.zeros(shape[:-1] + (model.n,)) if shape else np.float64(0.0)
+            with pytest.raises(ValueError, match=r"^expected a K x n stack of points, got shape"):
+                metric(model, xs, X, y)
+
+    def test_metrics_reject_models_without_a_rule(self):
+        X, y = np.zeros((4, 2)), np.array([1.0, -1.0, 1.0, -1.0])
+        quadratic = SyntheticQuadratic(diag=[1.0, 2.0], offsets=np.ones((4, 2)))
+        with pytest.raises(TypeError, match="^no accuracy rule for SyntheticQuadratic$"):
+            testing_accuracy(quadratic, np.zeros((1, 2)), X, y)
+        with pytest.raises(TypeError, match="^no testing loss rule for LogisticModel$"):
+            testing_loss(LogisticModel(X, y), np.zeros((1, 2)), X, np.zeros(4))
 
     def test_empty_test_set_rejected(self):
         model = logistic_fixture()
         with pytest.raises(ValueError):
-            testing_accuracy(model, np.zeros(model.n),
+            testing_accuracy(model, np.zeros((1, model.n)),
                              np.zeros((0, model.n)), np.array([]))
 
     @pytest.mark.parametrize("sparse", [False, True])
@@ -503,9 +545,8 @@ class TestMetrics:
                  (testing_loss, MlpModel.regressor(X, np.zeros(20)))]
         message = re.escape(f"20 feature rows but {y.size} labels (shape {shape})")
         for metric, model in cases:
-            for x in (np.zeros(model.n), np.zeros((3, model.n))):
-                with pytest.raises(ValueError, match=message):
-                    metric(model, x, X, y)
+            with pytest.raises(ValueError, match=message):
+                metric(model, np.zeros((3, model.n)), X, y)
 
     def test_default_start_points(self):
         rng = np.random.default_rng(0)
@@ -529,7 +570,7 @@ def _old_logistic_accuracy(x, features, labels):
 
 
 class TestStackedEvaluation:
-    """Stacked losses and metrics equal one-vector evaluations bit for bit."""
+    """Stacked losses and metrics equal one-point evaluations bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(sparse=st.booleans(), N=st.integers(1, 300), K=st.integers(1, 40),
@@ -549,14 +590,14 @@ class TestStackedEvaluation:
         assert losses.shape == accuracy.shape == (K,)
         for k, x in enumerate(xs):
             assert losses[k] == model.loss(x) == _old_logistic_loss(model, x)
-            assert accuracy[k] == testing_accuracy(model, x, X[N:], y[N:]) \
+            assert accuracy[k] == testing_accuracy(model, x[None], X[N:], y[N:])[0] \
                 == _old_logistic_accuracy(x, X[N:], y[N:])
 
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("K", [1, 2, 33])
     def test_logistic_accuracy_extreme_margins(self, sparse, K):
         """Iterates near 1e308 give zero, +-inf and NaN margins: zeros count
-        as +1 and NaN as -1, as in one-vector evaluation."""
+        as +1 and NaN as -1, as in one-point evaluation."""
         rng = np.random.default_rng(K)
         Z = rng.integers(-2, 3, size=(300, 4)).astype(np.float64)
         Z[:2] = 0.0
@@ -572,7 +613,7 @@ class TestStackedEvaluation:
             accuracy = testing_accuracy(model, xs, X, y)
             assert accuracy.shape == (K,)
             for k, x in enumerate(xs):
-                assert accuracy[k] == testing_accuracy(model, x, X, y) \
+                assert accuracy[k] == testing_accuracy(model, x[None], X, y)[0] \
                     == _old_logistic_accuracy(x, X, y)
 
     @pytest.mark.parametrize("sparse", [False, True])

@@ -87,6 +87,11 @@ class TestClassifyCase:
             assert case is (StepCase.CASE1 if in1 else
                             StepCase.CASE2 if in2 else StepCase.CASE3)
 
+    @pytest.mark.parametrize("grad_norm", (-1.0, -1e-300, -math.inf, math.nan))
+    def test_rejects_negative_or_nan_norm(self, grad_norm):
+        with pytest.raises(ValueError, match="^grad_norm must be >= 0"):
+            classify_case(grad_norm, 4.0, 1.0)
+
     @pytest.mark.parametrize("gamma1, gamma2", [
         (math.inf, 1.0), (True, 0.5), (4.0, math.nan), (4.0, -1.0)])
     def test_rejects_bad_interval(self, gamma1, gamma2):
@@ -687,7 +692,7 @@ TELEMETRY_KINDS = ("logistic_sparse", "logistic_dense", "mlp_classifier",
 
 
 def telemetry_problem(kind, seed, N=64, N_test=40):
-    """A training problem and its single-vector-or-stack held-out metric."""
+    """A training problem and its held-out metric over a stack of iterates."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(N + N_test, 5))
     X[rng.random(size=X.shape) < 0.4] = 0.0
@@ -697,14 +702,14 @@ def telemetry_problem(kind, seed, N=64, N_test=40):
         if kind == "logistic_sparse":
             X = sp.csr_matrix(X)
         model = LogisticModel(X[:N], y[:N])
-        return model, lambda x: testing_accuracy(model, x, X[N:], y[N:])
+        return model, lambda xs: testing_accuracy(model, xs, X[N:], y[N:])
     if kind == "mlp_classifier":
         y = (score >= 0.0).astype(np.float64)
         model = MlpModel.classifier(X[:N], y[:N], hidden=3)
-        return model, lambda x: testing_accuracy(model, x, X[N:], y[N:])
+        return model, lambda xs: testing_accuracy(model, xs, X[N:], y[N:])
     y = 1.0 / (1.0 + np.exp(-score))
     model = MlpModel.regressor(X[:N], y[:N], hidden=(3,))
-    return model, lambda x: testing_loss(model, x, X[N:], y[N:])
+    return model, lambda xs: testing_loss(model, xs, X[N:], y[N:])
 
 
 def telemetry_driver(name, problem, budget, seed, vacuous=False, **telemetry):
@@ -733,7 +738,7 @@ def _dedup(points):
 
 def check_deferred_telemetry(driver, kind, budget, seed, vacuous=False):
     """Telemetry on and off give one trajectory, and every record's train
-    loss and held-out metric equal the single-vector values at its iterate.
+    loss and held-out metric equal the one-row-stack values at its iterate.
     Returns the number of iterations."""
     model, metric = telemetry_problem(kind, seed)
     seen = []
@@ -766,7 +771,7 @@ def check_deferred_telemetry(driver, kind, budget, seed, vacuous=False):
         np.testing.assert_array_equal(a, b)
     for rec, x in zip(rec_on, seen):
         assert rec.train_loss == model.loss(x)
-        assert rec.test_metric == metric(x)
+        assert rec.test_metric == metric(x[None])[0]
     return len(rec_on)
 
 

@@ -177,6 +177,15 @@ class TestSyntheticQuadratic:
         with pytest.raises(ValueError, match="finite"):
             SyntheticQuadratic(**inputs)
 
+    def test_rejects_neither_offsets_nor_scales(self):
+        with pytest.raises(ValueError, match="provide offsets and/or scales"):
+            SyntheticQuadratic(diag=[1.0, 2.0])
+
+    @pytest.mark.parametrize("offsets", (np.ones(3), np.ones((3, 3)), np.ones((3, 2, 1))))
+    def test_rejects_mis_shaped_offsets(self, offsets):
+        with pytest.raises(ValueError, match="^offsets must be N rows of dimension n$"):
+            SyntheticQuadratic(diag=[1.0, 2.0], offsets=offsets)
+
     def test_rejects_offsets_that_overflow_when_centered(self):
         """Finite offsets whose sum overflows were stored as [-inf, -inf, inf]
         with only a RuntimeWarning."""
@@ -203,16 +212,14 @@ class TestVerifyLemma1:
     def test_full_batch_deterministic_case(self):
         p = self.problem()
         params = HyperParams(alpha=0.05, gamma1=2.0, gamma2=1.0)
-        report = verify_lemma1(p, np.array([1.0, -1.0, 0.5]), params,
-                               batch_size=p.N, L=p.lipschitz)
+        report = verify_lemma1(p, np.array([1.0, -1.0, 0.5]), params, batch_size=p.N)
         assert report.holds
         assert np.isclose(report.e_err_sq, 0.0, atol=1e-20)
 
     def test_minimizer_full_batch_equality(self):
         p = SyntheticQuadratic(diag=[1.0, 2.0], offsets=np.zeros((4, 2)))
         params = HyperParams(alpha=0.1, gamma1=2.0, gamma2=1.0)
-        report = verify_lemma1(p, np.zeros(2), params, batch_size=4,
-                               L=p.lipschitz)
+        report = verify_lemma1(p, np.zeros(2), params, batch_size=4)
         assert report.holds
         assert np.isclose(report.expected_next, report.f_x, atol=1e-18)
 
@@ -225,7 +232,7 @@ class TestVerifyLemma1:
             g2 = g1 * rng.uniform(0.2, 0.9)
             alpha = rng.uniform(0.1, 0.99) * stepsize_bounds(g1, g2, p.lipschitz).base
             params = HyperParams(alpha=alpha, gamma1=g1, gamma2=g2)
-            report = verify_lemma1(p, x, params, batch_size=2, L=p.lipschitz)
+            report = verify_lemma1(p, x, params, batch_size=2)
             assert report.holds
 
 
@@ -267,18 +274,20 @@ class TestVerifyTheoremGap:
         x, _ = run_trish(p, np.ones(2), params, 2, 800 * 2 / 8,
                          np.random.default_rng(6))
         assert p.loss(x) < 1e-8
-        rep = verify_vanishing_gap(p, np.ones(2), 1.1, 1.0, batch_size=2,
+        rep = verify_vanishing_gap(p, 1.1, 1.0, batch_size=2,
                                    horizon_iters=800, rng=np.random.default_rng(6))
         assert (rep.M2, rep.bounds, rep.gap) == (M2, bounds, p.loss(x))
         assert rep.satisfied
 
     def test_vanishing_gap_rejects_a_stationary_start(self):
-        """M2 divides by ||grad F(x0)||^2, zero at the minimizer: the CLI's
-        quadratic from x0 = 0 used to raise a bare ZeroDivisionError."""
-        p = SyntheticQuadratic(diag=[0.5, 1.0],
+        """M2 divides by ||grad F(x0)||^2 = ||diag||^2 at x0 = minimizer + 1,
+        which underflows to zero for a diagonal of 1e-200: the start is
+        stationary in floating point, and the division would raise a bare
+        ZeroDivisionError."""
+        p = SyntheticQuadratic(diag=[1e-200, 1e-200],
                                scales=1.0 + 0.1 * np.linspace(-1, 1, 8))
         with pytest.raises(ValueError, match="x0"):
-            verify_vanishing_gap(p, np.zeros(2), 1.1, 1.0, batch_size=2,
+            verify_vanishing_gap(p, 1.1, 1.0, batch_size=2,
                                  horizon_iters=10, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("gamma1, horizon_iters", [(4.0, 800), (1.1, 1)])
@@ -287,7 +296,7 @@ class TestVerifyTheoremGap:
         gap far above 1e-8."""
         p = SyntheticQuadratic(diag=[0.5, 1.0],
                                scales=1.0 + 0.1 * np.linspace(-1, 1, 8))
-        rep = verify_vanishing_gap(p, np.ones(2), gamma1, 1.0, batch_size=2,
+        rep = verify_vanishing_gap(p, gamma1, 1.0, batch_size=2,
                                    horizon_iters=horizon_iters,
                                    rng=np.random.default_rng(6))
         assert rep.bounds.ratio_ok is (gamma1 == 1.1)
@@ -312,7 +321,7 @@ class TestVerifyTheoremGap:
         verify_theorem_gap(SyntheticQuadratic(diag=[0.5, 1.0], offsets=offsets), params,
                            batch_size, horizon_iters, reps=2, rng=np.random.default_rng(0))
         scales = 1.0 + 0.1 * np.linspace(-1, 1, N)
-        verify_vanishing_gap(SyntheticQuadratic(diag=[0.5, 1.0], scales=scales), np.ones(2),
+        verify_vanishing_gap(SyntheticQuadratic(diag=[0.5, 1.0], scales=scales),
                              1.1, 1.0, batch_size, horizon_iters, rng=np.random.default_rng(0))
         assert steps == [horizon_iters] * 3
 
@@ -389,10 +398,9 @@ class TestEnumerationInputChecks:
 
     @pytest.mark.parametrize("batch_size", BAD_SIZES)
     def test_verify_lemma1_rejects_batch_size(self, batch_size):
-        p = self.problem()
         params = HyperParams(alpha=0.05, gamma1=2.0, gamma2=1.0)
         with pytest.raises(ValueError, match="batch_size"):
-            verify_lemma1(p, np.ones(2), params, batch_size, L=p.lipschitz)
+            verify_lemma1(self.problem(), np.ones(2), params, batch_size)
 
     @pytest.mark.parametrize("batch_size", BAD_SIZES)
     def test_verify_theorem_gap_rejects_batch_size(self, batch_size):
@@ -419,7 +427,7 @@ class TestEnumerationInputChecks:
     @pytest.mark.parametrize("horizon_iters", [10.5, 0, True])
     def test_verify_vanishing_gap_rejects_horizon(self, horizon_iters):
         with pytest.raises(ValueError, match="horizon_iters"):
-            verify_vanishing_gap(self.problem(), np.ones(2), 2.0, 1.0, 2,
+            verify_vanishing_gap(self.problem(), 2.0, 1.0, 2,
                                  horizon_iters=horizon_iters, rng=np.random.default_rng(0))
 
     def test_bounds_are_accepted(self):
@@ -561,7 +569,7 @@ class TestLoopOracle:
             moments = gradient_moments(p, x, size)
             assert_moments_match(moments, loop_gradient_moments(p, x, size), p, x)
             assert_lemma1_matches(
-                verify_lemma1(p, x, params, size, p.lipschitz),
+                verify_lemma1(p, x, params, size),
                 loop_verify_lemma1(p, x, params, size, p.lipschitz),
                 p, x, params, p.lipschitz)
         # The last size is N, where a batch is the whole population.
