@@ -85,24 +85,27 @@ def _parse_block(lines: list[str], first: int):
     """
     text = "\n".join(lines) + "\n"
     raw = text.encode("ascii", "replace")  # a non-ASCII character becomes a non-numeric "?"
-    buf = np.frombuffer(raw + b" " * 16, dtype=np.uint8)  # padding keeps field reads inside
+    buf = np.frombuffer(raw + b" " * 16, dtype=np.uint8)  # a read before buf[0] wraps into this
     space = (buf == 32) | (buf - 9 < 5) | (buf - 28 < 4)  # the ASCII that str.split() splits at
     starts, ends = np.flatnonzero(np.diff(space, prepend=True)).reshape(-1, 2).T
     line_ends = np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)) + 1)
-    line = np.searchsorted(line_ends, starts, side="right")
+    # Counting the tokens that start before each line's end gives each line its tokens.
+    line = np.repeat(np.arange(len(lines)), np.diff(np.searchsorted(starts, line_ends), prepend=0))
     is_label = np.diff(line, prepend=-1) != 0
     lab, pair = np.flatnonzero(is_label), np.flatnonzero(~is_label)
-    digits = np.zeros(buf.size + 1, dtype=np.int32)  # digits[i]: how many of buf[:i] are digits
-    np.cumsum((buf >= 48) & (buf <= 57), out=digits[1:])
-    colons = np.append(np.flatnonzero(buf == 58), buf.size)
     p_start, p_end = starts[pair], ends[pair]
-    colon = colons[np.searchsorted(colons, p_start)]
+    # A block without a fault holds one colon inside each pair token, in order: the k-th
+    # colon is the k-th pair's separator.  Any other block holds a fault; to name the
+    # first one, each pair token's first colon is searched for.
+    colon = np.flatnonzero(buf == 58)
+    if colon.size != pair.size or np.any((colon < p_start) | (colon >= p_end)):
+        colon = np.append(colon, buf.size)[np.searchsorted(colon, p_start)]
     sep = colon < p_end
     colon = np.where(sep, colon, p_end)
-    labels, bad_label = _numbers(raw, buf, digits, starts[lab], ends[lab], float, np.nan)
-    index, bad_index = _numbers(raw, buf, digits, p_start, colon,  # clipped to fit int64
+    labels, bad_label = _numbers(raw, buf, starts[lab], ends[lab], float, np.nan)
+    index, bad_index = _numbers(raw, buf, p_start, colon,  # clipped to fit int64
                                 lambda s: min(max(int(s), -1), _INDEX_MAX + 1), -1)
-    values, bad_value = _numbers(raw, buf, digits, colon + sep, p_end, float, np.nan)
+    values, bad_value = _numbers(raw, buf, colon + sep, p_end, float, np.nan)
     prev = np.where(is_label[pair - 1], 0, np.roll(index, 1))
 
     def token(t):
@@ -134,7 +137,7 @@ def _parse_block(lines: list[str], first: int):
     return labels, values, (index - 1).astype(np.int32), np.diff(np.append(lab, starts.size)) - 1
 
 
-def _numbers(raw, buf, digits, start, end, convert, fill):
+def _numbers(raw, buf, start, end, convert, fill):
     """Numeric values of the fields raw[start:end] and a mask of rejected ones.
 
     A field matching ``[+-]?[0-9]{1,15}`` is converted exactly in numpy
@@ -146,26 +149,32 @@ def _numbers(raw, buf, digits, start, end, convert, fill):
     """
     sign = buf[start]
     neg = sign == 45
-    lead = start + (neg | (sign == 43))
-    width = end - lead
-    width[(width > 15) | (digits[end] - digits[lead] != width)] = 0
-    mag = np.zeros(start.size, dtype=np.int64)
-    for j in range(int(width.max(initial=0))):
-        mag = np.where(width > j, mag * 10 + buf[lead + j] - 48, mag)
+    width = end - start - (neg | (sign == 43))
+    width[width > 16] = 0  # too long for either exact path
+    mag = np.zeros(start.size, dtype=np.int64)  # the digits as one integer, a non-digit as 0
+    other = np.zeros(start.size, dtype=np.int8)  # how many bytes are not digits
+    after = np.zeros(start.size, dtype=np.int64)  # how many bytes follow the last of them
+    # Pass `back` reads the byte that many before each field's end, so a field is read
+    # from back == width on; a non-digit wraps past 9.
+    for back in range(int(width.max(initial=0)), 0, -1):
+        d = buf[end - back] - 48
+        live = width >= back
+        digit = live & (d < 10)
+        mag = mag * 10 + d * digit
+        odd = live ^ digit
+        other += odd
+        after[odd] = back - 1
     out = mag.astype(np.float64 if convert is float else np.int64)
-    if convert is float and b"." in raw:  # blocks without a "." skip the decimal passes
-        dots = np.append(np.flatnonzero(buf == 46), buf.size)
-        point, size = dots[np.searchsorted(dots, lead)], end - lead
-        dec = np.flatnonzero((point < end) & (digits[end] - digits[lead] == size - 1)
-                             & (size > 1) & (size <= 16))
-        first, size, mag = lead[dec], size[dec], np.zeros(dec.size, dtype=np.int64)
-        for j in range(int(size.max(initial=0))):
-            c = buf[first + j]
-            mag = np.where((size > j) & (c != 46), mag * 10 + c - 48, mag)
-        out[dec] = mag / _TENS[end[dec] - point[dec] - 1]
-        width[dec] = 1  # not sent to `convert`
+    fast = (other == 0) & (width > 0) & (width < 16)
+    if convert is float and b"." in raw:  # blocks without a "." skip the decimal pass
+        dec = np.flatnonzero((other == 1) & (width > 1))
+        dec = dec[buf[end[dec] - 1 - after[dec]] == 46]
+        places, read = after[dec], mag[dec]  # the point was read as a 0 digit
+        low = read % 10**places
+        out[dec] = ((read - low) // 10 + low) / _TENS[places]
+        fast[dec] = True
     np.negative(out, out=out, where=neg)
-    slow = np.flatnonzero(width == 0)
+    slow = np.flatnonzero(~fast)
     converted = []
     try:
         converted.extend(map(convert, [raw[a:b] for a, b in zip(start[slow].tolist(),

@@ -86,8 +86,9 @@ class SyntheticQuadratic(FiniteSumProblem):
     spread that would make one concave raises ValueError), and the offsets
     b_i sum to zero, so the full objective is exactly
     0.5 * x.Dx with gradient Dx, minimizer 0, L = max D and mu = min D.
-    Every input must be finite.  Offsets give additive (position-independent)
-    noise; scales give multiplicative noise that vanishes at the minimizer.
+    Every input must be finite, and scales, if given, one per component.
+    Offsets give additive (position-independent) noise; scales give
+    multiplicative noise that vanishes at the minimizer.
     """
 
     def __init__(self, diag, offsets=None, scales=None):
@@ -114,6 +115,8 @@ class SyntheticQuadratic(FiniteSumProblem):
         if scales is None:
             scales = np.ones(N)
         scales = np.array(scales, dtype=np.float64)
+        if scales.shape != (N,):
+            raise ValueError("scales must be a vector of length N")
         if not ((scales > 0) & (scales < np.inf)).all():
             raise ValueError(f"scales must be positive and finite, got {scales}")
         scales += 1.0 - scales.mean()

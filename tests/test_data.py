@@ -96,7 +96,7 @@ DECIMAL = st.one_of(
 WHOLE = st.one_of(st.sampled_from(["+1", "-1", "1", "0", "-0", "+0", "007", "1e3", "1_0"]),
                   st.integers(-10**17, 10**17).map(str))
 INDEX_FORMS = ["{}", "+{}", "{:03d}", "{:016d}"]
-BAD_LABELS = ["nan", "-inf", "1e999", "x", "+", "1.2.3", "#", ".", "-.", "1..5"]
+BAD_LABELS = ["nan", "-inf", "1e999", "x", "+", "1.2.3", "#", ".", "-.", "1..5", "1:2"]
 BAD_PAIRS = ["1:2:3", ":2", "2:", "x", "a:b", "1:nan", "1:inf", "1:1e999", "0:1", "-3:1",
              "-0:1", "2147483648:1", "99999999999999999999:1", "1#:2", "+:1", "1:-",
              "1:.", "1:+.", "1:1.5.", "1:.5.5", "1.5:1", "1.:1"]

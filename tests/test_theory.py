@@ -186,6 +186,15 @@ class TestSyntheticQuadratic:
         with pytest.raises(ValueError, match="^offsets must be N rows of dimension n$"):
             SyntheticQuadratic(diag=[1.0, 2.0], offsets=offsets)
 
+    @pytest.mark.parametrize("scales", ([0.5, 0.5, 0.5, 0.5, 2.0], [0.5, 1.5]))
+    def test_rejects_scales_of_another_length_than_the_offsets(self, scales):
+        """N came from the offsets alone: five scales beside three offset rows
+        gave a loss that was not the mean of the component losses, and two
+        indexed out of range later."""
+        with pytest.raises(ValueError, match="^scales must be a vector of length N$"):
+            SyntheticQuadratic(diag=[1.0, 2.0], offsets=np.zeros((3, 2)),
+                               scales=scales)
+
     def test_rejects_offsets_that_overflow_when_centered(self):
         """Finite offsets whose sum overflows were stored as [-inf, -inf, inf]
         with only a RuntimeWarning."""
