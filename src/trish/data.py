@@ -10,8 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
-from operator import attrgetter
+from itertools import chain, islice
 
 import numpy as np
 import scipy.sparse as sp
@@ -77,6 +76,11 @@ def parse_libsvm(stream, n_features: int | None = None) -> Dataset:
     return Dataset(features=features, labels=labels)
 
 
+def _is_space(b):
+    """Which bytes are the ASCII whitespace str.split() and str.strip() cut at."""
+    return (b == 32) | (b - 9 < 5) | (b - 28 < 4)
+
+
 def _parse_block(lines: list[str], first: int):
     """Labels, values, 0-based columns and per-row counts of consecutive lines.
 
@@ -86,7 +90,7 @@ def _parse_block(lines: list[str], first: int):
     text = "\n".join(lines) + "\n"
     raw = text.encode("ascii", "replace")  # a non-ASCII character becomes a non-numeric "?"
     buf = np.frombuffer(raw + b" " * 16, dtype=np.uint8)  # a read before buf[0] wraps into this
-    space = (buf == 32) | (buf - 9 < 5) | (buf - 28 < 4)  # the ASCII that str.split() splits at
+    space = _is_space(buf)
     starts, ends = np.flatnonzero(np.diff(space, prepend=True)).reshape(-1, 2).T
     line_ends = np.cumsum(np.fromiter(map(len, lines), np.int64, len(lines)) + 1)
     # Counting the tokens that start before each line's end gives each line its tokens.
@@ -106,7 +110,10 @@ def _parse_block(lines: list[str], first: int):
     index, bad_index = _numbers(raw, buf, p_start, colon,  # clipped to fit int64
                                 lambda s: min(max(int(s), -1), _INDEX_MAX + 1), -1)
     values, bad_value = _numbers(raw, buf, colon + sep, p_end, float, np.nan)
-    prev = np.where(is_label[pair - 1], 0, np.roll(index, 1))
+    prev = np.zeros(pair.size + 1, dtype=np.int64)  # each pair's previous index, 0 first in a row
+    prev[1:] = index
+    prev[lab - np.arange(lab.size)] = 0  # row k's first pair has lab[k] - k pairs before it
+    prev = prev[:-1]
 
     def token(t):
         return text[starts[t]:ends[t]]
@@ -237,17 +244,135 @@ def csv_to_libsvm(csv_stream, out_stream, label_col: int = 0,
     any row is read.  A `label_col` outside the first data row, a row whose
     cell count differs from the first data row's, a non-numeric cell, and in
     a written row a non-finite cell or non-ASCII text, raise ValueError with
-    the 1-based line number.  Rows are converted `PARSE_BLOCK` at a time; on
-    a fault, the out stream holds the blocks before the faulty one.
+    the 1-based line number, and so does text `csv.reader` rejects.
+
+    Lines are converted `PARSE_BLOCK` at a time.  A plain block (see
+    `_plain_cells`) is split at its commas and converted in numpy; a plain
+    block with a fault is read again by `csv.reader` to name the first one.
+    From the first block that is not plain on, `csv.reader` reads the rest of
+    the stream, as a quoted cell may span blocks.  On a fault, the out stream
+    holds the blocks before the faulty one.
     """
     if type(label_col) is not int and not isinstance(label_col, np.integer):
         raise ValueError(f"label_col must be an integer, got {label_col!r}")
     if missing_value is not None:  # NaN would equal no label
         _check_real("missing_value", missing_value, finite=True)
-    reader = csv.reader(csv_stream)
-    numbered = zip(reader, map(attrgetter("line_num"), repeat(reader)))
-    written, width = 0, None
-    while block := list(islice(numbered, PARSE_BLOCK)):
+    lines = iter(csv_stream)
+    written, width, first = 0, None, 1  # `first` numbers the block's first line
+    while block := list(islice(lines, PARSE_BLOCK)):
+        cells = _plain_cells(block)
+        if cells is None:
+            return written + _csv_convert(chain(block, lines), first, width, out_stream,
+                                          label_col, missing_value)
+        used, counts = cells[-2:]
+        width = width or (int(counts[used.argmax()]) if used.any() else None)
+        if width is not None:
+            converted = _plain_rows(*cells, width, label_col, missing_value)
+            if converted is None:  # a fault, which csv.reader's path names
+                written += _csv_convert(block, first, width, out_stream, label_col,
+                                        missing_value)
+            else:
+                out_stream.write(converted[0])
+                written += converted[1]
+        first += len(block)
+    return written
+
+
+def _plain_cells(lines: list[str]):
+    """Stripped cells of plain lines, which csv.reader splits at every comma,
+    or None if a line is not plain.
+
+    Plain lines are non-empty ASCII text without a ``"``, no longer than
+    csv's field size limit.  Each but the block's last ends in a newline, and
+    none holds another newline or a carriage return but one before its
+    newline.  Returns the text's bytes, them as uint8 padded for `_numbers`,
+    each cell's stripped start and end in reading order, and for each line
+    its first cell, whether it holds a non-blank cell, and its cell count.
+    """
+    text = "".join(lines)
+    if not text.isascii() or '"' in text:
+        return None
+    lengths = np.fromiter(map(len, lines), np.int64, len(lines))
+    if not lengths.all() or lengths.max() > csv.field_size_limit():
+        return None
+    raw = text.encode("ascii")
+    buf = np.frombuffer(raw + b" " * 16, dtype=np.uint8)  # a read before buf[0] wraps into this
+    ends = np.cumsum(lengths)
+    nl = buf[ends - 1] == 10
+    cr = nl & (lengths > 1) & (buf[ends - 2] == 13)
+    if (not nl[:-1].all() or np.count_nonzero(buf == 10) != np.count_nonzero(nl)
+            or np.count_nonzero(buf == 13) != np.count_nonzero(cr)):
+        return None
+    cut = buf == 44
+    cut[ends - nl - cr] = True  # a line's last cell ends at its "\r\n", "\n" or the text's end
+    end = np.flatnonzero(cut)
+    last = np.flatnonzero(buf[end] != 44)  # each line's last cell
+    row = np.append(0, last[:-1] + 1)
+    start = np.append(0, end[:-1] + 1)
+    start[row] = ends - lengths
+    for edge, step, back in ((start, 1, 0), (end, -1, 1)):  # strip both sides
+        at = np.flatnonzero(buf[edge - back] <= 32)  # every whitespace byte is one of these
+        while (at := at[(start[at] < end[at]) & _is_space(buf[edge[at] - back])]).size:
+            edge[at] += step
+    return raw, buf, start, end, row, np.logical_or.reduceat(start < end, row), last + 1 - row
+
+
+def _plain_rows(raw, buf, start, end, row, used, counts, width, label_col, missing_value):
+    """LIBSVM text of a plain block's cells and how many rows it holds, or
+    None if a check `_csv_rows` makes fails."""
+    if used.any() and not -width <= label_col < width or np.any(used & (counts != width)):
+        return None
+    label_col %= width
+    at = row[used] + label_col
+    at = at[start[at] < end[at]]  # label cells of rows with a label
+    labels, bad = _numbers(raw, buf, start[at], end[at], float, np.nan)
+    if bad.any():
+        return None
+    kept = labels != missing_value  # every row when missing_value is None
+    at, labels = at[kept], labels[kept]
+    cells = at[:, None] + (np.delete(np.arange(width), label_col) - label_col)
+    values, bad = _numbers(raw, buf, start[cells].ravel(), end[cells].ravel(), float, np.nan)
+    if bad.any() or not (np.isfinite(labels).all() and np.isfinite(values).all()):
+        return None
+    # Each row is its label, " j:" and cell for each non-zero feature, and "\n": spans of
+    # the block's bytes followed by the tags.
+    tags = [f" {j}:".encode() for j in range(1, width)] + [b"\n"]
+    tag_size = np.fromiter(map(len, tags), np.int64, width)
+    tag_start = len(raw) + np.cumsum(tag_size) - tag_size
+    spans = np.empty((at.size, 2 * width), dtype=np.int64)
+    spans[:, 0], spans[:, 2:-1:2] = start[at], start[cells]
+    spans[:, 1::2] = tag_start
+    sizes = np.empty_like(spans)
+    sizes[:, 0], sizes[:, 2:-1:2] = end[at] - start[at], end[cells] - start[cells]
+    sizes[:, 1::2] = tag_size
+    shown = np.ones(spans.shape, dtype=bool)
+    shown[:, 1:-1:2] = shown[:, 2:-1:2] = values.reshape(cells.shape) != 0
+    spans, sizes = spans[shown], sizes[shown]
+    # Each span's first byte jumps from the previous span's last one, every other byte steps
+    # by one; no span is empty, so the jumps land on distinct output bytes.
+    source = np.frombuffer(raw + b"".join(tags), dtype=np.uint8)
+    step = np.ones(sizes.sum(), dtype=np.int64)
+    step[np.cumsum(sizes) - sizes] = spans - np.append(1, (spans + sizes)[:-1]) + 1
+    return source[np.add.accumulate(step, out=step)].tobytes().decode("ascii"), at.size
+
+
+def _csv_convert(lines, first, width, out_stream, label_col, missing_value) -> int:
+    """Convert CSV lines with csv.reader, `first` numbering lines[0]; returns
+    rows written.  `width` is the first data row's cell count, or None before
+    it.  A fault raises ValueError naming the first faulty row's line."""
+    reader = csv.reader(lines)
+    error = []
+
+    def numbered():
+        try:
+            for row in reader:
+                yield row, reader.line_num + first - 1
+        except csv.Error as err:  # the rows before it are converted first
+            error.append(ValueError(f"line {reader.line_num + first - 1}: {err}"))
+
+    rows_in = numbered()
+    written = 0
+    while block := list(islice(rows_in, PARSE_BLOCK)):
         rows = [row for row, _ in block]
         width = width or next((len(row) for row in rows if any(map(str.strip, row))), None)
         if width is None:  # no data row yet
@@ -263,6 +388,8 @@ def csv_to_libsvm(csv_stream, out_stream, label_col: int = 0,
             raise
         out_stream.write(text)
         written += kept
+    if error:
+        raise error[0]
     return written
 
 

@@ -97,8 +97,11 @@ class SyntheticQuadratic(FiniteSumProblem):
             raise ValueError(f"diagonal entries must be positive and finite, got {diag}")
         if offsets is None and scales is None:
             raise ValueError("provide offsets and/or scales to fix N")
-        ref = offsets if offsets is not None else scales
-        N = np.asarray(ref).shape[0]
+        name = "offsets" if offsets is not None else "scales"
+        shape = np.asarray(offsets if offsets is not None else scales).shape
+        if not shape or not shape[0]:  # a scalar or no component
+            raise ValueError(f"{name} must hold one entry per component, got shape {shape}")
+        N = shape[0]
 
         if offsets is None:
             offsets = np.zeros((N, diag.size))

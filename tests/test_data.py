@@ -407,6 +407,13 @@ def loop_csv_to_libsvm(csv_stream, out_stream, label_col=0, missing_value=None):
     """Reference converter: one row at a time, with the text, checks, messages
     and line numbers `csv_to_libsvm` must reproduce."""
     reader = csv.reader(csv_stream)
+    try:
+        return _loop_csv_rows(reader, out_stream, label_col, missing_value)
+    except csv.Error as err:
+        raise ValueError(f"line {reader.line_num}: {err}") from None
+
+
+def _loop_csv_rows(reader, out_stream, label_col, missing_value):
     written = 0
     width = None
     for row in reader:
@@ -445,9 +452,10 @@ def loop_csv_to_libsvm(csv_stream, out_stream, label_col=0, missing_value=None):
 
 
 # Cells that are blank, non-numeric, non-finite, non-ASCII, quoted across a line
-# break or around a delimiter, or a non-ASCII zero (never written, so never checked).
+# break or around a delimiter, a non-ASCII zero (never written, so never checked),
+# or holding a carriage return that csv.reader rejects unquoted.
 ODD_CELLS = ["", " ", "x", "nan", "inf", "-inf", "1e999", "\uff12", "\u0665", "\uff10",
-             '"1\n2"', '"3;4"', '"5,6"', "5;6"]
+             '"1\n2"', '"3;4"', '"5,6"', "5;6", "1\r2"]
 
 
 @st.composite
@@ -455,16 +463,21 @@ def csv_inputs(draw):
     """CSV text with blank, ragged, dropped and faulty rows, and converter options.
 
     Returns the text and the keyword arguments; `label_col` may be negative
-    or out of range and some cells are quoted.
+    or out of range.  Half the inputs quote some cells; the others hold no
+    quote, so every block is one `csv_to_libsvm` converts without csv.reader
+    unless it holds a carriage return inside a line or a non-ASCII cell.
     """
     width = draw(st.integers(1, 4))
     label_col = draw(st.integers(-width, width - 1) if draw(st.integers(0, 9)) else
                      st.sampled_from([-width - 1, width]))
     missing_value = draw(st.sampled_from([None, -200.0]))
+    quoted = draw(st.booleans())
+    odd_cells = ODD_CELLS if quoted else [c for c in ODD_CELLS if '"' not in c]
+    forms = ["{}", "{}", " {} ", "\t{}"] + (['"{}"', '" {} "'] if quoted else [])
 
     def cell(odd=30):
-        text = draw(st.sampled_from(ODD_CELLS) if draw(st.integers(0, odd - 1)) == 0 else CELL)
-        return draw(st.sampled_from(["{}", "{}", " {} ", "\t{}", '"{}"', '" {} "'])).format(text)
+        text = draw(st.sampled_from(odd_cells) if draw(st.integers(0, odd - 1)) == 0 else CELL)
+        return draw(st.sampled_from(forms)).format(text)
 
     lines = []
     for _ in range(draw(st.integers(0, 10))):
@@ -629,3 +642,49 @@ class TestCsvToLibsvm:
                 csv_to_libsvm(io.StringIO(text), got_out, **kwargs)
         assert (type(got.value), str(got.value)) == (type(want), str(want))
         assert want_out.getvalue().startswith(got_out.getvalue())
+
+    @pytest.mark.parametrize("text, line", [
+        ("1,2\r3,4\n", 1),                  # csv.reader's own error, once a bare _csv.Error
+        ("1,2\n3,4\r5,6\n", 2),             # the same in a later block
+        ("1,2\n3\n4,5\r6\n", 2),             # a fault before that error in its block
+        ('1,2\n3,4\n"5\n",6\n7,x\n', 5),    # a quoted cell spans blocks, then a fault
+        ('1,2\n3,4\n5,6\n"7",8\n9\n', 5),   # a quote first seen in block 4, then a fault
+        ("1,2\n3,4\n5,6\n7,x\n", 4),         # a fault in a later plain block
+    ])
+    def test_faults_after_plain_blocks_name_their_line(self, text, line):
+        """Line numbers carry over from plain blocks into csv.reader's, and
+        the blocks before the fault are written."""
+        want_out = io.StringIO()
+        with pytest.raises(ValueError, match=f"^line {line}: ") as want:
+            loop_csv_to_libsvm(io.StringIO(text), want_out)
+        for block in (1, 2, data.PARSE_BLOCK):
+            out = io.StringIO()
+            with mock.patch.object(data, "PARSE_BLOCK", block), \
+                    pytest.raises(ValueError) as got:
+                csv_to_libsvm(io.StringIO(text), out)
+            assert str(got.value) == str(want.value)
+            assert want_out.getvalue().startswith(out.getvalue())
+            if block == 1:  # every row is a block
+                assert out.getvalue() == want_out.getvalue()
+
+    def test_blank_rows_of_commas_set_no_width(self):
+        """A row of commas alone is blank, so the next row sets the width."""
+        for block in (1, 2, data.PARSE_BLOCK):
+            out = io.StringIO()
+            with mock.patch.object(data, "PARSE_BLOCK", block):
+                assert csv_to_libsvm(io.StringIO(",\n , \n1,2,3\n"), out) == 1
+            assert out.getvalue() == "1 1:2 2:3\n"
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_air_shaped_csv_never_builds_a_csv_reader(self, end):
+        """Plain blocks are converted in numpy alone, as the reference converter does."""
+        rng = np.random.default_rng(5)
+        table = np.column_stack([rng.uniform(0, 3, 2500), rng.uniform(-5, 50, (2500, 7))])
+        table[rng.choice(2500, 90, replace=False), 0] = -200.0
+        table[rng.random(table.shape) < 0.02] = 0.0
+        text = "".join(",".join(f"{v:.6g}" for v in row) + end for row in table)
+        want_out, got_out = io.StringIO(), io.StringIO()
+        want = loop_csv_to_libsvm(io.StringIO(text), want_out, missing_value=-200.0)
+        with mock.patch.object(csv, "reader", side_effect=AssertionError("csv.reader built")):
+            got = csv_to_libsvm(io.StringIO(text), got_out, missing_value=-200.0)
+        assert (got, got_out.getvalue()) == (want, want_out.getvalue())

@@ -195,6 +195,15 @@ class TestSyntheticQuadratic:
             SyntheticQuadratic(diag=[1.0, 2.0], offsets=np.zeros((3, 2)),
                                scales=scales)
 
+    @pytest.mark.parametrize("kwargs, name", [
+        (dict(scales=2.0), "scales"), (dict(offsets=1.0), "offsets"),
+        (dict(offsets=1.0, scales=[1.0]), "offsets"), (dict(scales=[]), "scales")])
+    def test_rejects_a_scalar_or_empty_argument_that_fixes_N(self, kwargs, name):
+        """N came from the argument's first axis: a scalar raised a bare
+        IndexError, and so did no scales at all."""
+        with pytest.raises(ValueError, match=f"^{name} must hold one entry per component"):
+            SyntheticQuadratic(diag=[1.0], **kwargs)
+
     def test_rejects_offsets_that_overflow_when_centered(self):
         """Finite offsets whose sum overflows were stored as [-inf, -inf, inf]
         with only a RuntimeWarning."""
