@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from itertools import chain, islice
 
@@ -198,9 +199,12 @@ def minmax_normalize(matrix: np.ndarray) -> np.ndarray:
     """Per-column min-max rescaling into [0, 1] over all rows jointly.
 
     Constant columns map to 0.  Feed the concatenated train+test matrix so
-    both sides share the same column ranges.
+    both sides share the same column ranges.  A NaN or infinite entry, which
+    would turn its column into NaN, raises ValueError.
     """
     D = np.asarray(matrix, dtype=np.float64)
+    if not np.isfinite(D).all():
+        raise ValueError("matrix must be finite")
     lo, span = D.min(axis=0), np.ptp(D, axis=0)
     out = (D - lo) / np.where(span == 0.0, 1.0, span)
     out[:, span == 0.0] = 0.0
@@ -247,33 +251,30 @@ def csv_to_libsvm(csv_stream, out_stream, label_col: int = 0,
     the 1-based line number, and so does text `csv.reader` rejects.
 
     Lines are converted `PARSE_BLOCK` at a time.  A plain block (see
-    `_plain_cells`) is split at its commas and converted in numpy; a plain
-    block with a fault is read again by `csv.reader` to name the first one.
-    From the first block that is not plain on, `csv.reader` reads the rest of
-    the stream, as a quoted cell may span blocks.  On a fault, the out stream
-    holds the blocks before the faulty one.
+    `_plain_cells`) is split at its commas and converted in numpy.  From the
+    first block that is not plain or holds a fault on, `csv.reader` reads the
+    rest of the stream, as a quoted cell may span blocks, and its rows are
+    converted one at a time and written `PARSE_BLOCK` at a time.  On a fault,
+    the out stream holds the blocks before the faulty one.
     """
     if type(label_col) is not int and not isinstance(label_col, np.integer):
         raise ValueError(f"label_col must be an integer, got {label_col!r}")
+    label_col = operator.index(label_col)  # a np.uint64 would make float indices
     if missing_value is not None:  # NaN would equal no label
         _check_real("missing_value", missing_value, finite=True)
     lines = iter(csv_stream)
     written, width, first = 0, None, 1  # `first` numbers the block's first line
     while block := list(islice(lines, PARSE_BLOCK)):
         cells = _plain_cells(block)
-        if cells is None:
+        if cells is not None:
+            used, counts = cells[-2:]
+            width = width or (int(counts[used.argmax()]) if used.any() else None)
+            converted = _plain_rows(*cells, width, label_col, missing_value) if width else ("", 0)
+        if cells is None or converted is None:  # csv.reader converts or names the fault
             return written + _csv_convert(chain(block, lines), first, width, out_stream,
                                           label_col, missing_value)
-        used, counts = cells[-2:]
-        width = width or (int(counts[used.argmax()]) if used.any() else None)
-        if width is not None:
-            converted = _plain_rows(*cells, width, label_col, missing_value)
-            if converted is None:  # a fault, which csv.reader's path names
-                written += _csv_convert(block, first, width, out_stream, label_col,
-                                        missing_value)
-            else:
-                out_stream.write(converted[0])
-                written += converted[1]
+        out_stream.write(converted[0])
+        written += converted[1]
         first += len(block)
     return written
 
@@ -319,7 +320,7 @@ def _plain_cells(lines: list[str]):
 
 def _plain_rows(raw, buf, start, end, row, used, counts, width, label_col, missing_value):
     """LIBSVM text of a plain block's cells and how many rows it holds, or
-    None if a check `_csv_rows` makes fails."""
+    None if a check `_csv_row` makes fails."""
     if used.any() and not -width <= label_col < width or np.any(used & (counts != width)):
         return None
     label_col %= width
@@ -357,76 +358,53 @@ def _plain_rows(raw, buf, start, end, row, used, counts, width, label_col, missi
 
 
 def _csv_convert(lines, first, width, out_stream, label_col, missing_value) -> int:
-    """Convert CSV lines with csv.reader, `first` numbering lines[0]; returns
+    """Convert CSV lines with csv.reader, `first` numbering the first; returns
     rows written.  `width` is the first data row's cell count, or None before
-    it.  A fault raises ValueError naming the first faulty row's line."""
+    it.  Rows are written `PARSE_BLOCK` at a time; a fault raises ValueError
+    naming its line, and the out stream holds the blocks before it."""
     reader = csv.reader(lines)
-    error = []
-
-    def numbered():
-        try:
-            for row in reader:
-                yield row, reader.line_num + first - 1
-        except csv.Error as err:  # the rows before it are converted first
-            error.append(ValueError(f"line {reader.line_num + first - 1}: {err}"))
-
-    rows_in = numbered()
-    written = 0
-    while block := list(islice(rows_in, PARSE_BLOCK)):
-        rows = [row for row, _ in block]
-        width = width or next((len(row) for row in rows if any(map(str.strip, row))), None)
-        if width is None:  # no data row yet
-            continue
-        try:
-            text, kept = _csv_rows(rows, width, label_col, missing_value)
-        except ValueError:
-            for row, line_num in block:  # the first faulty row names the fault
-                try:
-                    _csv_rows([row], width, label_col, missing_value)
-                except ValueError as err:
-                    raise ValueError(f"line {line_num}: {err}") from None
-            raise
-        out_stream.write(text)
-        written += kept
-    if error:
-        raise error[0]
-    return written
+    written, text = 0, []
+    try:
+        for count, row in enumerate(reader, 1):
+            if width is None and any(map(str.strip, row)):
+                width = len(row)
+            try:
+                line = _csv_row(row, width, label_col, missing_value)
+            except ValueError as err:
+                raise ValueError(f"line {reader.line_num + first - 1}: {err}") from None
+            if line is not None:
+                text.append(line)
+            if count % PARSE_BLOCK == 0:
+                out_stream.write("".join(text))
+                written, text = written + len(text), []
+    except csv.Error as err:
+        raise ValueError(f"line {reader.line_num + first - 1}: {err}") from None
+    out_stream.write("".join(text))
+    return written + len(text)
 
 
-def _csv_rows(rows, width, label_col, missing_value):
-    """LIBSVM text of CSV rows and how many it holds; blank rows are skipped.
+def _csv_row(row, width, label_col, missing_value):
+    """LIBSVM line of a CSV row, or None if the row is blank or its label is
+    empty or `missing_value`.
 
-    The checks run in reading order, so for a single row the ValueError
-    raised names the fault reading it cell by cell meets first.
+    The checks run in reading order, so the ValueError raised names the fault
+    reading the row cell by cell meets first.
     """
-    flat = list(chain.from_iterable(rows))
-    cells = np.array(list(map(str.strip, flat)), dtype=object)
-    seen = np.concatenate(([0], np.cumsum(cells.astype(bool))))  # non-blank cells before each
-    sizes = np.fromiter(map(len, rows), np.int64, len(rows))
-    ends = np.cumsum(sizes)
-    used = seen[ends] > seen[ends - sizes]  # rows with a non-blank cell
-    if used.any() and not -width <= label_col < width:
+    if not any(map(str.strip, row)):
+        return None
+    if not -width <= label_col < width:
         raise ValueError(f"label_col {label_col} is out of range for {width} cells")
-    if np.any(used & (sizes != width)):
-        raise ValueError(f"{sizes[used & (sizes != width)][0]} cells, "
-                         f"expected {width} as in the first data row")
-    label_col %= width
-    at = (ends - sizes)[used]
-    at = at[cells[at + label_col].astype(bool)]  # rows with a label
-    labels = np.fromiter(map(float, cells[at + label_col].tolist()), np.float64, at.size)
-    kept = labels != missing_value  # every row when missing_value is None
-    at, labels = at[kept], labels[kept]
-    features = at[:, None] + np.delete(np.arange(width), label_col)
-    raw = np.array(flat, dtype=object)[features].ravel().tolist()  # float() names them unstripped
-    values = np.fromiter(map(float, raw), np.float64, len(raw)).reshape(features.shape)
-    lines = np.empty((at.size, 2 * width), dtype=object)  # label, " j:" and cell per feature, "\n"
-    lines[:, 0], lines[:, 1:-1:2], lines[:, 2:-1:2], lines[:, -1] = (
-        cells[at + label_col], [f" {j}:" for j in range(1, width)], cells[features], "\n")
-    shown = np.ones(lines.shape, dtype=bool)
-    shown[:, 1:-1:2] = shown[:, 2:-1:2] = values != 0
-    out = "".join(lines[shown].tolist())
-    if not (np.isfinite(labels).all() and np.isfinite(values).all()):
-        raise ValueError(f"non-finite cell in {out[:-1]!r}")
-    if not out.isascii():  # float() reads non-ASCII digits, parse_libsvm does not
-        raise ValueError(f"non-ASCII cell in {out[:-1]!r}")
-    return out, at.size
+    if len(row) != width:
+        raise ValueError(f"{len(row)} cells, expected {width} as in the first data row")
+    cells = list(row)
+    label = cells.pop(label_col).strip()
+    if not label or (value := float(label)) == missing_value:
+        return None
+    values = list(map(float, cells))  # float() names a cell unstripped
+    line = " ".join([label] + [f"{j}:{cell.strip()}" for j, (cell, v) in
+                               enumerate(zip(cells, values), 1) if v])
+    if not all(map(math.isfinite, [value, *values])):
+        raise ValueError(f"non-finite cell in {line!r}")
+    if not line.isascii():  # float() reads non-ASCII digits, parse_libsvm does not
+        raise ValueError(f"non-ASCII cell in {line!r}")
+    return line + "\n"

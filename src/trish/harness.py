@@ -107,12 +107,16 @@ def load_config(path) -> ExperimentConfig:
     """Read a config JSON, rejecting keys the schema does not define."""
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, dict):
+        raise ValueError(f"config must be a JSON object, got {type(raw).__name__}")
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     for key in ("alphas", "gamma1_multipliers", "gamma2_multipliers"):
         if key in raw:
+            if not isinstance(raw[key], list):  # a string would split into characters
+                raise ValueError(f"{key} must be a JSON list, got {raw[key]!r}")
             raw[key] = tuple(raw[key])
     return ExperimentConfig(**raw)
 

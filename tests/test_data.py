@@ -296,6 +296,15 @@ class TestMinmaxNormalize:
         out = minmax_normalize(rng.normal(size=(50, 6)) * 100)
         assert out.min() >= 0.0 and out.max() <= 1.0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        """NaN used to fill its column with NaN silently, and inf with only a
+        RuntimeWarning."""
+        D = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        D[1, 0] = bad
+        with pytest.raises(ValueError, match="^matrix must be finite$"):
+            minmax_normalize(D)
+
 
 class TestChronologicalSplit:
     def test_order_preserving_seventy_thirty(self):
@@ -549,7 +558,7 @@ class TestCsvToLibsvm:
         assert src.tell() == 0 and out.getvalue() == ""
 
     @pytest.mark.parametrize("label_col, missing_value", [
-        (np.int64(1), np.float64(2.0)), (-1, 2), (1, np.int32(2))])
+        (np.int64(1), np.float64(2.0)), (-1, 2), (1, np.int32(2)), (np.uint64(1), 2.0)])
     def test_numpy_and_integer_arguments_accepted(self, label_col, missing_value):
         out = io.StringIO()
         rows = csv_to_libsvm(io.StringIO("5,1\n7,2\n"), out,
@@ -666,6 +675,18 @@ class TestCsvToLibsvm:
             assert want_out.getvalue().startswith(out.getvalue())
             if block == 1:  # every row is a block
                 assert out.getvalue() == want_out.getvalue()
+
+    @pytest.mark.parametrize("line", [5, 6])
+    def test_reader_path_writes_the_blocks_before_a_fault(self, line):
+        """With quoted cells every row goes through csv.reader; a fault in row
+        5 or 6 leaves exactly the two-row blocks of rows 1-4 written."""
+        rows = ['"1",2', '"3",0', '" 5 ",6', '"7",8', '"9",10', '"11",12']
+        rows[line - 1] = '"9",x'
+        out = io.StringIO()
+        with mock.patch.object(data, "PARSE_BLOCK", 2), pytest.raises(
+                ValueError, match=f"^line {line}: could not convert string to float: 'x'$"):
+            csv_to_libsvm(io.StringIO("\n".join(rows) + "\n"), out)
+        assert out.getvalue() == "1 1:2\n3\n5 1:6\n7 1:8\n"
 
     def test_blank_rows_of_commas_set_no_width(self):
         """A row of commas alone is blank, so the next row sets the width."""

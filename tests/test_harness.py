@@ -417,6 +417,24 @@ class TestConfig:
             with pytest.raises(ValueError, match=f"unknown config keys: {key}$"):
                 load_config(path)
 
+    @pytest.mark.parametrize("raw, message", [
+        ({"alphas": 0.1}, "alphas must be a JSON list, got 0.1"),
+        ({"gamma1_multipliers": "4"}, "gamma1_multipliers must be a JSON list, got '4'"),
+        ({"alphas": "0.1"}, "alphas must be a JSON list, got '0.1'"),
+        ({"gamma2_multipliers": {"0.5": 1}}, "gamma2_multipliers must be a JSON list, got {"),
+        ([1, 2], "config must be a JSON object, got list"),
+        ("logistic", "config must be a JSON object, got str")])
+    def test_rejects_non_list_axis_and_non_object_config(self, raw, message, tmp_path):
+        """A number axis raised a bare TypeError, a string axis was split into
+        characters ("got '0'"), and a JSON array raised TypeError while
+        listing unknown keys."""
+        if isinstance(raw, dict):
+            raw = {"model": "logistic", "algorithm": "trish", **raw}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            load_config(path)
+
     @pytest.mark.parametrize("reps", (True, 2.0, 0))
     def test_rejects_bool_and_nonintegral_reps(self, reps):
         """reps=True used to run silently as one repetition."""
